@@ -7,6 +7,7 @@ the minimal penetration depth, which the simulator logs as overlap_depth.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,13 +21,14 @@ class Route:
     """A polyline route addressed by arc length.
 
     Positions past the final vertex continue along the last segment
-    direction, so agents simply drive out of the scene.
+    direction, so agents simply drive out of the scene. A route's arrays
+    are read-only, so one route can be shared by every run.
     """
 
     points: np.ndarray  # (k, 2), k >= 2
 
     def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=float)
+        self.points = np.array(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[0] < 2:
             raise ValueError("route needs at least two points")
         deltas = np.diff(self.points, axis=0)
@@ -34,30 +36,43 @@ class Route:
         if np.any(seg_lengths <= 0):
             raise ValueError("route has a zero-length segment")
         self._seg_lengths = seg_lengths
-        self._cum = np.concatenate([[0.0], np.cumsum(seg_lengths)])
+        # Segment lookup runs several times per agent per tick; a list
+        # searched with bisect is much cheaper than np.searchsorted on a
+        # scalar and finds the same segment.
+        self._cum = np.concatenate([[0.0], np.cumsum(seg_lengths)]).tolist()
         self._dirs = deltas / seg_lengths[:, None]
+        self._headings = [float(np.arctan2(d[1], d[0])) for d in self._dirs]
+        for array in (self.points, self._seg_lengths, self._dirs):
+            array.setflags(write=False)
 
     @property
     def length(self) -> float:
-        return float(self._cum[-1])
+        return self._cum[-1]
 
     def _segment_index(self, s: float) -> int:
         if s <= 0.0:
             return 0
         if s >= self._cum[-1]:
             return len(self._seg_lengths) - 1
-        return int(np.searchsorted(self._cum, s, side="right") - 1)
+        return bisect_right(self._cum, s) - 1
+
+    def pose_at(self, s: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """(position, unit direction, heading) at arc length s.
+
+        The direction is a read-only view into the route.
+        """
+        i = self._segment_index(s)
+        return (self.points[i] + (s - self._cum[i]) * self._dirs[i],
+                self._dirs[i], self._headings[i])
 
     def position_at(self, s: float) -> np.ndarray:
-        i = self._segment_index(s)
-        return self.points[i] + (s - self._cum[i]) * self._dirs[i]
+        return self.pose_at(s)[0]
 
     def direction_at(self, s: float) -> np.ndarray:
         return self._dirs[self._segment_index(s)].copy()
 
     def heading_at(self, s: float) -> float:
-        d = self.direction_at(s)
-        return float(np.arctan2(d[1], d[0]))
+        return self._headings[self._segment_index(s)]
 
     def arc_length_of(self, p: np.ndarray, s_min: float = 0.0) -> Optional[float]:
         """Arc length of the closest on-route point at or beyond s_min.

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Optional, Union
 
@@ -114,12 +114,25 @@ def finalize_tick(store: TickStore, world: GroundTruthWorld,
 
 # --- trace codec ----------------------------------------------------------
 
+# Built once: json.dumps with any non-default option builds a new
+# encoder on every call.
+_LINE_ENCODER = json.JSONEncoder(allow_nan=False)
+_HASH_ENCODER = json.JSONEncoder(allow_nan=False, sort_keys=True)
+
+
 def record_to_json_dict(record: IterationRecord) -> dict:
-    d = asdict(record)
+    """The record's fields in declaration order, ready for json.dumps.
+
+    Every field but ``role_timings_ns`` is an immutable scalar or a
+    tuple of floats, so a shallow copy is as safe as a deep one; the
+    timings dict is copied so the result never aliases the record.
+    """
+    d = dict(vars(record))
     if math.isinf(d["min_predicted_separation"]):
         d["min_predicted_separation"] = "inf"
     d["ego_position"] = list(d["ego_position"])
     d["ego_velocity"] = list(d["ego_velocity"])
+    d["role_timings_ns"] = dict(d["role_timings_ns"])
     return d
 
 
@@ -138,8 +151,7 @@ def write_trace(records: list[IterationRecord],
     """JSON Lines, one record per line, UTF-8, no NaN on the wire."""
     def dump(fh: IO[str]) -> None:
         for record in records:
-            fh.write(json.dumps(record_to_json_dict(record),
-                                allow_nan=False) + "\n")
+            fh.write(_LINE_ENCODER.encode(record_to_json_dict(record)) + "\n")
 
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as fh:
@@ -173,7 +185,7 @@ def trace_hash(records: list[IterationRecord]) -> str:
     for record in records:
         d = record_to_json_dict(record)
         d.pop("role_timings_ns")
-        h.update(json.dumps(d, sort_keys=True, allow_nan=False).encode("utf-8"))
+        h.update(_HASH_ENCODER.encode(d).encode("utf-8"))
     return h.hexdigest()
 
 

@@ -101,33 +101,49 @@ class AgentScript:
         return self.s0 + self.speed * sim_time
 
 
+# The layout and its routes never change, so they are built once and
+# shared. Route arrays are read-only, and each route keeps its
+# zone_entry_exit cache for the life of the process.
+_APPROACH_ROUTES = {
+    "S": geometry.Route([[LANE_OFFSET, -APPROACH_REACH], [LANE_OFFSET, APPROACH_REACH]]),
+    "N": geometry.Route([[-LANE_OFFSET, APPROACH_REACH], [-LANE_OFFSET, -APPROACH_REACH]]),
+    "E": geometry.Route([[APPROACH_REACH, LANE_OFFSET], [-APPROACH_REACH, LANE_OFFSET]]),
+    "W": geometry.Route([[-APPROACH_REACH, -LANE_OFFSET], [APPROACH_REACH, -LANE_OFFSET]]),
+}
+
+_INTERSECTION = IntersectionGeometry(
+    conflict_zone=ConflictZone(-ZONE_HALF, ZONE_HALF, -ZONE_HALF, ZONE_HALF),
+    approach_lanes={approach: route.points
+                    for approach, route in _APPROACH_ROUTES.items()},
+    speed_limit=SPEED_LIMIT,
+)
+
+# Ego routes all enter from the south approach.
+_EGO_START = [LANE_OFFSET, -APPROACH_REACH]
+_EGO_ROUTES = {
+    RouteGoal.STRAIGHT: geometry.Route(
+        [_EGO_START, [LANE_OFFSET, APPROACH_REACH]]),
+    RouteGoal.RIGHT_TURN: geometry.Route(
+        [_EGO_START, [LANE_OFFSET, -LANE_OFFSET], [APPROACH_REACH, -LANE_OFFSET]]),
+    # Left turn to the westbound exit.
+    RouteGoal.LEFT_TURN: geometry.Route(
+        [_EGO_START, [LANE_OFFSET, LANE_OFFSET], [-APPROACH_REACH, LANE_OFFSET]]),
+}
+
+
 def build_intersection() -> IntersectionGeometry:
-    zone = ConflictZone(-ZONE_HALF, ZONE_HALF, -ZONE_HALF, ZONE_HALF)
-    lanes = {
-        "S": np.array([[LANE_OFFSET, -APPROACH_REACH], [LANE_OFFSET, APPROACH_REACH]]),
-        "N": np.array([[-LANE_OFFSET, APPROACH_REACH], [-LANE_OFFSET, -APPROACH_REACH]]),
-        "E": np.array([[APPROACH_REACH, LANE_OFFSET], [-APPROACH_REACH, LANE_OFFSET]]),
-        "W": np.array([[-APPROACH_REACH, -LANE_OFFSET], [APPROACH_REACH, -LANE_OFFSET]]),
-    }
-    return IntersectionGeometry(conflict_zone=zone, approach_lanes=lanes,
-                                speed_limit=SPEED_LIMIT)
+    """The shared intersection layout."""
+    return _INTERSECTION
 
 
 def ego_route_for(goal: RouteGoal) -> geometry.Route:
-    """Ego route entering from the south approach."""
-    start = [LANE_OFFSET, -APPROACH_REACH]
-    if goal == RouteGoal.STRAIGHT:
-        pts = [start, [LANE_OFFSET, APPROACH_REACH]]
-    elif goal == RouteGoal.RIGHT_TURN:
-        pts = [start, [LANE_OFFSET, -LANE_OFFSET], [APPROACH_REACH, -LANE_OFFSET]]
-    else:  # left turn to the westbound exit
-        pts = [start, [LANE_OFFSET, LANE_OFFSET], [-APPROACH_REACH, LANE_OFFSET]]
-    return geometry.Route(np.array(pts, dtype=float))
+    """The shared ego route for a goal, entering from the south approach."""
+    return _EGO_ROUTES[goal]
 
 
 def approach_route(approach: str) -> geometry.Route:
-    lanes = build_intersection().approach_lanes
-    return geometry.Route(lanes[approach])
+    """The shared route along one approach lane ("N", "S", "E" or "W")."""
+    return _APPROACH_ROUTES[approach]
 
 
 def distance_to_entry(route: geometry.Route, s: float,
@@ -219,10 +235,27 @@ def advance_arc(speed: float, accel: float, dt: float) -> tuple[float, float]:
 
 
 def detect_collision(world: GroundTruthWorld) -> Optional[CollisionEvent]:
-    """First ego-vs-agent oriented-rectangle overlap, lowest agent id."""
+    """First ego-vs-agent oriented-rectangle overlap, lowest agent id.
+
+    Broad phase: a rectangle lies inside the disc of radius
+    hypot(*half_extent) around its centre, so an agent whose centre is
+    farther from the ego's than the two radii together cannot overlap
+    and skips the separating-axis test. The 1e-6 m slack covers rounding
+    in the corner coordinates.
+    """
     ego = world.ego
-    ego_corners = geometry.rect_corners(ego.position, ego.half_extent, ego.heading)
+    ego_x, ego_y = float(ego.position[0]), float(ego.position[1])
+    ego_radius = float(np.hypot(*ego.half_extent))
+    ego_corners = None
     for agent in sorted(world.agents, key=lambda a: a.id):
+        reach = ego_radius + float(np.hypot(*agent.half_extent)) + 1e-6
+        dx = float(agent.position[0]) - ego_x
+        dy = float(agent.position[1]) - ego_y
+        if dx * dx + dy * dy > reach * reach:
+            continue
+        if ego_corners is None:
+            ego_corners = geometry.rect_corners(ego.position, ego.half_extent,
+                                                ego.heading)
         corners = geometry.rect_corners(agent.position, agent.half_extent,
                                         agent.heading)
         depth = geometry.obb_overlap(ego_corners, corners)
@@ -240,11 +273,10 @@ def step_dynamics(world: GroundTruthWorld, cmd: EgoCommand) -> GroundTruthWorld:
     advance, new_speed = advance_arc(world.ego.speed, cmd.target_accel, dt)
     new_s = world.ego_s + advance
     route = world.ego_route
-    heading = route.heading_at(new_s)
-    direction = route.direction_at(new_s)
+    position, direction, heading = route.pose_at(new_s)
     ego = AgentState(
         id=world.ego.id, kind=world.ego.kind,
-        position=route.position_at(new_s),
+        position=position,
         velocity=new_speed * direction,
         acceleration=cmd.target_accel * direction,
         heading=heading,
@@ -255,14 +287,14 @@ def step_dynamics(world: GroundTruthWorld, cmd: EgoCommand) -> GroundTruthWorld:
     agents = []
     for old in world.agents:
         script = world.agent_scripts[old.id]
-        s = script.arc_length_at(sim_time)
-        direction_a = script.route.direction_at(s)
+        position, direction, heading = script.route.pose_at(
+            script.arc_length_at(sim_time))
         agents.append(AgentState(
             id=old.id, kind=old.kind,
-            position=script.route.position_at(s),
-            velocity=script.speed * direction_a,
+            position=position,
+            velocity=script.speed * direction,
             acceleration=np.zeros(2),
-            heading=script.route.heading_at(s),
+            heading=heading,
             half_extent=old.half_extent.copy(),
         ))
     new_world = GroundTruthWorld(

@@ -188,3 +188,45 @@ class TestRoute:
         route = Route(np.array([[0.0, -50.0], [0.0, 50.0]]))
         zone = ConflictZone(-10, 10, -10, 10)
         assert route.zone_entry_exit(zone) == route.zone_entry_exit(zone)
+
+    def test_pose_matches_searchsorted_reference_bit_for_bit(self):
+        points = np.array([[2.5, -200.0], [2.5, 2.5], [-200.0, 2.5],
+                           [-200.0, 40.0]])
+        route = Route(points)
+        deltas = np.diff(points, axis=0)
+        lengths = np.hypot(deltas[:, 0], deltas[:, 1])
+        cum = np.concatenate([[0.0], np.cumsum(lengths)])
+        dirs = deltas / lengths[:, None]
+
+        def reference(s):
+            if s <= 0.0:
+                i = 0
+            elif s >= cum[-1]:
+                i = len(lengths) - 1
+            else:
+                i = int(np.searchsorted(cum, s, side="right") - 1)
+            return (points[i] + (s - cum[i]) * dirs[i], dirs[i],
+                    float(np.arctan2(dirs[i][1], dirs[i][0])))
+
+        rng = random.Random(8)
+        samples = [-3.0, 0.0, *cum.tolist(), cum[-1] + 7.0,
+                   *(np.nextafter(c, np.inf) for c in cum),
+                   *(np.nextafter(c, -np.inf) for c in cum),
+                   *(rng.uniform(-10.0, cum[-1] + 10.0) for _ in range(2000))]
+        for s in samples:
+            position, direction, heading = route.pose_at(s)
+            ref_position, ref_direction, ref_heading = reference(s)
+            assert position.tolist() == ref_position.tolist()
+            assert direction.tolist() == ref_direction.tolist()
+            assert heading == ref_heading
+            assert route.position_at(s).tolist() == position.tolist()
+            assert route.direction_at(s).tolist() == direction.tolist()
+            assert route.heading_at(s) == heading
+
+    def test_route_copies_and_freezes_its_points(self):
+        points = np.array([[0.0, 0.0], [10.0, 0.0]])
+        route = Route(points)
+        points[1, 0] = 20.0  # the caller's array stays writable
+        assert route.length == 10.0
+        with pytest.raises(ValueError):
+            route.points[1, 0] = 20.0

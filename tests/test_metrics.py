@@ -1,5 +1,6 @@
 """Trace codec, per-run summarization, campaign aggregation, reports."""
 
+import dataclasses
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from avguard.metrics import (
     TerminationStatus,
     pct,
     read_trace,
+    record_to_json_dict,
     render_report,
     summarize_campaign,
     summarize_run,
@@ -116,6 +118,53 @@ class TestTraceCodec:
         path = str(tmp_path / "trace.jsonl")
         write_trace(records, path)
         assert read_trace(path) == records
+
+
+def asdict_json_dict(record):
+    """Reference encoding: the deep copy made by dataclasses.asdict."""
+    d = dataclasses.asdict(record)
+    if math.isinf(d["min_predicted_separation"]):
+        d["min_predicted_separation"] = "inf"
+    d["ego_position"] = list(d["ego_position"])
+    d["ego_velocity"] = list(d["ego_velocity"])
+    return d
+
+
+class TestRecordToJsonDict:
+    EDGE_CASES = [
+        make_record(min_predicted_separation=math.inf),
+        make_record(offending_object=None, active_fault=None),
+        make_record(offending_object=9000,
+                    active_fault="ghost_obstacle+trajectory_spoof"),
+        make_record(role_timings_ns={"generator": 41, "safety_monitor": 7}),
+        make_record(min_predicted_separation=-0.25, offending_object=3,
+                    active_fault="trajectory_spoof",
+                    role_timings_ns={"environment": 1}),
+    ]
+
+    @pytest.mark.parametrize("record", EDGE_CASES)
+    def test_equals_asdict_encoding(self, record):
+        d = record_to_json_dict(record)
+        reference = asdict_json_dict(record)
+        assert d == reference
+        assert list(d) == list(reference)  # key order fixes the line bytes
+        assert json.dumps(d) == json.dumps(reference)
+
+    def test_equals_asdict_encoding_on_random_records(self):
+        rng = random.Random(5)
+        for tick in range(500):
+            record = random_record(rng, tick)
+            assert json.dumps(record_to_json_dict(record)) == json.dumps(
+                asdict_json_dict(record))
+
+    def test_result_does_not_alias_the_record(self):
+        record = make_record(role_timings_ns={"generator": 41})
+        d = record_to_json_dict(record)
+        d["role_timings_ns"]["generator"] = 0
+        d["role_timings_ns"]["extra"] = 1
+        d["ego_position"][0] = 99.0
+        assert record.role_timings_ns == {"generator": 41}
+        assert record.ego_position == (2.5, -30.0)
 
 
 class TestTraceHash:

@@ -15,6 +15,7 @@ from avguard.sim import (
     ScenarioBase,
     SimParams,
     advance_arc,
+    approach_route,
     build_intersection,
     build_perceived_state,
     command_accel,
@@ -304,3 +305,35 @@ class TestRoutesAndGeometry:
         script = AgentScript(route=route, s0=5.0, speed=3.0)
         assert script.arc_length_at(0.0) == 5.0
         assert script.arc_length_at(2.0) == pytest.approx(11.0)
+
+    def test_shared_routes_are_built_once(self):
+        for goal in RouteGoal:
+            assert ego_route_for(goal) is ego_route_for(goal)
+        for approach in "NSEW":
+            assert approach_route(approach) is approach_route(approach)
+        assert build_intersection() is build_intersection()
+
+
+class TestSharedConstantsReadOnly:
+    @pytest.mark.parametrize("goal", list(RouteGoal))
+    def test_ego_route_points(self, goal):
+        route = ego_route_for(goal)
+        before = route.points.copy()
+        with pytest.raises(ValueError):
+            route.points[0, 0] = 123.0
+        with pytest.raises(ValueError):
+            route.points += 1.0
+        assert np.array_equal(route.points, before)
+
+    @pytest.mark.parametrize("approach", ["N", "S", "E", "W"])
+    def test_approach_lanes_and_routes(self, approach):
+        lane = build_intersection().approach_lanes[approach]
+        with pytest.raises(ValueError):
+            lane[0, 0] = 123.0
+        with pytest.raises(ValueError):
+            approach_route(approach).points[1, 1] = 123.0
+
+    def test_direction_from_pose_is_a_read_only_view(self):
+        _, direction, _ = ego_route_for(RouteGoal.LEFT_TURN).pose_at(5.0)
+        with pytest.raises(ValueError):
+            direction[0] = 0.0
