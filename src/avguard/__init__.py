@@ -27,7 +27,7 @@ from .metrics import (
     trace_hash,
     write_trace,
 )
-from .monitor import PredictionModel, SafetyParams, safety_check
+from .monitor import SafetyParams, safety_check
 from .orchestrator import (
     RoleBinding,
     RoleKind,
@@ -91,7 +91,6 @@ __all__ = [
     "PerfThresholds",
     "PlannerConfig",
     "PlannerKind",
-    "PredictionModel",
     "Provenance",
     "RoleBinding",
     "RoleKind",

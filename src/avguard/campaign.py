@@ -147,16 +147,8 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
                 meta = json.load(fh)
             order = (meta.get("scenario_index", 0), meta.get("run_index", 0))
             if meta.get("failed"):
-                keyed.append((*order, RunSummary(
-                    scenario_id=meta["scenario_id"], seed=meta["seed"],
-                    termination=TerminationStatus.RUNNING,
-                    any_unsafe_flag=False, unsafe_tick_count=0,
-                    collision=False, clearance_time_s=None,
-                    max_abs_accel=0.0, max_abs_jerk=0.0,
-                    max_abs_jerk_nonexempt=0.0, comfort_violations=0,
-                    comfort_violations_exempt=0, faults_injected={},
-                    recovery_activations=0, recovery_successes=0,
-                    failed=True, error=meta.get("error"))))
+                keyed.append((*order, RunSummary.failed_run(
+                    meta["scenario_id"], meta["seed"], meta.get("error"))))
                 continue
             trace = os.path.join(scenario_dir, f"{meta['seed']}.jsonl")
             records = metrics.read_trace(trace)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .state import ConflictZone
+from .state import ConflictZone, hypot2, normalize_heading
 
 
 @dataclass
@@ -42,6 +42,21 @@ class Route:
         self._cum = np.concatenate([[0.0], np.cumsum(seg_lengths)]).tolist()
         self._dirs = deltas / seg_lengths[:, None]
         self._headings = [float(np.arctan2(d[1], d[0])) for d in self._dirs]
+        # normalize_heading is not idempotent (a second pass moves about
+        # 1.7% of random headings by one ulp), so pose_at hands out the
+        # heading an AgentState would store and heading_at the raw one.
+        self._pose_headings = [normalize_heading(h) for h in self._headings]
+        # Per segment (ax, ay, dx, dy, length, cum, axis_aligned) as
+        # floats. On an axis-aligned segment the direction is (+-1, 0) or
+        # (0, +-1), so both products of the projection dot are exact and
+        # plain float arithmetic gives np.dot's bits.
+        self._segs = [
+            (ax, ay, dx, dy, length, cum,
+             (dx == 0.0 and abs(dy) == 1.0) or (dy == 0.0 and abs(dx) == 1.0))
+            for (ax, ay), (dx, dy), length, cum in zip(
+                self.points[:-1].tolist(), self._dirs.tolist(),
+                seg_lengths.tolist(), self._cum)
+        ]
         for array in (self.points, self._seg_lengths, self._dirs):
             array.setflags(write=False)
 
@@ -53,17 +68,20 @@ class Route:
         if s <= 0.0:
             return 0
         if s >= self._cum[-1]:
-            return len(self._seg_lengths) - 1
+            return len(self._segs) - 1
         return bisect_right(self._cum, s) - 1
 
     def pose_at(self, s: float) -> tuple[np.ndarray, np.ndarray, float]:
         """(position, unit direction, heading) at arc length s.
 
-        The direction is a read-only view into the route.
+        The direction is a read-only view into the route. The heading is
+        ``normalize_heading(heading_at(s))``, the value AgentState stores.
         """
         i = self._segment_index(s)
-        return (self.points[i] + (s - self._cum[i]) * self._dirs[i],
-                self._dirs[i], self._headings[i])
+        ax, ay, dx, dy, _, cum, _ = self._segs[i]
+        t = s - cum
+        return (np.array([ax + t * dx, ay + t * dy]), self._dirs[i],
+                self._pose_headings[i])
 
     def position_at(self, s: float) -> np.ndarray:
         return self.pose_at(s)[0]
@@ -74,36 +92,35 @@ class Route:
     def heading_at(self, s: float) -> float:
         return self._headings[self._segment_index(s)]
 
+    def _closest(self, i: int, x: float, y: float) -> tuple[float, float]:
+        """(arc length, distance) of the point of segment i closest to (x, y)."""
+        ax, ay, dx, dy, length, cum, axis_aligned = self._segs[i]
+        rx, ry = x - ax, y - ay
+        if axis_aligned:
+            t = rx * dx + ry * dy
+        else:
+            t = float(np.dot(np.array([rx, ry]), self._dirs[i]))
+        t = min(max(t, 0.0), length)
+        return cum + t, hypot2(x - (ax + t * dx), y - (ay + t * dy))
+
     def arc_length_of(self, p: np.ndarray, s_min: float = 0.0) -> Optional[float]:
         """Arc length of the closest on-route point at or beyond s_min.
 
         Returns None if the point is farther than 5 m from every segment
         (clearly off this route).
         """
-        p = np.asarray(p, dtype=float)
+        x, y = float(p[0]), float(p[1])
         best_s, best_d = None, 5.0
-        for i in range(len(self._seg_lengths)):
-            a = self.points[i]
-            t = float(np.dot(p - a, self._dirs[i]))
-            t = min(max(t, 0.0), self._seg_lengths[i])
-            s = self._cum[i] + t
-            if s < s_min:
-                continue
-            d = float(np.hypot(*(p - (a + t * self._dirs[i]))))
-            if d < best_d:
+        for i in range(len(self._segs)):
+            s, d = self._closest(i, x, y)
+            if s >= s_min and d < best_d:
                 best_s, best_d = s, d
         return best_s
 
     def lateral_offset(self, p: np.ndarray) -> float:
         """Distance from a point to the route polyline."""
-        p = np.asarray(p, dtype=float)
-        best = np.inf
-        for i in range(len(self._seg_lengths)):
-            a = self.points[i]
-            t = float(np.dot(p - a, self._dirs[i]))
-            t = min(max(t, 0.0), self._seg_lengths[i])
-            best = min(best, float(np.hypot(*(p - (a + t * self._dirs[i])))))
-        return best
+        x, y = float(p[0]), float(p[1])
+        return min(self._closest(i, x, y)[1] for i in range(len(self._segs)))
 
     def zone_entry_exit(self, zone: ConflictZone) -> tuple[float, float]:
         """Arc lengths at which the route first enters / last leaves the zone.

@@ -211,6 +211,20 @@ class RunSummary:
     failed: bool = False
     error: Optional[str] = None
 
+    @classmethod
+    def failed_run(cls, scenario_id: str, seed: int,
+                   error: Optional[str]) -> "RunSummary":
+        """The summary of a run that raised: failed, with every count 0."""
+        return cls(
+            scenario_id=scenario_id, seed=seed,
+            termination=TerminationStatus.RUNNING,
+            any_unsafe_flag=False, unsafe_tick_count=0, collision=False,
+            clearance_time_s=None, max_abs_accel=0.0, max_abs_jerk=0.0,
+            max_abs_jerk_nonexempt=0.0, comfort_violations=0,
+            comfort_violations_exempt=0, faults_injected={},
+            recovery_activations=0, recovery_successes=0,
+            failed=True, error=error)
+
 
 def _recovery_episodes(records: list[IterationRecord]) -> tuple[int, int]:
     """(activations, successes). An episode is a maximal run of

@@ -10,7 +10,7 @@ planner overrides an unsafe proposal with an emergency brake.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -23,16 +23,12 @@ from .state import (
     PerceivedState,
     Verdict,
     VerdictLevel,
+    hypot2,
 )
 
 # Ego footprint radius for the disc approximation; matches the vehicle
 # bounding box (max half extent).
 EGO_RADIUS = 2.0
-
-
-class PredictionModel(str, Enum):
-    CONSTANT_VELOCITY = "constant_velocity"
-    CONSTANT_ACCEL = "constant_accel"
 
 
 @dataclass(frozen=True)
@@ -56,6 +52,14 @@ def sample_times(horizon: float, sample_dt: float) -> np.ndarray:
     return times
 
 
+@lru_cache(maxsize=16)
+def _shared_sample_times(horizon: float, sample_dt: float) -> np.ndarray:
+    """sample_times, built once per (horizon, sample_dt) and read-only."""
+    times = sample_times(horizon, sample_dt)
+    times.setflags(write=False)
+    return times
+
+
 def displacement_along(speed: float, accel: float, times: np.ndarray) -> np.ndarray:
     """Scalar arc displacement under constant accel, clamped at zero speed."""
     s = speed * times + 0.5 * accel * times * times
@@ -67,37 +71,6 @@ def displacement_along(speed: float, accel: float, times: np.ndarray) -> np.ndar
     elif accel > 0.0 and speed < 0.0:  # defensive; speeds are never negative here
         s = np.maximum(s, 0.0)
     return s
-
-
-def predict_trajectory(position: np.ndarray, velocity: np.ndarray,
-                       acceleration: np.ndarray, model: PredictionModel,
-                       horizon: float, sample_dt: float) -> list[tuple[float, np.ndarray]]:
-    """Sampled future positions under a point-mass motion model.
-
-    Constant-accel motion is taken along the current velocity direction
-    (or acceleration direction when starting from rest) and freezes once
-    the speed reaches zero; nothing here reverses.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    position = np.asarray(position, dtype=float)
-    velocity = np.asarray(velocity, dtype=float)
-    acceleration = np.asarray(acceleration, dtype=float)
-    times = sample_times(horizon, sample_dt)
-    if model == PredictionModel.CONSTANT_VELOCITY:
-        points = position[None, :] + times[:, None] * velocity[None, :]
-    else:
-        speed = float(np.hypot(*velocity))
-        if speed > 0.0:
-            u = velocity / speed
-        elif float(np.hypot(*acceleration)) > 0.0:
-            u = acceleration / float(np.hypot(*acceleration))
-        else:
-            u = np.array([1.0, 0.0])
-        a_s = float(np.dot(acceleration, u))
-        s = displacement_along(speed, a_s, times)
-        points = position[None, :] + s[:, None] * u[None, :]
-    return [(float(t), points[i]) for i, t in enumerate(times)]
 
 
 def proposed_ego_accel(perceived: PerceivedState, proposed: Maneuver,
@@ -136,18 +109,23 @@ def safety_check(perceived: PerceivedState, proposed: Maneuver,
                        min_predicted_separation=np.inf, time_of_min=0.0)
 
     accel = proposed_ego_accel(perceived, proposed, world_geometry, sim_params)
-    times = sample_times(params.horizon, params.sample_dt)
-    u = np.array([np.cos(odom.heading), np.sin(odom.heading)])
+    times = _shared_sample_times(params.horizon, params.sample_dt)
     s = displacement_along(odom.speed, accel, times)
-    ego_points = odom.position[None, :] + s[:, None] * u[None, :]
+    ego_x0, ego_y0 = odom.position.tolist()
+    ego_x = ego_x0 + s * np.cos(odom.heading)
+    ego_y = ego_y0 + s * np.sin(odom.heading)
 
+    # One object at a time: most checks see one or two objects, where a
+    # pass vectorized across objects costs more than this loop.
     best_sep, best_t, best_obj = np.inf, 0.0, None
     for obj in perceived.objects:
-        obj_points = obj.position[None, :] + times[:, None] * obj.velocity[None, :]
-        delta = ego_points - obj_points
-        dist = np.hypot(delta[:, 0], delta[:, 1])
-        sep = dist - (EGO_RADIUS + float(np.max(obj.half_extent)))
-        i = int(np.argmin(sep))
+        x, y = obj.position.tolist()
+        vx, vy = obj.velocity.tolist()
+        # Subtracting the radius from every sample before argmin keeps
+        # the index that wins a rounding tie.
+        sep = np.hypot(ego_x - (x + times * vx), ego_y - (y + times * vy))
+        sep -= EGO_RADIUS + max(obj.half_extent.tolist())
+        i = int(sep.argmin())
         if sep[i] < best_sep:
             best_sep, best_t, best_obj = float(sep[i]), float(times[i]), obj.id
 
@@ -168,12 +146,16 @@ def safety_check(perceived: PerceivedState, proposed: Maneuver,
 def closing_speed(ego_pos: np.ndarray, ego_vel: np.ndarray,
                   obj_pos: np.ndarray, obj_vel: np.ndarray) -> float:
     """Rate of approach along the line of sight at t=0; 0 if separating."""
-    line = np.asarray(ego_pos, dtype=float) - np.asarray(obj_pos, dtype=float)
-    norm = float(np.hypot(*line))
+    lx = float(ego_pos[0]) - float(obj_pos[0])
+    ly = float(ego_pos[1]) - float(obj_pos[1])
+    rx = float(obj_vel[0]) - float(ego_vel[0])
+    ry = float(obj_vel[1]) - float(ego_vel[1])
+    norm = hypot2(lx, ly)
     if norm < 1e-9:
-        return float(np.hypot(*(np.asarray(obj_vel) - np.asarray(ego_vel))))
-    return max(0.0, float(np.dot(np.asarray(obj_vel) - np.asarray(ego_vel),
-                                 line / norm)))
+        return hypot2(rx, ry)
+    # np.dot, not rx * lx + ry * ly: BLAS may fuse the multiply-add.
+    return max(0.0, float(np.dot(np.array([rx, ry]),
+                                 np.array([lx / norm, ly / norm]))))
 
 
 def recovery_decide(verdict: Verdict, proposed: Maneuver) -> Maneuver:
@@ -185,11 +167,9 @@ def recovery_decide(verdict: Verdict, proposed: Maneuver) -> Maneuver:
 
 __all__ = [
     "EGO_RADIUS",
-    "PredictionModel",
     "SafetyParams",
     "closing_speed",
     "displacement_along",
-    "predict_trajectory",
     "proposed_ego_accel",
     "recovery_decide",
     "safety_check",

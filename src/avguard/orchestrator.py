@@ -82,7 +82,6 @@ class RolePanic(Exception):
 class RunOptions:
     recovery_enabled: bool = True
     halt_on_violation: bool = False
-    recovery_recompute: bool = False  # fidelity experiment: re-run the checks
     record_timings: bool = True
 
 
@@ -188,13 +187,7 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
 
     # 7. Decision: activate the recovery planner on an unsafe verdict.
     if options.recovery_enabled:
-        if options.recovery_recompute:
-            recheck = _timed(timings, "recovery_planner", tick, safety_check,
-                             perceived, proposal, spec.safety_params,
-                             world.intersection, spec.sim_params)
-            final = recovery_decide(recheck, proposal)
-        else:
-            final = recovery_decide(verdict, proposal)
+        final = recovery_decide(verdict, proposal)
     else:
         final = proposal
     store.commit("decision", final)
@@ -262,15 +255,9 @@ def run_scenario(spec: ScenarioSpec, seed: int,
 def failed_run_summary(spec: ScenarioSpec, seed: int,
                        exc: BaseException) -> RunSummary:
     """Placeholder summary so a campaign can report, not hide, role faults."""
-    return RunSummary(
-        scenario_id=spec.id, seed=seed, termination=TerminationStatus.RUNNING,
-        any_unsafe_flag=False, unsafe_tick_count=0, collision=False,
-        clearance_time_s=None, max_abs_accel=0.0, max_abs_jerk=0.0,
-        max_abs_jerk_nonexempt=0.0, comfort_violations=0,
-        comfort_violations_exempt=0, faults_injected={},
-        recovery_activations=0, recovery_successes=0,
-        failed=True,
-        error="".join(traceback.format_exception_only(type(exc), exc)).strip())
+    return RunSummary.failed_run(
+        spec.id, seed,
+        "".join(traceback.format_exception_only(type(exc), exc)).strip())
 
 
 __all__ = [

@@ -35,6 +35,7 @@ from .state import (
     Provenance,
     RouteGoal,
     SimClock,
+    hypot2,
 )
 from .seeding import stream_for
 
@@ -171,8 +172,8 @@ def command_accel(maneuver: Maneuver, speed: float, dist_to_entry: float,
         return -min(params.a_brake_max, max(COMFORT_DECEL, needed))
 
     def track(v_target: float) -> float:
-        return float(np.clip((v_target - speed) / params.dt,
-                             -COMFORT_DECEL, params.a_accel_max))
+        return min(max((v_target - speed) / params.dt, -COMFORT_DECEL),
+                   params.a_accel_max)
 
     if maneuver == Maneuver.EMERGENCY_BRAKE:
         accel = -params.a_brake_max if speed > 0.0 else 0.0
@@ -183,9 +184,9 @@ def command_accel(maneuver: Maneuver, speed: float, dist_to_entry: float,
         if crossing_traffic_near and dist_to_entry > 0.0:
             # Creep toward the line, never faster than what still allows
             # a comfortable stop one meter short of it.
-            allowed = np.sqrt(2.0 * COMFORT_DECEL
-                              * max(dist_to_entry - 1.0, 0.0))
-            target = min(target, float(allowed))
+            allowed = float(np.sqrt(2.0 * COMFORT_DECEL
+                                    * max(dist_to_entry - 1.0, 0.0)))
+            target = min(target, allowed)
         accel = track(target)
     elif maneuver == Maneuver.PROCEED_CAUTIOUSLY:
         accel = track(CAUTIOUS_SPEED_FRACTION * speed_limit)
@@ -193,22 +194,25 @@ def command_accel(maneuver: Maneuver, speed: float, dist_to_entry: float,
         accel = track(speed_limit)
     else:  # ACCELERATE
         accel = params.a_accel_max if speed < speed_limit else 0.0
-    return float(np.clip(accel, -params.a_brake_max, params.a_accel_max))
+    return float(min(max(accel, -params.a_brake_max), params.a_accel_max))
 
 
 def crossing_traffic_within_envelope(others: list[tuple[np.ndarray, np.ndarray]],
                                      zone: ConflictZone) -> bool:
     """Yield envelope: any moving agent inside or closing on the zone."""
-    center = np.array([(zone.x_min + zone.x_max) / 2, (zone.y_min + zone.y_max) / 2])
+    center = None
     for pos, vel in others:
         d = zone.distance_to(pos)
         if d > YIELD_ENVELOPE:
             continue
-        speed = float(np.hypot(*vel))
         if d == 0.0:
             return True
-        if speed > 0.5 and float(np.dot(vel, center - pos)) > 0.0:
-            return True
+        if hypot2(float(vel[0]), float(vel[1])) > 0.5:
+            if center is None:
+                center = np.array([(zone.x_min + zone.x_max) / 2,
+                                   (zone.y_min + zone.y_max) / 2])
+            if float(np.dot(vel, center - pos)) > 0.0:
+                return True
     return False
 
 
@@ -244,13 +248,14 @@ def detect_collision(world: GroundTruthWorld) -> Optional[CollisionEvent]:
     in the corner coordinates.
     """
     ego = world.ego
-    ego_x, ego_y = float(ego.position[0]), float(ego.position[1])
-    ego_radius = float(np.hypot(*ego.half_extent))
+    ego_x, ego_y = ego.position.tolist()
+    ego_radius = hypot2(*ego.half_extent.tolist())
     ego_corners = None
     for agent in sorted(world.agents, key=lambda a: a.id):
-        reach = ego_radius + float(np.hypot(*agent.half_extent)) + 1e-6
-        dx = float(agent.position[0]) - ego_x
-        dy = float(agent.position[1]) - ego_y
+        reach = ego_radius + hypot2(*agent.half_extent.tolist()) + 1e-6
+        x, y = agent.position.tolist()
+        dx = x - ego_x
+        dy = y - ego_y
         if dx * dx + dy * dy > reach * reach:
             continue
         if ego_corners is None:
@@ -265,8 +270,24 @@ def detect_collision(world: GroundTruthWorld) -> Optional[CollisionEvent]:
     return None
 
 
+def _frozen(*arrays: np.ndarray) -> None:
+    """Make ground-truth arrays read-only, so nothing downstream (an
+    attack, a planner) can write into them."""
+    for array in arrays:
+        array.setflags(write=False)
+
+
+_ZERO2 = np.zeros(2)
+_frozen(_ZERO2)
+
+
 def step_dynamics(world: GroundTruthWorld, cmd: EgoCommand) -> GroundTruthWorld:
-    """Advance the world one dt under the ego command. Pure: returns a copy."""
+    """Advance the world one dt under the ego command. Pure: returns a copy.
+
+    The stepped states skip AgentState's validation: they reuse the
+    previous states' validated half extents and take positions,
+    directions and normalized headings from the route.
+    """
     if world.collision is not None:
         raise ValueError("cannot step a collided world")
     dt = world.clock.dt
@@ -274,14 +295,11 @@ def step_dynamics(world: GroundTruthWorld, cmd: EgoCommand) -> GroundTruthWorld:
     new_s = world.ego_s + advance
     route = world.ego_route
     position, direction, heading = route.pose_at(new_s)
-    ego = AgentState(
-        id=world.ego.id, kind=world.ego.kind,
-        position=position,
-        velocity=new_speed * direction,
-        acceleration=cmd.target_accel * direction,
-        heading=heading,
-        half_extent=world.ego.half_extent.copy(),
-    )
+    velocity = new_speed * direction
+    acceleration = cmd.target_accel * direction
+    _frozen(position, velocity, acceleration)
+    ego = AgentState.trusted(world.ego.id, world.ego.kind, position, velocity,
+                             acceleration, heading, world.ego.half_extent)
     new_clock = world.clock.advanced()
     sim_time = new_clock.sim_time
     agents = []
@@ -289,14 +307,10 @@ def step_dynamics(world: GroundTruthWorld, cmd: EgoCommand) -> GroundTruthWorld:
         script = world.agent_scripts[old.id]
         position, direction, heading = script.route.pose_at(
             script.arc_length_at(sim_time))
-        agents.append(AgentState(
-            id=old.id, kind=old.kind,
-            position=position,
-            velocity=script.speed * direction,
-            acceleration=np.zeros(2),
-            heading=heading,
-            half_extent=old.half_extent.copy(),
-        ))
+        velocity = script.speed * direction
+        _frozen(position, velocity)
+        agents.append(AgentState.trusted(old.id, old.kind, position, velocity,
+                                         _ZERO2, heading, old.half_extent))
     new_world = GroundTruthWorld(
         clock=new_clock, ego=ego, agents=agents,
         intersection=world.intersection, collision=None,
@@ -324,14 +338,18 @@ def build_perceived_state(world: GroundTruthWorld,
     for the tick. Ground truth is never modified.
     """
     ego = world.ego
+    ego_x, ego_y = ego.position.tolist()
     objects: list[PerceivedObject] = []
     for agent in sorted(world.agents, key=lambda a: a.id):
-        if float(np.hypot(*(agent.position - ego.position))) > params.sensing_range:
+        x, y = agent.position.tolist()
+        if hypot2(x - ego_x, y - ego_y) > params.sensing_range:
             continue
+        # Aliasing is safe: ground-truth arrays are read-only, and fault
+        # effects below rebind fields instead of writing into them.
         objects.append(PerceivedObject(
             id=agent.id, kind=agent.kind,
-            position=agent.position.copy(), velocity=agent.velocity.copy(),
-            half_extent=agent.half_extent.copy(), provenance=Provenance.REAL,
+            position=agent.position, velocity=agent.velocity,
+            half_extent=agent.half_extent, provenance=Provenance.REAL,
         ))
 
     perceived_ids = {o.id for o in objects}
@@ -370,8 +388,8 @@ def build_perceived_state(world: GroundTruthWorld,
                 stream.gauss(0.0, params.perception_noise_std),
             ])
 
-    odometry = EgoOdometry(position=ego.position.copy(),
-                           velocity=ego.velocity.copy(), heading=ego.heading)
+    odometry = EgoOdometry(position=ego.position, velocity=ego.velocity,
+                           heading=ego.heading)
     return PerceivedState(clock=world.clock, ego_odometry=odometry,
                           objects=objects, goal=world.ego_goal)
 
@@ -468,6 +486,9 @@ def spawn_world(base: ScenarioBase, goal: RouteGoal, seed: int,
             half_extent=np.array(half),
         ))
         agent_scripts[i] = script
+    for state in (ego, *agents):
+        _frozen(state.position, state.velocity, state.acceleration,
+                state.half_extent)
 
     params_clock = SimClock(tick=0, dt=params.dt)
     return GroundTruthWorld(

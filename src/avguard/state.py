@@ -92,6 +92,21 @@ class SimClock:
         return SimClock(tick=self.tick + 1, dt=self.dt)
 
 
+def hypot2(x: float, y: float) -> float:
+    """``float(np.hypot(x, y))``, without numpy when one side is zero.
+
+    C99 defines hypot(x, +-0) as |x| exactly, so the shortcut returns the
+    bits np.hypot would; NaN goes to numpy, which keeps its sign. Every
+    lane and route here is axis-aligned, so most velocities and zone
+    offsets take the shortcut.
+    """
+    if y == 0.0 and x == x:
+        return abs(x)
+    if x == 0.0 and y == y:
+        return abs(y)
+    return float(np.hypot(x, y))
+
+
 def normalize_heading(theta: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     wrapped = float(np.arctan2(np.sin(theta), np.cos(theta)))
@@ -113,13 +128,30 @@ class AgentState:
         self.velocity = np.asarray(self.velocity, dtype=float)
         self.acceleration = np.asarray(self.acceleration, dtype=float)
         self.half_extent = np.asarray(self.half_extent, dtype=float)
-        if not np.all(self.half_extent > 0):
+        if not (self.half_extent > 0).all():
             raise ValueError("half_extent components must be > 0")
         self.heading = normalize_heading(self.heading)
 
+    @classmethod
+    def trusted(cls, id: int, kind: AgentKind, position: np.ndarray,
+                velocity: np.ndarray, acceleration: np.ndarray,
+                heading: float, half_extent: np.ndarray) -> "AgentState":
+        """A state from parts that are already valid, without re-checking.
+
+        The simulator steps every agent every tick from parts validated
+        where they entered: float (2,) arrays, a positive half_extent,
+        and the heading the constructor stores for a route segment's
+        heading (``Route.pose_at``).
+        """
+        state = cls.__new__(cls)
+        state.__dict__.update(id=id, kind=kind, position=position,
+                              velocity=velocity, acceleration=acceleration,
+                              heading=heading, half_extent=half_extent)
+        return state
+
     @property
     def speed(self) -> float:
-        return float(np.hypot(*self.velocity))
+        return hypot2(*self.velocity.tolist())
 
     def copy(self) -> "AgentState":
         return AgentState(
@@ -149,9 +181,10 @@ class ConflictZone:
 
     def distance_to(self, p: np.ndarray) -> float:
         """Euclidean distance from a point to the rectangle (0 inside)."""
-        dx = max(self.x_min - p[0], 0.0, p[0] - self.x_max)
-        dy = max(self.y_min - p[1], 0.0, p[1] - self.y_max)
-        return float(np.hypot(dx, dy))
+        x, y = float(p[0]), float(p[1])
+        dx = max(self.x_min - x, 0.0, x - self.x_max)
+        dy = max(self.y_min - y, 0.0, y - self.y_max)
+        return hypot2(dx, dy)
 
 
 @dataclass
@@ -210,7 +243,7 @@ class PerceivedObject:
 
     @property
     def speed(self) -> float:
-        return float(np.hypot(*self.velocity))
+        return hypot2(*self.velocity.tolist())
 
 
 @dataclass
@@ -225,7 +258,7 @@ class EgoOdometry:
 
     @property
     def speed(self) -> float:
-        return float(np.hypot(*self.velocity))
+        return hypot2(*self.velocity.tolist())
 
 
 @dataclass
@@ -355,6 +388,7 @@ __all__ = [
     "TickStore",
     "Verdict",
     "VerdictLevel",
+    "hypot2",
     "normalize_heading",
     "truncate_rationale",
 ]

@@ -14,10 +14,9 @@ import pytest
 
 from avguard.monitor import (
     EGO_RADIUS,
-    PredictionModel,
     SafetyParams,
     closing_speed,
-    predict_trajectory,
+    displacement_along,
     proposed_ego_accel,
     recovery_decide,
     safety_check,
@@ -139,43 +138,17 @@ def _random_config(rng):
 
 
 class TestPredictTrajectory:
-    def test_constant_velocity_samples(self):
-        samples = predict_trajectory(np.array([0.0, 0.0]),
-                                     np.array([1.0, 0.0]),
-                                     np.zeros(2),
-                                     PredictionModel.CONSTANT_VELOCITY,
-                                     horizon=1.0, sample_dt=0.5)
-        assert [t for t, _ in samples] == pytest.approx([0.0, 0.5, 1.0])
-        assert np.allclose([p for _, p in samples],
-                           [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
-
-    def test_stationary_identity(self):
-        samples = predict_trajectory(np.array([3.0, -4.0]), np.zeros(2),
-                                     np.zeros(2),
-                                     PredictionModel.CONSTANT_VELOCITY,
-                                     horizon=2.0, sample_dt=0.25)
-        assert all(np.allclose(p, [3.0, -4.0]) for _, p in samples)
-
     def test_constant_accel_clamps_at_stop(self):
         # v = 5 m/s, a = -8 m/s^2: stop at t = 0.625 s, frozen at 1.5625 m.
-        samples = predict_trajectory(np.array([0.0, 0.0]),
-                                     np.array([5.0, 0.0]),
-                                     np.array([-8.0, 0.0]),
-                                     PredictionModel.CONSTANT_ACCEL,
-                                     horizon=3.0, sample_dt=0.125)
-        by_time = {round(t, 6): p for t, p in samples}
-        assert np.allclose(by_time[0.5], [5 * 0.5 - 4 * 0.25, 0.0])
+        times = sample_times(3.0, 0.125)
+        s = displacement_along(5.0, -8.0, times)
+        by_time = {round(float(t), 6): float(d) for t, d in zip(times, s)}
+        assert by_time[0.5] == pytest.approx(5 * 0.5 - 4 * 0.25)
         # The body never reverses: once stopped at t = 0.625 s the
-        # position stays frozen instead of following the parabola back.
-        for t, p in samples:
+        # displacement stays frozen instead of following the parabola back.
+        for t, d in by_time.items():
             if t >= 0.625:
-                assert np.allclose(p, [1.5625, 0.0])
-
-    def test_rejects_nonpositive_horizon(self):
-        with pytest.raises(ValueError):
-            predict_trajectory(np.zeros(2), np.zeros(2), np.zeros(2),
-                               PredictionModel.CONSTANT_VELOCITY,
-                               horizon=0.0, sample_dt=0.1)
+                assert d == pytest.approx(1.5625)
 
     def test_sample_times_inclusive(self):
         times = sample_times(3.0, 0.05)

@@ -1,11 +1,16 @@
 """Built-in intersection simulator: kinematics, actuation, perception,
 collision detection, and scenario spawning."""
 
+import dataclasses
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
 
+from avguard.monitor import SafetyParams, safety_check
+from avguard.planners import PlannerConfig, plan
 from avguard.sim import (
     EGO_INITIAL_SPEED,
     GHOST_ID_BASE,
@@ -24,11 +29,13 @@ from avguard.sim import (
     detect_collision,
     distance_to_entry,
     ego_route_for,
+    maneuver_to_command,
     spawn_world,
     step_dynamics,
 )
 from avguard.state import (
     AgentKind,
+    AgentState,
     FaultDirective,
     FaultKind,
     GhostSpec,
@@ -337,3 +344,88 @@ class TestSharedConstantsReadOnly:
         _, direction, _ = ego_route_for(RouteGoal.LEFT_TURN).pose_at(5.0)
         with pytest.raises(ValueError):
             direction[0] = 0.0
+
+
+class TestGroundTruthWriteProtected:
+    """Ground-truth arrays are read-only from spawn on, and the stepped
+    states are exactly what the validating constructor would build."""
+
+    @staticmethod
+    def _walk(base, goal, ticks):
+        world = spawn_world(base, goal, 11, PARAMS)
+        worlds = [world]
+        for _ in range(ticks):
+            if world.collision is not None:
+                break
+            world = step_dynamics(world, EgoCommand(target_accel=0.5))
+            worlds.append(world)
+        return worlds
+
+    @staticmethod
+    def _snapshot(world):
+        return [(a.position.tobytes(), a.velocity.tobytes(),
+                 a.acceleration.tobytes(), a.half_extent.tobytes(),
+                 struct.pack("<d", a.heading))
+                for a in (world.ego, *world.agents)]
+
+    @pytest.mark.parametrize("base", list(ScenarioBase))
+    def test_arrays_read_only_after_spawn_and_steps(self, base):
+        for world in self._walk(base, RouteGoal.STRAIGHT, 5):
+            for state in (world.ego, *world.agents):
+                for name in ("position", "velocity", "acceleration",
+                             "half_extent"):
+                    array = getattr(state, name)
+                    assert not array.flags.writeable, name
+                    with pytest.raises(ValueError):
+                        array[0] = 1.0
+                    with pytest.raises(ValueError):
+                        array += 1.0
+
+    @pytest.mark.parametrize("goal", list(RouteGoal))
+    @pytest.mark.parametrize("base", list(ScenarioBase))
+    def test_stepped_state_equals_validating_constructor(self, base, goal):
+        # 80 ticks carry the ego through its turn onto the exit segment.
+        for world in self._walk(base, goal, 80):
+            for state in (world.ego, *world.agents):
+                fields = {f.name: getattr(state, f.name)
+                          for f in dataclasses.fields(state)}
+                rebuilt = AgentState(**fields)
+                for name in ("position", "velocity", "acceleration",
+                             "half_extent"):
+                    array = getattr(state, name)
+                    assert array.dtype == np.float64 and array.shape == (2,)
+                    assert getattr(rebuilt, name).tobytes() == array.tobytes()
+                assert type(state.heading) is float
+                assert (struct.pack("<d", rebuilt.heading)
+                        == struct.pack("<d", state.heading))
+
+    def test_ghost_spoof_and_noise_leave_ground_truth_bytes(self):
+        params = SimParams(perception_noise_std=0.5)
+        world = spawn_world(ScenarioBase.CONFLICTING_TRAFFIC,
+                            RouteGoal.STRAIGHT, 5, params)
+        # Step until two agents are in sensing range: one to spoof, one
+        # to stay real.
+        while len(build_perceived_state(world, [], params).objects) < 2:
+            world = step_dynamics(world, EgoCommand(target_accel=-0.5))
+        target = build_perceived_state(world, [], params).objects[0]
+        active = [
+            FaultDirective(kind=FaultKind.GHOST_OBSTACLE, start_tick=0,
+                           end_tick=20, ghost=GhostSpec(),
+                           ghost_position=default_ghost_position(
+                               RouteGoal.STRAIGHT)),
+            FaultDirective(kind=FaultKind.TRAJECTORY_SPOOF, start_tick=0,
+                           end_tick=20, spoof=SpoofSpec(heading_bias=0.3),
+                           spoof_target=target.id),
+        ]
+        before = self._snapshot(world)
+        perceived = build_perceived_state(world, active, params,
+                                          random.Random(3))
+        assert {o.provenance for o in perceived.objects} == {
+            Provenance.REAL, Provenance.GHOST, Provenance.SPOOFED}
+        proposal, _ = plan(perceived, world.ego_goal, PlannerConfig(),
+                           world.intersection)
+        safety_check(perceived, proposal, SafetyParams(), world.intersection,
+                     params)
+        step_dynamics(world, maneuver_to_command(proposal, world.ego, world,
+                                                 params))
+        assert self._snapshot(world) == before
