@@ -7,130 +7,31 @@ built-in kinematic four-way intersection simulator, then aggregates
 seeded campaigns into dependability reports.
 """
 
-from .attacks import AttackSchedule, FaultInjector, ScheduleEntry, TriggerKind
-from .campaign import (
-    CampaignPlan,
-    CampaignResult,
-    reaggregate_from_traces,
-    run_campaign,
-)
-from .geometry import Route, obb_overlap, rect_corners
+from .campaign import CampaignPlan, run_campaign
 from .metrics import (
-    CampaignSummary,
-    IterationRecord,
-    RunSummary,
-    TerminationStatus,
     read_trace,
     render_report,
-    summarize_campaign,
     summarize_run,
     trace_hash,
     write_trace,
 )
-from .monitor import SafetyParams, safety_check
-from .orchestrator import (
-    RoleBinding,
-    RoleKind,
-    RolePanic,
-    RunContext,
-    RunOptions,
-    RunResult,
-    run_scenario,
-    run_tick,
-)
-from .performance import PerfFlags, PerfThresholds, performance_check
-from .planners import ExternalPlanner, PlannerConfig, PlannerKind, plan
-from .scenario import (
-    AttackConfig,
-    ParseError,
-    ScenarioSpec,
-    ValidationError,
-    load_scenario_file,
-    parse_scenario_file,
-    reference_specs,
-    spawn_scenario,
-)
-from .seeding import stable_mix, stream_for
-from .sim import ScenarioBase, SimParams, spawn_world, step_dynamics
-from .state import (
-    AgentKind,
-    AgentState,
-    FaultDirective,
-    FaultKind,
-    GroundTruthWorld,
-    Maneuver,
-    PerceivedObject,
-    PerceivedState,
-    Provenance,
-    RouteGoal,
-    Verdict,
-    VerdictLevel,
-)
+from .orchestrator import RunOptions, run_scenario
+from .scenario import reference_specs
+from .seeding import stable_mix
 
 __version__ = "0.1.0"
 
+# What the demos, the tests and the README's library example import;
+# every other name lives in its module (avguard.sim, avguard.monitor, ...).
 __all__ = [
-    "AgentKind",
-    "AgentState",
-    "AttackConfig",
-    "AttackSchedule",
     "CampaignPlan",
-    "CampaignResult",
-    "CampaignSummary",
-    "ExternalPlanner",
-    "FaultDirective",
-    "FaultInjector",
-    "FaultKind",
-    "GroundTruthWorld",
-    "IterationRecord",
-    "Maneuver",
-    "ParseError",
-    "PerceivedObject",
-    "PerceivedState",
-    "PerfFlags",
-    "PerfThresholds",
-    "PlannerConfig",
-    "PlannerKind",
-    "Provenance",
-    "RoleBinding",
-    "RoleKind",
-    "RolePanic",
-    "Route",
-    "RouteGoal",
-    "RunContext",
     "RunOptions",
-    "RunResult",
-    "RunSummary",
-    "SafetyParams",
-    "ScenarioBase",
-    "ScenarioSpec",
-    "ScheduleEntry",
-    "SimParams",
-    "TerminationStatus",
-    "TriggerKind",
-    "ValidationError",
-    "Verdict",
-    "VerdictLevel",
-    "load_scenario_file",
-    "obb_overlap",
-    "parse_scenario_file",
-    "performance_check",
-    "plan",
     "read_trace",
-    "reaggregate_from_traces",
-    "rect_corners",
     "reference_specs",
     "render_report",
     "run_campaign",
     "run_scenario",
-    "run_tick",
-    "safety_check",
-    "spawn_scenario",
-    "spawn_world",
     "stable_mix",
-    "step_dynamics",
-    "stream_for",
-    "summarize_campaign",
     "summarize_run",
     "trace_hash",
     "write_trace",

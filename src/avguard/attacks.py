@@ -134,18 +134,11 @@ def nearest_closing_vehicle(perceived: PerceivedState) -> Optional[int]:
     return best_id
 
 
-def security_plan(tick: int, ego: EgoOdometry, injector: FaultInjector,
-                  zone_distance: float) -> Optional[ScheduleEntry]:
-    """Functional facade over FaultInjector.plan."""
-    return injector.plan(tick, ego, zone_distance)
-
-
 __all__ = [
     "AttackSchedule",
     "FaultInjector",
     "ScheduleEntry",
     "TriggerKind",
     "nearest_closing_vehicle",
-    "security_plan",
     "trigger_fires",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,6 +68,14 @@ def _summary_to_json(summary: RunSummary, spec: ScenarioSpec,
     }
 
 
+def _write_sidecar(out_dir: str, spec: ScenarioSpec, summary: RunSummary,
+                   scenario_index: int, run_index: int) -> None:
+    os.makedirs(os.path.join(out_dir, spec.id), exist_ok=True)
+    with open(_sidecar_path(out_dir, spec.id, summary.seed), "w",
+              encoding="utf-8") as fh:
+        json.dump(_summary_to_json(summary, spec, scenario_index, run_index), fh)
+
+
 def _execute_run(spec: ScenarioSpec, seed: int, options: RunOptions,
                  out_dir: Optional[str], scenario_index: int = 0,
                  run_index: int = 0) -> tuple[RunSummary, Optional[str]]:
@@ -76,21 +85,61 @@ def _execute_run(spec: ScenarioSpec, seed: int, options: RunOptions,
     except Exception as exc:  # noqa: BLE001 - reported as a failed run
         summary = failed_run_summary(spec, seed, exc)
         if out_dir:
-            os.makedirs(os.path.join(out_dir, spec.id), exist_ok=True)
-            with open(_sidecar_path(out_dir, spec.id, seed), "w",
-                      encoding="utf-8") as fh:
-                json.dump(_summary_to_json(summary, spec, scenario_index,
-                                           run_index), fh)
+            _write_sidecar(out_dir, spec, summary, scenario_index, run_index)
         return summary, None
     digest = metrics.trace_hash(result.records)
     if out_dir:
         os.makedirs(os.path.join(out_dir, spec.id), exist_ok=True)
         metrics.write_trace(result.records, _trace_path(out_dir, spec.id, seed))
-        with open(_sidecar_path(out_dir, spec.id, seed), "w",
-                  encoding="utf-8") as fh:
-            json.dump(_summary_to_json(result.summary, spec, scenario_index,
-                                       run_index), fh)
+        _write_sidecar(out_dir, spec, result.summary, scenario_index, run_index)
     return result.summary, digest
+
+
+Task = tuple[ScenarioSpec, int, int, int]  # spec, seed, scenario index, run index
+
+
+def _run_pool(tasks: list[Task], options: RunOptions, out_dir: Optional[str],
+              workers: int) -> list[Optional[tuple[RunSummary, Optional[str]]]]:
+    """Each task's outcome, or None where a worker died and broke the pool
+    before the task finished."""
+    outcomes: list[Optional[tuple[RunSummary, Optional[str]]]] = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_execute_run, spec, seed, options, out_dir, si, i)
+                   for spec, seed, si, i in tasks]
+        for future in futures:
+            try:
+                outcomes.append(future.result())
+            except BrokenProcessPool:
+                outcomes.append(None)
+    return outcomes
+
+
+def _run_parallel(tasks: list[Task], options: RunOptions,
+                  out_dir: Optional[str], workers: int
+                  ) -> list[tuple[RunSummary, Optional[str]]]:
+    """Run the tasks on a process pool; a run whose worker dies is a
+    failed run.
+
+    A dying worker breaks the whole pool, and every unfinished task with
+    it. Each of those runs again alone in a one-worker pool, so only the
+    run that kills its own worker fails, and the parent writes its
+    failed sidecar. A rerun rewrites any partial trace the broken pool
+    left behind.
+    """
+    outcomes = _run_pool(tasks, options, out_dir, workers)
+    for index, (outcome, task) in enumerate(zip(outcomes, tasks)):
+        if outcome is not None:
+            continue
+        outcome = _run_pool([task], options, out_dir, 1)[0]
+        if outcome is None:
+            spec, seed, si, i = task
+            summary = failed_run_summary(
+                spec, seed, BrokenProcessPool("the run's worker process died"))
+            if out_dir:
+                _write_sidecar(out_dir, spec, summary, si, i)
+            outcome = (summary, None)
+        outcomes[index] = outcome
+    return outcomes
 
 
 def run_campaign(plan: CampaignPlan,
@@ -104,16 +153,7 @@ def run_campaign(plan: CampaignPlan,
              for i in range(plan.runs_per_spec)]
 
     if plan.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=plan.parallelism) as pool:
-            outcomes = list(pool.map(
-                _execute_run,
-                [t[0] for t in tasks],
-                [t[1] for t in tasks],
-                [options] * len(tasks),
-                [out_dir] * len(tasks),
-                [t[2] for t in tasks],
-                [t[3] for t in tasks],
-            ))
+        outcomes = _run_parallel(tasks, options, out_dir, plan.parallelism)
     else:
         outcomes = [_execute_run(spec, seed, options, out_dir, si, i)
                     for spec, seed, si, i in tasks]

@@ -57,6 +57,12 @@ class Route:
                 self.points[:-1].tolist(), self._dirs.tolist(),
                 seg_lengths.tolist(), self._cum)
         ]
+        # Per segment (ax, ay, rx, ry): start point and raw delta as
+        # floats, the a0 and a1 - a0 of segment_intersection.
+        self.crossing_segments = [
+            (ax, ay, rx, ry) for (ax, ay), (rx, ry) in zip(
+                self.points[:-1].tolist(), deltas.tolist())
+        ]
         for array in (self.points, self._seg_lengths, self._dirs):
             array.setflags(write=False)
 
@@ -191,41 +197,6 @@ def obb_overlap(corners_a: np.ndarray, corners_b: np.ndarray) -> Optional[float]
     return min_depth
 
 
-def point_in_obb(p: np.ndarray, center: np.ndarray, half_extent: np.ndarray,
-                 heading: float) -> bool:
-    """Point containment in an oriented rectangle (boundary counts)."""
-    c, s = np.cos(heading), np.sin(heading)
-    d = np.asarray(p, dtype=float) - np.asarray(center, dtype=float)
-    local_x = c * d[0] + s * d[1]
-    local_y = -s * d[0] + c * d[1]
-    return bool(abs(local_x) <= half_extent[0] and abs(local_y) <= half_extent[1])
-
-
-def ray_rect_entry_distance(origin: np.ndarray, direction: np.ndarray,
-                            zone: ConflictZone) -> Optional[float]:
-    """Distance along a unit-direction ray to the zone boundary.
-
-    Returns 0 if the origin is already inside, None if the ray misses.
-    """
-    origin = np.asarray(origin, dtype=float)
-    if zone.contains(origin):
-        return 0.0
-    t_min, t_max = -np.inf, np.inf
-    for axis, (lo, hi) in enumerate(((zone.x_min, zone.x_max), (zone.y_min, zone.y_max))):
-        d, o = direction[axis], origin[axis]
-        if abs(d) < 1e-12:
-            if o < lo or o > hi:
-                return None
-        else:
-            t0, t1 = (lo - o) / d, (hi - o) / d
-            if t0 > t1:
-                t0, t1 = t1, t0
-            t_min, t_max = max(t_min, t0), min(t_max, t1)
-    if t_max < t_min or t_max < 0:
-        return None
-    return float(max(t_min, 0.0))
-
-
 def segment_intersection(a0: np.ndarray, a1: np.ndarray, b0: np.ndarray,
                          b1: np.ndarray) -> Optional[np.ndarray]:
     """Intersection point of two closed segments, or None."""
@@ -242,11 +213,31 @@ def segment_intersection(a0: np.ndarray, a1: np.ndarray, b0: np.ndarray,
     return None
 
 
+def segment_crossing(ax: float, ay: float, rx: float, ry: float,
+                     bx: float, by: float, sx: float, sy: float
+                     ) -> Optional[tuple[float, float]]:
+    """``segment_intersection`` on floats: the segment from (ax, ay) with
+    delta (rx, ry) against the one from (bx, by) with delta (sx, sy).
+
+    It runs the same operations in the same order, each rounded once as
+    numpy rounds it, so a crossing point has segment_intersection's bits.
+    """
+    denom = rx * sy - ry * sx
+    if abs(denom) < 1e-12:
+        return None
+    qx = bx - ax
+    qy = by - ay
+    t = (qx * sy - qy * sx) / denom
+    u = (qx * ry - qy * rx) / denom
+    if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= u <= 1 + 1e-12:
+        return ax + t * rx, ay + t * ry
+    return None
+
+
 __all__ = [
     "Route",
     "obb_overlap",
-    "point_in_obb",
-    "ray_rect_entry_distance",
     "rect_corners",
+    "segment_crossing",
     "segment_intersection",
 ]

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Optional, Union
 
-from .performance import PerfThresholds
+from .performance import PerfFlags, PerfThresholds
 from .state import (
     GroundTruthWorld,
     Maneuver,
     MissingMandatoryOutput,
-    TickStore,
+    Verdict,
     VerdictLevel,
 )
 
@@ -73,43 +73,39 @@ DETERMINISTIC_FIELDS = tuple(
     f for f in IterationRecord.__dataclass_fields__ if f != "role_timings_ns")
 
 
-def finalize_tick(store: TickStore, world: GroundTruthWorld,
+def finalize_tick(tick: int, world: GroundTruthWorld,
+                  proposal: Optional[Maneuver], rationale: str,
+                  verdict: Verdict, flags: PerfFlags,
+                  final: Optional[Maneuver], active_fault: Optional[str],
+                  accel: float,
                   timings_ns: Optional[dict[str, int]] = None) -> IterationRecord:
-    """Assemble this tick's record from the committed role outputs."""
-    if not store.has("generator") or not store.has("decision"):
+    """Assemble tick ``tick``'s record from the role outputs and the world
+    the action phase stepped to."""
+    if proposal is None or final is None:
         raise MissingMandatoryOutput(
             "generator proposal and final maneuver are mandatory")
-    proposed, rationale = store.read("generator")
-    verdict = store.read("safety_monitor")
-    flags = store.read("performance_oracle")
-    final: Maneuver = store.read("decision")
-    active_fault = store.read("environment_active_fault")
-    accel = store.read("executed_accel", 0.0)
-    tick = store.read("executed_tick", world.clock.tick - 1)
-    record = IterationRecord(
+    ego = world.ego
+    return IterationRecord(
         tick=tick,
         sim_time_s=round(tick * world.clock.dt, 9),
-        ego_position=(float(world.ego.position[0]), float(world.ego.position[1])),
-        ego_velocity=(float(world.ego.velocity[0]), float(world.ego.velocity[1])),
+        ego_position=tuple(ego.position.tolist()),
+        ego_velocity=tuple(ego.velocity.tolist()),
         ego_accel_mps2=float(accel),
-        proposed_maneuver=proposed.value,
+        proposed_maneuver=proposal.value,
         rationale=rationale,
-        verdict_level=verdict.level.value if verdict else VerdictLevel.SAFE.value,
-        min_predicted_separation=(verdict.min_predicted_separation
-                                  if verdict else math.inf),
-        time_of_min_s=verdict.time_of_min if verdict else 0.0,
-        offending_object=verdict.offending_object if verdict else None,
+        verdict_level=verdict.level.value,
+        min_predicted_separation=verdict.min_predicted_separation,
+        time_of_min_s=verdict.time_of_min,
+        offending_object=verdict.offending_object,
         active_fault=active_fault,
-        accel_violation=bool(flags.accel_violation) if flags else False,
-        jerk_violation=bool(flags.jerk_violation) if flags else False,
-        clearance_exceeded=bool(flags.clearance_exceeded) if flags else False,
+        accel_violation=flags.accel_violation,
+        jerk_violation=flags.jerk_violation,
+        clearance_exceeded=flags.clearance_exceeded,
         final_maneuver=final.value,
         recovery_active=final == Maneuver.EMERGENCY_BRAKE,
         collision=world.collision is not None,
         role_timings_ns=dict(timings_ns or {}),
     )
-    store.finalize_tick(record)
-    return record
 
 
 # --- trace codec ----------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .sim import SimParams, command_accel, crossing_traffic_within_envelope, \
-    distance_to_entry
+    distance_to_entry, ego_route_for
 from .state import (
     IntersectionGeometry,
     Maneuver,
@@ -77,8 +77,6 @@ def proposed_ego_accel(perceived: PerceivedState, proposed: Maneuver,
                        world_geometry: IntersectionGeometry,
                        sim_params: SimParams, ego_route=None) -> float:
     """The longitudinal command the proposal would actuate, from perception."""
-    from .sim import ego_route_for  # local to avoid import noise at module load
-
     odom = perceived.ego_odometry
     route = ego_route if ego_route is not None else ego_route_for(perceived.goal)
     zone = world_geometry.conflict_zone
@@ -121,9 +119,14 @@ def safety_check(perceived: PerceivedState, proposed: Maneuver,
     for obj in perceived.objects:
         x, y = obj.position.tolist()
         vx, vy = obj.velocity.tolist()
+        # A zero velocity component leaves its coordinate at x (or y):
+        # ego_x - x and ego_x - (x + times * 0.0) differ at most in the
+        # sign of a zero, which hypot ignores.
+        dx = ego_x - x if vx == 0.0 else ego_x - (x + times * vx)
+        dy = ego_y - y if vy == 0.0 else ego_y - (y + times * vy)
         # Subtracting the radius from every sample before argmin keeps
         # the index that wins a rounding tie.
-        sep = np.hypot(ego_x - (x + times * vx), ego_y - (y + times * vy))
+        sep = np.hypot(dx, dy)
         sep -= EGO_RADIUS + max(obj.half_extent.tolist())
         i = int(sep.argmin())
         if sep[i] < best_sep:

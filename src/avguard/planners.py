@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 import logging
+import queue
 import subprocess
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
-
-import numpy as np
 
 from .sim import build_intersection, ego_route_for
 from .state import (
@@ -31,6 +30,7 @@ from .state import (
     Maneuver,
     PerceivedState,
     RouteGoal,
+    hypot2,
     truncate_rationale,
 )
 from . import geometry
@@ -62,7 +62,6 @@ class PlannerConfig:
     kind: PlannerKind = PlannerKind.GAP_ACCEPTANCE
     caution: float = 1.0
     reaction_time: float = 0.5
-    trust_perception: bool = True  # fixed true; the vulnerability under test
 
     def __post_init__(self) -> None:
         if self.caution <= 0:
@@ -91,32 +90,41 @@ class Conflict:
 
 def find_conflicts(perceived: PerceivedState, route: geometry.Route,
                    ego_s: float, zone) -> tuple[list[Conflict], Optional[int]]:
-    """Crossing conflicts ahead of the ego, plus any static blocker id."""
+    """Crossing conflicts ahead of the ego, plus any static blocker id.
+
+    The crossing search runs on floats with numpy's operation order
+    (``geometry.segment_crossing``), so every crossing point, and so
+    every decision, has the bits the numpy 2-vector form gives.
+    """
     conflicts: list[Conflict] = []
     blocker: Optional[int] = None
-    route_pts = route.points
     for obj in perceived.objects:
-        if obj.speed < STATIONARY_SPEED:
+        vx, vy = obj.velocity.tolist()
+        speed = hypot2(vx, vy)
+        if speed < STATIONARY_SPEED:
             s_obj = route.arc_length_of(obj.position, s_min=ego_s)
             if s_obj is None:
                 continue
             ahead = s_obj - ego_s
             lateral = route.lateral_offset(obj.position)
             if 0.0 < ahead <= BLOCK_LOOKAHEAD and \
-                    lateral <= float(np.max(obj.half_extent)) + BLOCK_LATERAL_MARGIN:
+                    lateral <= max(obj.half_extent.tolist()) + BLOCK_LATERAL_MARGIN:
                 if blocker is None:
                     blocker = obj.id
             continue
-        path_end = obj.position + obj.velocity * CROSSING_HORIZON
-        for i in range(len(route_pts) - 1):
-            cross = geometry.segment_intersection(route_pts[i], route_pts[i + 1],
-                                                  obj.position, path_end)
+        px, py = obj.position.tolist()
+        # segment_intersection's s = path_end - position, which rounds
+        # differently from velocity * horizon.
+        sx = (px + vx * CROSSING_HORIZON) - px
+        sy = (py + vy * CROSSING_HORIZON) - py
+        for ax, ay, rx, ry in route.crossing_segments:
+            cross = geometry.segment_crossing(ax, ay, rx, ry, px, py, sx, sy)
             if cross is None or not zone.contains(cross):
                 continue
             s_cross = route.arc_length_of(cross, s_min=ego_s)
             if s_cross is None or s_cross <= ego_s:
                 continue
-            time_gap = float(np.hypot(*(cross - obj.position))) / obj.speed
+            time_gap = hypot2(cross[0] - px, cross[1] - py) / speed
             conflicts.append(Conflict(object_id=obj.id, time_gap=time_gap,
                                       crossing_distance=s_cross - ego_s))
             break
@@ -205,6 +213,22 @@ def perceived_to_request(perceived: PerceivedState) -> dict:
     }
 
 
+def _pump_lines(stream, replies: queue.Queue) -> None:
+    """Forward each line a child writes to ``replies``; None at its EOF.
+
+    One pump runs per child process and owns its stdout, so it ends, and
+    closes the stream, when the child exits.
+    """
+    try:
+        for line in stream:
+            replies.put(line)
+    except (OSError, ValueError):
+        pass
+    finally:
+        replies.put(None)
+        stream.close()
+
+
 class ExternalPlanner:
     """Line-delimited JSON request/response planner over a subprocess.
 
@@ -212,6 +236,11 @@ class ExternalPlanner:
     ``{"maneuver": ..., "rationale": ...}``. A response that times out is
     treated as Wait with a "planner timeout" rationale and counted as a
     planner fault; unmapped maneuver text also degrades to Wait.
+
+    Each child gets one reader thread and its own reply queue. A child
+    that misses the deadline is stopped and a fresh one starts on the
+    next tick, so a late reply can never answer a later request, and a
+    hung child costs no thread per tick.
     """
 
     def __init__(self, command: list[str], timeout: float = 2.0):
@@ -219,37 +248,43 @@ class ExternalPlanner:
         self.timeout = timeout
         self.fault_count = 0
         self._proc: Optional[subprocess.Popen] = None
+        self._replies: Optional[queue.Queue] = None
+        self._reader: Optional[threading.Thread] = None
 
     def _ensure_started(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
+            self.close()
             self._proc = subprocess.Popen(
                 self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                 text=True, bufsize=1)
+            self._replies = queue.Queue()
+            self._reader = threading.Thread(
+                target=_pump_lines, args=(self._proc.stdout, self._replies),
+                daemon=True)
+            self._reader.start()
         return self._proc
 
     def plan(self, perceived: PerceivedState, goal: RouteGoal) -> tuple[Maneuver, str]:
         proc = self._ensure_started()
         request = json.dumps(perceived_to_request(perceived))
-        line: list[Optional[str]] = [None]
-
-        def read_line() -> None:
-            line[0] = proc.stdout.readline()
-
         try:
             proc.stdin.write(request + "\n")
             proc.stdin.flush()
         except (BrokenPipeError, OSError):
             self.fault_count += 1
+            self.close()
             return Maneuver.WAIT, "planner unavailable"
-        reader = threading.Thread(target=read_line, daemon=True)
-        reader.start()
-        reader.join(self.timeout)
-        if reader.is_alive() or not line[0]:
+        try:
+            line = self._replies.get(timeout=self.timeout)
+        except queue.Empty:
+            line = None
+        if not line:
             self.fault_count += 1
             log.warning("external planner timeout at tick %d", perceived.clock.tick)
+            self.close()
             return Maneuver.WAIT, "planner timeout"
         try:
-            response = json.loads(line[0])
+            response = json.loads(line)
             maneuver = map_maneuver_text(str(response.get("maneuver", "")))
             rationale = str(response.get("rationale", ""))
         except (json.JSONDecodeError, AttributeError):
@@ -262,13 +297,24 @@ class ExternalPlanner:
         return maneuver, truncate_rationale(rationale)
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.terminate()
+        """Stop the child, if any, and wait for its reader to finish."""
+        proc, reader = self._proc, self._reader
+        self._proc = self._replies = self._reader = None
+        if proc is None:
+            return
+        if proc.poll() is None:
+            proc.terminate()
             try:
-                self._proc.wait(timeout=1.0)
+                proc.wait(timeout=1.0)
             except subprocess.TimeoutExpired:
-                self._proc.kill()
-        self._proc = None
+                proc.kill()
+                proc.wait()
+        try:
+            proc.stdin.close()
+        except OSError:
+            pass
+        if reader is not None:
+            reader.join(timeout=1.0)
 
 
 __all__ = [

@@ -70,10 +70,6 @@ class ScenarioBase(str, Enum):
     PEDESTRIAN_CROSSING = "pedestrian_crossing"
 
 
-class SpoofTargetMissing(Exception):
-    """A trajectory spoof names an object id that is not perceived."""
-
-
 @dataclass(frozen=True)
 class SimParams:
     dt: float = 0.1
@@ -86,7 +82,6 @@ class SimParams:
 @dataclass(frozen=True)
 class EgoCommand:
     target_accel: float  # m/s^2, signed, longitudinal along the ego route
-    lane_follow: bool = True
 
 
 @dataclass
@@ -513,7 +508,6 @@ __all__ = [
     "EgoCommand",
     "ScenarioBase",
     "SimParams",
-    "SpoofTargetMissing",
     "advance_arc",
     "approach_route",
     "build_intersection",

@@ -1,9 +1,9 @@
-"""Shared domain types and the per-tick state store.
+"""Shared domain types.
 
 Everything the roles exchange lives here: the ground-truth world, the
 perceived (possibly fault-corrupted) state handed to the planner, the
-maneuver/verdict vocabulary, fault directives, and the TickStore that
-gives every role a consistent, sequenced view of the current tick.
+maneuver/verdict vocabulary and fault directives. The controller passes
+each role's output straight to the later phases of the same tick.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ class VerdictLevel(str, Enum):
 class FaultKind(str, Enum):
     GHOST_OBSTACLE = "ghost_obstacle"
     TRAJECTORY_SPOOF = "trajectory_spoof"
-
-
-class DuplicateCommit(Exception):
-    """A role committed twice within the same tick."""
 
 
 class MissingMandatoryOutput(Exception):
@@ -217,6 +213,9 @@ class GroundTruthWorld:
     ego_goal: RouteGoal = RouteGoal.STRAIGHT
     agent_scripts: dict[int, Any] = field(default_factory=dict)
     clear_streak: int = 0          # consecutive ticks fully past the zone
+    # (ego_s, flag) of the last orchestrator.ego_cleared_now on this world
+    cleared_at: Optional[tuple[float, bool]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def agent_by_id(self, agent_id: int) -> Optional[AgentState]:
         if agent_id == EGO_ID:
@@ -325,51 +324,12 @@ def truncate_rationale(text: str) -> str:
     return text[:keep] + RATIONALE_TRUNCATION_MARKER
 
 
-_ABSENT = object()
-
-
-class TickStore:
-    """Write-once-per-tick key/value store shared by the roles.
-
-    The controller drives all commits sequentially, so a value committed
-    at sequence position i is visible to every later position in the same
-    tick and never to earlier ones. Finalized iteration records accumulate
-    in ``history`` for the rest of the run.
-    """
-
-    def __init__(self) -> None:
-        self._current: dict[str, Any] = {}
-        self.history: list[Any] = []  # finalized metrics.IterationRecord rows
-
-    def commit(self, role_id: str, output: Any) -> None:
-        if role_id in self._current:
-            raise DuplicateCommit(f"role {role_id!r} already committed this tick")
-        self._current[role_id] = output
-
-    def read(self, role_id: str, default: Any = None) -> Any:
-        value = self._current.get(role_id, _ABSENT)
-        return default if value is _ABSENT else value
-
-    def has(self, role_id: str) -> bool:
-        return role_id in self._current
-
-    def current_entries(self) -> dict[str, Any]:
-        return dict(self._current)
-
-    def finalize_tick(self, record: Any) -> Any:
-        """Close out the current tick: archive the record, clear the map."""
-        self.history.append(record)
-        self._current = {}
-        return record
-
-
 __all__ = [
     "EGO_ID",
     "AgentKind",
     "AgentState",
     "CollisionEvent",
     "ConflictZone",
-    "DuplicateCommit",
     "EgoOdometry",
     "FaultDirective",
     "FaultKind",
@@ -385,7 +345,6 @@ __all__ = [
     "RouteGoal",
     "SimClock",
     "SpoofSpec",
-    "TickStore",
     "Verdict",
     "VerdictLevel",
     "hypot2",

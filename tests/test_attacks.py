@@ -11,7 +11,6 @@ from avguard.attacks import (
     ScheduleEntry,
     TriggerKind,
     nearest_closing_vehicle,
-    security_plan,
     trigger_fires,
 )
 from avguard.state import (
@@ -77,11 +76,11 @@ class TestSecurityPlan:
     def test_empty_schedule_never_fires(self):
         injector = FaultInjector(AttackSchedule())
         for tick in range(50):
-            assert security_plan(tick, make_odometry(), injector, 10.0) is None
+            assert injector.plan(tick, make_odometry(), 10.0) is None
 
     def test_ghost_fires_within_distance(self):
         injector = FaultInjector(AttackSchedule(entries=[GHOST_ENTRY]))
-        entry = security_plan(0, make_odometry(), injector, 24.0)
+        entry = injector.plan(0, make_odometry(), 24.0)
         assert entry is not None
         assert entry.fault_kind == FaultKind.GHOST_OBSTACLE
 

@@ -3,6 +3,7 @@ transparency, failure reporting, and re-aggregation."""
 
 import dataclasses
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -96,6 +97,40 @@ class TestRunCampaign:
         row = result.summary.rows[0]
         assert row.failed == 1
         assert reaggregate_from_traces(str(tmp_path)) == result.summary
+
+
+    def test_crashed_worker_is_a_failed_run(self, tmp_path, monkeypatch):
+        """A worker that dies mid-run breaks the pool; that run becomes a
+        failed run with a sidecar, and every other run still completes
+        with the summary a clean campaign gives it."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched run_scenario reaches forked workers only")
+        import avguard.campaign as campaign_mod
+        clean = run_campaign(small_plan(parallelism=2),
+                             out_dir=str(tmp_path / "clean"))
+        real = campaign_mod.run_scenario
+        crash_seed = stable_mix(7, reference_specs()[0].id, 1)
+
+        def crashing(spec, seed, options):
+            if seed == crash_seed:
+                os._exit(3)
+            return real(spec, seed, options)
+
+        monkeypatch.setattr(campaign_mod, "run_scenario", crashing)
+        out = tmp_path / "crashed"
+        result = run_campaign(small_plan(parallelism=2), out_dir=str(out))
+        assert len(result.run_summaries) == 6
+        failed = [s for s in result.run_summaries if s.failed]
+        assert [s.seed for s in failed] == [crash_seed]
+        assert "BrokenProcessPool" in failed[0].error
+        for got, want in zip(result.run_summaries, clean.run_summaries):
+            if not got.failed:
+                assert got == want
+        assert result.summary.rows[0].failed == 1
+        spec_id = reference_specs()[0].id
+        meta = json.loads((out / spec_id / f"{crash_seed}.run.json").read_text())
+        assert meta["failed"]
+        assert reaggregate_from_traces(str(out)) == result.summary
 
 
 class TestReaggregation:

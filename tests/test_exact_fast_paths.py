@@ -8,6 +8,7 @@ test here compares against the numpy form the fast path replaced, kept
 as the reference, bit for bit.
 """
 
+import itertools
 import math
 import struct
 
@@ -289,3 +290,170 @@ def test_safety_check_equals_the_point_array_form(perceived, maneuver):
                                   obj.velocity)) == bits(old_closing_speed(
                                       odom.position, odom.velocity,
                                       obj.position, obj.velocity))
+
+
+def test_zero_velocity_shortcut_keeps_the_full_forms_bits():
+    """ego_x - x stands in for ego_x - (x + times * vx) when vx is a zero
+    of either sign: the differences agree up to the sign of a zero, so
+    hypot returns the same bits."""
+    times = sample_times(3.0, 0.05)[:3]
+    values = [0.0, -0.0, 5e-324, -5e-324, 1.0, -2.5, 1e300, math.inf]
+    for ego_x0, x, vx, other in itertools.product(
+            values, values, (0.0, -0.0), (0.0, -0.0, 1.5, -1e-300)):
+        ego_x = np.array([ego_x0, -ego_x0, 0.5 * ego_x0])
+        with np.errstate(invalid="ignore"):
+            full = np.hypot(ego_x - (x + times * vx), other)
+            short = np.hypot(ego_x - x, other)
+        assert full.tobytes() == short.tobytes()
+
+
+@given(ego_x=st.lists(st.floats(allow_nan=False), min_size=1, max_size=8),
+       x=st.floats(allow_nan=False), vx=st.sampled_from([0.0, -0.0]),
+       other=st.floats(allow_nan=False))
+@settings(max_examples=800, deadline=None)
+def test_zero_velocity_shortcut_on_random_coordinates(ego_x, x, vx, other):
+    ego_x = np.array(ego_x)
+    times = np.linspace(0.0, 3.0, len(ego_x))
+    with np.errstate(all="ignore"):
+        full = np.hypot(ego_x - (x + times * vx), other)
+        short = np.hypot(ego_x - x, other)
+    assert full.tobytes() == short.tobytes()
+
+
+# --- crossing search ---------------------------------------------------------
+
+from avguard import geometry  # noqa: E402
+from avguard.planners import STATIONARY_SPEED, find_conflicts  # noqa: E402
+
+
+def crossing_pair(a0, a1, b0, b1):
+    """(float kernel, numpy reference) for two segments given by points."""
+    ref = geometry.segment_intersection(np.array(a0), np.array(a1),
+                                        np.array(b0), np.array(b1))
+    ax, ay = a0
+    bx, by = b0
+    got = geometry.segment_crossing(ax, ay, a1[0] - ax, a1[1] - ay,
+                                    bx, by, b1[0] - bx, b1[1] - by)
+    return got, None if ref is None else tuple(ref.tolist())
+
+
+def assert_same_crossing(a0, a1, b0, b1):
+    with np.errstate(all="ignore"):
+        got, ref = crossing_pair(a0, a1, b0, b1)
+    if ref is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert [bits(v) for v in got] == [bits(v) for v in ref]
+
+
+coordinate = st.floats(-300.0, 300.0)
+point = st.tuples(coordinate, coordinate)
+
+
+@given(point, point, point, point)
+@settings(max_examples=1500, deadline=None)
+def test_segment_crossing_equals_segment_intersection(a0, a1, b0, b1):
+    assert_same_crossing(a0, a1, b0, b1)
+
+
+@given(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+       st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+       st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+       st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)))
+@settings(max_examples=1500, deadline=None)
+def test_segment_crossing_on_any_floats(a0, a1, b0, b1):
+    assert_same_crossing(a0, a1, b0, b1)
+
+
+@given(a0=point, a1=point, scale=st.floats(-2.0, 2.0),
+       nudge=st.floats(-1e-11, 1e-11), shift=st.floats(-1.0, 1.0))
+@settings(max_examples=1500, deadline=None)
+def test_segment_crossing_near_parallel(a0, a1, scale, nudge, shift):
+    """b runs along a, turned by a hair: denom lands around the 1e-12
+    cut-off."""
+    rx, ry = a1[0] - a0[0], a1[1] - a0[1]
+    b0 = (a0[0] + shift, a0[1] - shift)
+    b1 = (b0[0] + scale * rx + nudge, b0[1] + scale * ry - nudge)
+    assert_same_crossing(a0, a1, b0, b1)
+
+
+ENDPOINT_OFFSETS = [k * 1e-12 for k in (-3, -2, -1, -0.5, 0, 0.5, 1, 2, 3)] \
+    + [-0.0, 5e-324, -5e-324, 1e-12 + 2.2e-16, -1e-12 - 2.2e-16]
+
+
+@pytest.mark.parametrize("offset", ENDPOINT_OFFSETS)
+@pytest.mark.parametrize("end", [0.0, 1.0])
+@given(length=st.floats(0.5, 400.0), y=st.floats(-5.0, 5.0),
+       reach=st.floats(0.5, 60.0))
+@settings(max_examples=60, deadline=None)
+def test_segment_crossing_at_endpoint_tolerances(offset, end, length, y,
+                                                 reach):
+    """A crossing right at either end of a route segment, within and just
+    past the +-1e-12 tolerance on t, and at either end of the object's
+    path (u)."""
+    a0, a1 = (2.5, -length / 2), (2.5, length / 2)
+    cy = -length / 2 + (end + offset) * length
+    assert_same_crossing(a0, a1, (2.5 - reach, cy), (2.5 + reach, cy))
+    # The object's path ends right at the route: the tolerance on u.
+    b0 = (2.5 - reach * (end + offset), y)
+    assert_same_crossing(a0, a1, b0, (b0[0] + reach, y))
+
+
+def test_segment_crossing_with_signed_zeros():
+    signed = [0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324]
+    for ax, by, sx in itertools.product(signed, repeat=3):
+        for ay, rx, ry, bx, sy in ((0.0, 0.0, 1.0, -0.0, 0.0),
+                                   (-0.0, -0.0, -1.0, 0.0, -0.0),
+                                   (-1.0, 1.0, 0.0, 0.5, 2.0)):
+            assert_same_crossing((ax, ay), (ax + rx, ay + ry),
+                                 (bx, by), (bx + sx, by + sy))
+
+
+def old_find_conflicts(perceived, route, ego_s, zone):
+    """find_conflicts as it was, on numpy 2-vectors."""
+    conflicts = []
+    blocker = None
+    route_pts = route.points
+    for obj in perceived.objects:
+        speed = float(np.hypot(*obj.velocity))
+        if speed < STATIONARY_SPEED:
+            s_obj = route.arc_length_of(obj.position, s_min=ego_s)
+            if s_obj is None:
+                continue
+            ahead = s_obj - ego_s
+            lateral = route.lateral_offset(obj.position)
+            if 0.0 < ahead <= 25.0 and \
+                    lateral <= float(np.max(obj.half_extent)) + 1.5:
+                if blocker is None:
+                    blocker = obj.id
+            continue
+        path_end = obj.position + obj.velocity * 30.0
+        for i in range(len(route_pts) - 1):
+            cross = geometry.segment_intersection(route_pts[i], route_pts[i + 1],
+                                                  obj.position, path_end)
+            if cross is None or not zone.contains(cross):
+                continue
+            s_cross = route.arc_length_of(cross, s_min=ego_s)
+            if s_cross is None or s_cross <= ego_s:
+                continue
+            time_gap = float(np.hypot(*(cross - obj.position))) / speed
+            conflicts.append((obj.id, time_gap, s_cross - ego_s))
+            break
+    return conflicts, blocker
+
+
+@given(perceived=perceived_states(),
+       goal=st.sampled_from(list(RouteGoal)),
+       ego_s=st.floats(150.0, 215.0))
+@settings(max_examples=800, deadline=None)
+def test_find_conflicts_equals_the_numpy_form(perceived, goal, ego_s):
+    route = ego_route_for(goal)
+    zone = build_intersection().conflict_zone
+    conflicts, blocker = find_conflicts(perceived, route, ego_s, zone)
+    old_conflicts, old_blocker = old_find_conflicts(perceived, route, ego_s,
+                                                    zone)
+    assert blocker == old_blocker
+    assert [(c.object_id, bits(c.time_gap), bits(c.crossing_distance))
+            for c in conflicts] == [(i, bits(t), bits(d))
+                                    for i, t, d in old_conflicts]

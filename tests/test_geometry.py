@@ -14,8 +14,6 @@ import pytest
 from avguard.geometry import (
     Route,
     obb_overlap,
-    point_in_obb,
-    ray_rect_entry_distance,
     rect_corners,
     segment_intersection,
 )
@@ -114,32 +112,6 @@ class TestObbOverlap:
                     "SAT reports no overlap but the grid oracle disagrees")
                 checked += 1
         assert checked >= 450  # near-touching pairs are rare
-
-
-class TestPointAndRayHelpers:
-    def test_point_in_obb(self):
-        center = np.array([1.0, 1.0])
-        half = np.array([2.0, 1.0])
-        assert point_in_obb(np.array([2.5, 1.5]), center, half, 0.0)
-        assert not point_in_obb(np.array([3.5, 1.5]), center, half, 0.0)
-
-    def test_ray_zone_entry_distance(self):
-        zone = ConflictZone(-2.0, 2.0, -1.0, 1.0)
-        dist = ray_rect_entry_distance(np.array([-10.0, 0.0]),
-                                       np.array([1.0, 0.0]), zone)
-        assert dist == pytest.approx(8.0)
-
-    def test_ray_origin_inside_zone(self):
-        zone = ConflictZone(-2.0, 2.0, -1.0, 1.0)
-        dist = ray_rect_entry_distance(np.array([0.0, 0.0]),
-                                       np.array([1.0, 0.0]), zone)
-        assert dist == 0.0
-
-    def test_ray_misses_zone(self):
-        zone = ConflictZone(-2.0, 2.0, -1.0, 1.0)
-        dist = ray_rect_entry_distance(np.array([-10.0, 5.0]),
-                                       np.array([1.0, 0.0]), zone)
-        assert dist is None
 
 
 class TestSegmentIntersection:

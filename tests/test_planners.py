@@ -4,6 +4,7 @@ fidelity, and the external-planner wire protocol."""
 import math
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -267,6 +268,41 @@ class TestExternalPlanner:
             assert "timeout" in rationale
         finally:
             planner.close()
+
+    def test_hung_child_is_restarted_without_leaking_threads(self, tmp_path):
+        """A child that sleeps past the deadline for 20 ticks costs no
+        thread per tick, and once it answers in time, every reply belongs
+        to its own request (a late reply never answers a later one)."""
+        cmd = self._planner_script(tmp_path, """
+            import json, sys, time
+            for line in sys.stdin:
+                tick = json.loads(line)["tick"]
+                if tick < 20:
+                    time.sleep(1.0)
+                print(json.dumps({"maneuver": "proceed",
+                                  "rationale": f"tick {tick}"}), flush=True)
+        """)
+        planner = ExternalPlanner(cmd, timeout=0.3)
+        threads_before = threading.active_count()
+        most_threads = 0
+        try:
+            for tick in range(30):
+                perceived = make_perceived([2.5, -30.0], [0.0, 8.0], [])
+                perceived.clock = SimClock(tick=tick, dt=0.1)
+                maneuver, rationale = planner.plan(perceived,
+                                                   RouteGoal.STRAIGHT)
+                most_threads = max(most_threads, threading.active_count())
+                if tick < 20:
+                    assert (maneuver, rationale) == (Maneuver.WAIT,
+                                                     "planner timeout")
+                else:
+                    assert (maneuver, rationale) == (Maneuver.PROCEED,
+                                                     f"tick {tick}")
+        finally:
+            planner.close()
+        assert planner.fault_count == 20
+        assert most_threads <= threads_before + 1
+        assert threading.active_count() <= threads_before
 
     def test_request_schema(self):
         perceived = make_perceived([2.5, -30.0], [0.0, 8.0],

@@ -1,4 +1,4 @@
-"""Shared-state store, core value types, and rationale capping."""
+"""Core value types and rationale capping."""
 
 import math
 
@@ -9,45 +9,12 @@ from avguard.state import (
     AgentKind,
     AgentState,
     ConflictZone,
-    DuplicateCommit,
     FaultDirective,
     FaultKind,
-    Maneuver,
     SpoofSpec,
-    TickStore,
     normalize_heading,
     truncate_rationale,
 )
-
-
-class TestTickStore:
-    def test_write_then_read(self):
-        store = TickStore()
-        store.commit("generator", Maneuver.PROCEED)
-        assert store.read("generator") == Maneuver.PROCEED
-
-    def test_duplicate_commit_rejected(self):
-        store = TickStore()
-        store.commit("generator", Maneuver.PROCEED)
-        with pytest.raises(DuplicateCommit):
-            store.commit("generator", Maneuver.WAIT)
-
-    def test_read_before_commit_is_absent(self):
-        store = TickStore()
-        assert not store.has("safety_monitor")
-        assert store.read("safety_monitor") is None
-        assert store.read("safety_monitor", "fallback") == "fallback"
-
-    def test_finalize_clears_current_and_extends_history(self):
-        store = TickStore()
-        store.commit("generator", Maneuver.PROCEED)
-        store.finalize_tick("record-1")
-        assert not store.has("generator")
-        assert store.history == ["record-1"]
-        # The same role may commit again on the next tick.
-        store.commit("generator", Maneuver.WAIT)
-        store.finalize_tick("record-2")
-        assert store.history == ["record-1", "record-2"]
 
 
 class TestValueTypes:
