@@ -17,7 +17,12 @@ from typing import Optional
 
 from . import metrics
 from .metrics import CampaignSummary, RunSummary, TerminationStatus
-from .orchestrator import RunOptions, failed_run_summary, run_scenario
+from .orchestrator import (
+    RunOptions,
+    RunResult,
+    failed_run_summary,
+    run_scenario,
+)
 from .scenario import ScenarioSpec, validate_spec
 from .seeding import stable_mix
 
@@ -43,17 +48,20 @@ class CampaignResult:
     trace_hashes: dict[tuple[str, int], str] = field(default_factory=dict)
 
 
-def _trace_path(out_dir: str, scenario_id: str, seed: int) -> str:
-    return os.path.join(out_dir, scenario_id, f"{seed}.jsonl")
+def persist_run(out_dir: str, spec: ScenarioSpec, summary: RunSummary,
+                result: Optional[RunResult], scenario_index: int = 0,
+                run_index: int = 0) -> Optional[str]:
+    """Write a run's trace ``<seed>.jsonl``, if it has one, then its
+    ``<seed>.run.json`` sidecar; return the trace's hash.
 
-
-def _sidecar_path(out_dir: str, scenario_id: str, seed: int) -> str:
-    return os.path.join(out_dir, scenario_id, f"{seed}.run.json")
-
-
-def _summary_to_json(summary: RunSummary, spec: ScenarioSpec,
-                     scenario_index: int, run_index: int) -> dict:
-    return {
+    The sidecar holds what a trace cannot carry: termination, thresholds
+    and failure markers, the trace's hash and tick count, which
+    ``reaggregate_from_traces`` checks the trace against, and the
+    wall-clock phase timings of each tick.
+    """
+    directory = os.path.join(out_dir, spec.id)
+    os.makedirs(directory, exist_ok=True)
+    meta = {
         "scenario_id": summary.scenario_id,
         "seed": summary.seed,
         "scenario_index": scenario_index,
@@ -66,14 +74,16 @@ def _summary_to_json(summary: RunSummary, spec: ScenarioSpec,
         "max_abs_jerk": spec.perf_thresholds.max_abs_jerk,
         "max_clearance": spec.perf_thresholds.max_clearance,
     }
-
-
-def _write_sidecar(out_dir: str, spec: ScenarioSpec, summary: RunSummary,
-                   scenario_index: int, run_index: int) -> None:
-    os.makedirs(os.path.join(out_dir, spec.id), exist_ok=True)
-    with open(_sidecar_path(out_dir, spec.id, summary.seed), "w",
+    digest = None
+    if result is not None:
+        digest = metrics.write_trace(
+            result.records, os.path.join(directory, f"{summary.seed}.jsonl"))
+        meta.update(trace_hash=digest, ticks=len(result.records),
+                    role_timings_ns=result.role_timings_ns)
+    with open(os.path.join(directory, f"{summary.seed}.run.json"), "w",
               encoding="utf-8") as fh:
-        json.dump(_summary_to_json(summary, spec, scenario_index, run_index), fh)
+        fh.write(json.dumps(meta))
+    return digest
 
 
 def _execute_run(spec: ScenarioSpec, seed: int, options: RunOptions,
@@ -85,13 +95,13 @@ def _execute_run(spec: ScenarioSpec, seed: int, options: RunOptions,
     except Exception as exc:  # noqa: BLE001 - reported as a failed run
         summary = failed_run_summary(spec, seed, exc)
         if out_dir:
-            _write_sidecar(out_dir, spec, summary, scenario_index, run_index)
+            persist_run(out_dir, spec, summary, None, scenario_index, run_index)
         return summary, None
-    digest = metrics.trace_hash(result.records)
     if out_dir:
-        os.makedirs(os.path.join(out_dir, spec.id), exist_ok=True)
-        metrics.write_trace(result.records, _trace_path(out_dir, spec.id, seed))
-        _write_sidecar(out_dir, spec, result.summary, scenario_index, run_index)
+        digest = persist_run(out_dir, spec, result.summary, result,
+                             scenario_index, run_index)
+    else:
+        digest = metrics.trace_hash(result.records)
     return result.summary, digest
 
 
@@ -136,7 +146,7 @@ def _run_parallel(tasks: list[Task], options: RunOptions,
             summary = failed_run_summary(
                 spec, seed, BrokenProcessPool("the run's worker process died"))
             if out_dir:
-                _write_sidecar(out_dir, spec, summary, si, i)
+                persist_run(out_dir, spec, summary, None, si, i)
             outcome = (summary, None)
         outcomes[index] = outcome
     return outcomes
@@ -171,7 +181,8 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
 
     Every aggregate field is recomputed from the trace records; the
     sidecar contributes only what a trace cannot carry (termination
-    status, thresholds, failure markers).
+    status, thresholds, failure markers). A trace whose record count or
+    ``trace_hash`` disagrees with its sidecar raises ``MalformedTrace``.
     """
     from .performance import PerfThresholds
 
@@ -192,6 +203,13 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
                 continue
             trace = os.path.join(scenario_dir, f"{meta['seed']}.jsonl")
             records = metrics.read_trace(trace)
+            found = (len(records), metrics.trace_hash(records))
+            expected = (meta.get("ticks"), meta.get("trace_hash"))
+            if found != expected:
+                raise metrics.MalformedTrace(
+                    None, f"{trace}: {found[0]} records with trace_hash "
+                          f"{found[1]}, but its sidecar records {expected[0]} "
+                          f"ticks with trace_hash {expected[1]}")
             thresholds = PerfThresholds(max_clearance=meta["max_clearance"],
                                         max_abs_accel=meta["max_abs_accel"],
                                         max_abs_jerk=meta["max_abs_jerk"])
@@ -206,6 +224,7 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
 __all__ = [
     "CampaignPlan",
     "CampaignResult",
+    "persist_run",
     "reaggregate_from_traces",
     "run_campaign",
 ]

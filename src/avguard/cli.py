@@ -10,7 +10,12 @@ import os
 import sys
 
 from . import metrics
-from .campaign import CampaignPlan, reaggregate_from_traces, run_campaign
+from .campaign import (
+    CampaignPlan,
+    persist_run,
+    reaggregate_from_traces,
+    run_campaign,
+)
 from .metrics import render_report
 from .orchestrator import RunOptions, run_scenario
 from .scenario import ParseError, ValidationError, load_scenario_file
@@ -64,13 +69,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except Exception as exc:  # noqa: BLE001
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
-    os.makedirs(os.path.join(args.out, spec.id), exist_ok=True)
-    trace = os.path.join(args.out, spec.id, f"{args.seed}.jsonl")
-    metrics.write_trace(result.records, trace)
+    digest = persist_run(args.out, spec, result.summary, result)
     s = result.summary
     print(f"termination={result.termination.value} ticks={len(result.records)} "
           f"unsafe_ticks={s.unsafe_tick_count} collision={s.collision} "
-          f"clearance_s={s.clearance_time_s} trace={trace}")
+          f"clearance_s={s.clearance_time_s} trace_hash={digest}")
     return EXIT_OK
 
 

@@ -1,9 +1,9 @@
 """Dependability metrics: per-tick records, run/campaign aggregation,
 JSON Lines traces, and Table-style report rendering.
 
-Wall-clock role timings ride along in each record but are excluded from
-the determinism hash and golden-trace comparisons; everything else in a
-record is a pure function of (scenario, seed, options).
+Every field of a record is a pure function of (scenario, seed, options),
+so a trace's bytes are too; wall-clock role timings live in the run's
+sidecar, not in the trace.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Optional, Union
 
@@ -39,8 +39,12 @@ class EmptyTrace(Exception):
 
 
 class MalformedTrace(Exception):
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    """A trace line that does not decode (``line_number`` set), or a
+    trace that disagrees with its sidecar (``line_number`` None)."""
+
+    def __init__(self, line_number: Optional[int], message: str):
+        super().__init__(message if line_number is None
+                         else f"line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -64,21 +68,13 @@ class IterationRecord:
     final_maneuver: str
     recovery_active: bool
     collision: bool
-    role_timings_ns: dict[str, int] = field(default_factory=dict)
-
-
-# Fields hashed / compared for determinism; role_timings_ns is the one
-# non-deterministic channel.
-DETERMINISTIC_FIELDS = tuple(
-    f for f in IterationRecord.__dataclass_fields__ if f != "role_timings_ns")
 
 
 def finalize_tick(tick: int, world: GroundTruthWorld,
                   proposal: Optional[Maneuver], rationale: str,
                   verdict: Verdict, flags: PerfFlags,
                   final: Optional[Maneuver], active_fault: Optional[str],
-                  accel: float,
-                  timings_ns: Optional[dict[str, int]] = None) -> IterationRecord:
+                  accel: float) -> IterationRecord:
     """Assemble tick ``tick``'s record from the role outputs and the world
     the action phase stepped to."""
     if proposal is None or final is None:
@@ -104,31 +100,28 @@ def finalize_tick(tick: int, world: GroundTruthWorld,
         final_maneuver=final.value,
         recovery_active=final == Maneuver.EMERGENCY_BRAKE,
         collision=world.collision is not None,
-        role_timings_ns=dict(timings_ns or {}),
     )
 
 
 # --- trace codec ----------------------------------------------------------
 
-# Built once: json.dumps with any non-default option builds a new
-# encoder on every call.
-_LINE_ENCODER = json.JSONEncoder(allow_nan=False)
-_HASH_ENCODER = json.JSONEncoder(allow_nan=False, sort_keys=True)
+# The one encoder of a trace line: sorted keys, no NaN on the wire. Its
+# output, newlines aside, is exactly what trace_hash digests. Built once:
+# json.dumps with any non-default option builds a new encoder per call.
+_ENCODER = json.JSONEncoder(allow_nan=False, sort_keys=True)
 
 
 def record_to_json_dict(record: IterationRecord) -> dict:
-    """The record's fields in declaration order, ready for json.dumps.
+    """The record's fields, ready for the encoder.
 
-    Every field but ``role_timings_ns`` is an immutable scalar or a
-    tuple of floats, so a shallow copy is as safe as a deep one; the
-    timings dict is copied so the result never aliases the record.
+    Every field is an immutable scalar or a tuple of floats, so a
+    shallow copy is as safe as a deep one.
     """
     d = dict(vars(record))
     if math.isinf(d["min_predicted_separation"]):
         d["min_predicted_separation"] = "inf"
     d["ego_position"] = list(d["ego_position"])
     d["ego_velocity"] = list(d["ego_velocity"])
-    d["role_timings_ns"] = dict(d["role_timings_ns"])
     return d
 
 
@@ -138,22 +131,30 @@ def record_from_json_dict(d: dict) -> IterationRecord:
         d["min_predicted_separation"] = math.inf
     d["ego_position"] = tuple(d["ego_position"])
     d["ego_velocity"] = tuple(d["ego_velocity"])
-    d["role_timings_ns"] = dict(d.get("role_timings_ns", {}))
     return IterationRecord(**d)
 
 
 def write_trace(records: list[IterationRecord],
-                destination: Union[str, IO[str]]) -> None:
-    """JSON Lines, one record per line, UTF-8, no NaN on the wire."""
+                destination: Union[str, IO[str]]) -> str:
+    """Write JSON Lines, one record per line, UTF-8; return the trace's
+    ``trace_hash``, the sha256 of the written bytes without the newlines.
+
+    Each record is encoded once, for both the file and the digest.
+    """
+    h = hashlib.sha256()
+
     def dump(fh: IO[str]) -> None:
         for record in records:
-            fh.write(_LINE_ENCODER.encode(record_to_json_dict(record)) + "\n")
+            line = _ENCODER.encode(record_to_json_dict(record))
+            h.update(line.encode("utf-8"))
+            fh.write(line + "\n")
 
     if isinstance(destination, str):
         with open(destination, "w", encoding="utf-8") as fh:
             dump(fh)
     else:
         dump(destination)
+    return h.hexdigest()
 
 
 def read_trace(source: Union[str, IO[str]]) -> list[IterationRecord]:
@@ -176,12 +177,11 @@ def read_trace(source: Union[str, IO[str]]) -> list[IterationRecord]:
 
 
 def trace_hash(records: list[IterationRecord]) -> str:
-    """SHA-256 over the deterministic record fields only."""
+    """SHA-256 over the records' trace lines, newlines left out: the
+    digest ``write_trace`` returns for the same records."""
     h = hashlib.sha256()
     for record in records:
-        d = record_to_json_dict(record)
-        d.pop("role_timings_ns")
-        h.update(_HASH_ENCODER.encode(d).encode("utf-8"))
+        h.update(_ENCODER.encode(record_to_json_dict(record)).encode("utf-8"))
     return h.hexdigest()
 
 
@@ -399,7 +399,6 @@ def render_report(campaign: CampaignSummary, format: str = "csv") -> str:
 
 __all__ = [
     "CampaignSummary",
-    "DETERMINISTIC_FIELDS",
     "EmptyTrace",
     "IterationRecord",
     "MalformedTrace",

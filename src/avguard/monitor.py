@@ -75,10 +75,10 @@ def displacement_along(speed: float, accel: float, times: np.ndarray) -> np.ndar
 
 def proposed_ego_accel(perceived: PerceivedState, proposed: Maneuver,
                        world_geometry: IntersectionGeometry,
-                       sim_params: SimParams, ego_route=None) -> float:
+                       sim_params: SimParams) -> float:
     """The longitudinal command the proposal would actuate, from perception."""
     odom = perceived.ego_odometry
-    route = ego_route if ego_route is not None else ego_route_for(perceived.goal)
+    route = ego_route_for(perceived.goal)
     zone = world_geometry.conflict_zone
     s_ego = route.arc_length_of(odom.position)
     if s_ego is None:

@@ -48,7 +48,6 @@ class RolePanic(Exception):
 class RunOptions:
     recovery_enabled: bool = True
     halt_on_violation: bool = False
-    record_timings: bool = True
 
 
 @dataclass
@@ -56,6 +55,8 @@ class RunResult:
     termination: TerminationStatus
     records: list[IterationRecord]
     summary: RunSummary
+    # Wall-clock ns per phase, one dict per record; not part of the trace.
+    role_timings_ns: list[dict[str, int]]
 
 
 PlanFn = Callable[..., tuple[Maneuver, str]]
@@ -63,14 +64,15 @@ PlanFn = Callable[..., tuple[Maneuver, str]]
 
 @dataclass
 class RunContext:
-    """Everything one run owns: world, records so far, injector,
-    configuration, and the last tick's safety verdict."""
+    """Everything one run owns: world, records and phase timings so far,
+    injector, configuration, and the last tick's safety verdict."""
 
     spec: ScenarioSpec
     seed: int
     options: RunOptions
     world: GroundTruthWorld
     records: list[IterationRecord] = field(default_factory=list)
+    role_timings_ns: list[dict[str, int]] = field(default_factory=list)
     injector: Optional[FaultInjector] = None
     plan_fn: Optional[PlanFn] = None  # defaults to the configured planner
     last_verdict: Optional[Verdict] = None
@@ -82,14 +84,13 @@ class RunContext:
             self.injector = FaultInjector(schedule or AttackSchedule())
 
 
-def _timed(timings: Optional[dict], role_id: str, tick: int, fn, *args):
-    start = time.perf_counter_ns() if timings is not None else 0
+def _timed(timings: dict[str, int], role_id: str, tick: int, fn, *args):
+    start = time.perf_counter_ns()
     try:
         result = fn(*args)
     except Exception as exc:  # noqa: BLE001 - wrapped into the run diagnostic
         raise RolePanic(role_id, tick, exc) from exc
-    if timings is not None:
-        timings[role_id] = time.perf_counter_ns() - start
+    timings[role_id] = time.perf_counter_ns() - start
     return result
 
 
@@ -113,12 +114,13 @@ def ego_cleared_now(world: GroundTruthWorld) -> bool:
 
 def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
     """Execute the eight phases for one tick, finalize its record and
-    append it to ``ctx.records``."""
+    append it to ``ctx.records``, and its phase timings to
+    ``ctx.role_timings_ns``."""
     world, spec, options = ctx.world, ctx.spec, ctx.options
     if world.collision is not None:
         raise InvalidSpec("cannot tick a collided world")
     tick = world.clock.tick
-    timings: Optional[dict[str, int]] = {} if options.record_timings else None
+    timings: dict[str, int] = {}
     zone = world.intersection.conflict_zone
 
     # 1. Environment update: perception with currently-active faults.
@@ -175,8 +177,9 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
 
     record = metrics.finalize_tick(tick, new_world, proposal, rationale,
                                    verdict, flags, final, active_fault,
-                                   command.target_accel, timings)
+                                   command.target_accel)
     ctx.records.append(record)
+    ctx.role_timings_ns.append(timings)
     ctx.last_verdict = verdict
     ctx.world = new_world
     return new_world, record
@@ -203,7 +206,7 @@ def run_scenario(spec: ScenarioSpec, seed: int,
                  options: RunOptions = RunOptions(),
                  plan_fn: Optional[PlanFn] = None) -> RunResult:
     """Run one scenario to termination; identical inputs give identical
-    records (timings aside)."""
+    records."""
     from .scenario import spawn_scenario
 
     validate_spec(spec)
@@ -222,7 +225,7 @@ def run_scenario(spec: ScenarioSpec, seed: int,
                                     spec.perf_thresholds, spec.sim_params.dt,
                                     scenario_id=spec.id, seed=seed)
     return RunResult(termination=termination, records=ctx.records,
-                     summary=summary)
+                     summary=summary, role_timings_ns=ctx.role_timings_ns)
 
 
 def failed_run_summary(spec: ScenarioSpec, seed: int,

@@ -47,17 +47,6 @@ class Maneuver(str, Enum):
     EMERGENCY_BRAKE = "emergency_brake"
 
 
-# Aggressiveness order used by the caution-monotonicity property.
-# EmergencyBrake is excluded: only the recovery planner may produce it.
-MANEUVER_AGGRESSIVENESS = {
-    Maneuver.WAIT: 0,
-    Maneuver.YIELD: 1,
-    Maneuver.PROCEED_CAUTIOUSLY: 2,
-    Maneuver.PROCEED: 3,
-    Maneuver.ACCELERATE: 4,
-}
-
-
 class VerdictLevel(str, Enum):
     SAFE = "safe"
     WARNING = "warning"
@@ -149,17 +138,6 @@ class AgentState:
     def speed(self) -> float:
         return hypot2(*self.velocity.tolist())
 
-    def copy(self) -> "AgentState":
-        return AgentState(
-            id=self.id,
-            kind=self.kind,
-            position=self.position.copy(),
-            velocity=self.velocity.copy(),
-            acceleration=self.acceleration.copy(),
-            heading=self.heading,
-            half_extent=self.half_extent.copy(),
-        )
-
 
 @dataclass(frozen=True)
 class ConflictZone:
@@ -216,14 +194,6 @@ class GroundTruthWorld:
     # (ego_s, flag) of the last orchestrator.ego_cleared_now on this world
     cleared_at: Optional[tuple[float, bool]] = field(
         default=None, init=False, repr=False, compare=False)
-
-    def agent_by_id(self, agent_id: int) -> Optional[AgentState]:
-        if agent_id == EGO_ID:
-            return self.ego
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        return None
 
 
 @dataclass
@@ -337,7 +307,6 @@ __all__ = [
     "GroundTruthWorld",
     "IntersectionGeometry",
     "Maneuver",
-    "MANEUVER_AGGRESSIVENESS",
     "MissingMandatoryOutput",
     "PerceivedObject",
     "PerceivedState",

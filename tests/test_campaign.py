@@ -2,6 +2,7 @@
 transparency, failure reporting, and re-aggregation."""
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -13,7 +14,12 @@ from avguard.campaign import (
     reaggregate_from_traces,
     run_campaign,
 )
-from avguard.metrics import TerminationStatus, read_trace, summarize_run
+from avguard.metrics import (
+    MalformedTrace,
+    TerminationStatus,
+    read_trace,
+    summarize_run,
+)
 from avguard.scenario import ScenarioSpec, reference_specs
 from avguard.seeding import stable_mix
 from avguard.sim import ScenarioBase
@@ -158,3 +164,114 @@ class TestReaggregation:
     def test_reaggregation_rejects_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             reaggregate_from_traces(str(tmp_path / "nope"))
+
+
+def spec_named(scenario_id):
+    return next(s for s in reference_specs() if s.id == scenario_id)
+
+
+ALWAYS_RUN_PHASES = {"environment", "generator", "safety_monitor",
+                     "security_assessor", "performance_oracle",
+                     "action_execution"}
+
+
+class TestPersistence:
+    def test_rerun_writes_identical_trace_bytes(self, tmp_path):
+        plan = small_plan(specs=[spec_named("ghost_attack")], runs_per_spec=1,
+                          base_seed=0)
+        run_campaign(plan, out_dir=str(tmp_path / "a"))
+        run_campaign(plan, out_dir=str(tmp_path / "b"))
+        seed = stable_mix(0, "ghost_attack", 0)
+        a = (tmp_path / "a" / "ghost_attack" / f"{seed}.jsonl").read_bytes()
+        b = (tmp_path / "b" / "ghost_attack" / f"{seed}.jsonl").read_bytes()
+        assert a and a == b
+
+    def test_hashes_do_not_depend_on_out_dir(self, tmp_path):
+        plan = small_plan()
+        assert (run_campaign(plan).trace_hashes
+                == run_campaign(plan, out_dir=str(tmp_path)).trace_hashes)
+
+    def test_trace_file_is_the_hash_input(self, tmp_path):
+        plan = small_plan()
+        result = run_campaign(plan, out_dir=str(tmp_path))
+        for (scenario_id, seed), digest in result.trace_hashes.items():
+            data = (tmp_path / scenario_id / f"{seed}.jsonl").read_bytes()
+            assert hashlib.sha256(data.replace(b"\n", b"")).hexdigest() == digest
+            meta = json.loads(
+                (tmp_path / scenario_id / f"{seed}.run.json").read_text())
+            assert meta["trace_hash"] == digest
+            assert meta["ticks"] == data.count(b"\n")
+
+    def test_each_record_encoded_once_when_persisting(self, tmp_path,
+                                                      monkeypatch):
+        import avguard.metrics as metrics_mod
+        real = metrics_mod.record_to_json_dict
+        calls = []
+
+        def counting(record):
+            calls.append(record.tick)
+            return real(record)
+
+        monkeypatch.setattr(metrics_mod, "record_to_json_dict", counting)
+        result = run_campaign(small_plan(), out_dir=str(tmp_path))
+        ticks = sum(
+            json.loads((tmp_path / scenario_id / f"{seed}.run.json")
+                       .read_text())["ticks"]
+            for scenario_id, seed in result.trace_hashes)
+        assert ticks > 0
+        assert len(calls) == ticks
+
+    def test_sidecar_holds_one_timings_dict_per_trace_line(self, tmp_path):
+        plan = small_plan(specs=[spec_named("nominal"),
+                                 spec_named("ghost_attack")],
+                          runs_per_spec=1, base_seed=0)
+        run_campaign(plan, out_dir=str(tmp_path))
+        for spec in plan.specs:
+            seed = stable_mix(0, spec.id, 0)
+            lines = (tmp_path / spec.id / f"{seed}.jsonl").read_text()
+            meta = json.loads((tmp_path / spec.id / f"{seed}.run.json")
+                              .read_text())
+            timings = meta["role_timings_ns"]
+            assert len(timings) == lines.count("\n") == meta["ticks"]
+            injected = 0
+            for tick in timings:
+                assert set(tick) - {"fault_injector"} == ALWAYS_RUN_PHASES
+                assert all(isinstance(ns, int) and ns >= 0
+                           for ns in tick.values())
+                injected += "fault_injector" in tick
+            assert (injected > 0) == (spec.attack is not None)
+
+
+class TestSidecarCheck:
+    PLAN = dict(specs=[spec_named("nominal")], runs_per_spec=2, base_seed=0)
+
+    def _trace(self, tmp_path):
+        return tmp_path / "nominal" / f"{stable_mix(0, 'nominal', 0)}.jsonl"
+
+    def test_trace_cut_at_a_line_boundary_is_rejected(self, tmp_path):
+        run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
+        trace = self._trace(tmp_path)
+        lines = trace.read_text().splitlines(keepends=True)
+        trace.write_text("".join(lines[: len(lines) // 2]))
+        with pytest.raises(MalformedTrace) as err:
+            reaggregate_from_traces(str(tmp_path))
+        assert str(trace) in str(err.value)
+        assert err.value.line_number is None
+
+    def test_edited_line_is_rejected(self, tmp_path):
+        run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
+        trace = self._trace(tmp_path)
+        lines = trace.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace('"tick": 3', '"tick": 4')
+        trace.write_text("".join(lines))
+        with pytest.raises(MalformedTrace):
+            reaggregate_from_traces(str(tmp_path))
+
+    def test_sidecar_without_trace_hash_is_rejected(self, tmp_path):
+        run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
+        sidecar = self._trace(tmp_path).with_suffix(".run.json")
+        meta = json.loads(sidecar.read_text())
+        del meta["trace_hash"], meta["ticks"]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(MalformedTrace):
+            reaggregate_from_traces(str(tmp_path))

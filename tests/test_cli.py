@@ -6,6 +6,9 @@ import os
 import pytest
 
 from avguard.cli import EXIT_INVALID, EXIT_OK, EXIT_RUN_FAILURE, main
+from avguard.metrics import render_report, summarize_campaign
+from avguard.orchestrator import run_scenario
+from avguard.scenario import load_scenario_file
 
 NOMINAL_INI = """\
 [scenario]
@@ -90,6 +93,19 @@ class TestRun:
                 assert not json.loads(line)["recovery_active"]
 
 
+    def test_run_output_can_be_reaggregated(self, scenario_file, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["run", "--scenario", scenario_file, "--seed", "5",
+                     "--out", out]) == EXIT_OK
+        report = str(tmp_path / "r.csv")
+        assert main(["report", "--traces", out, "--report", report]) == EXIT_OK
+        result = run_scenario(load_scenario_file(scenario_file), 5)
+        with open(report, encoding="utf-8") as fh:
+            text = fh.read()
+        assert len(text.splitlines()) == 2  # header + the run's row
+        assert text == render_report(summarize_campaign([result.summary]))
+
+
 class TestCampaignAndReport:
     def test_campaign_then_identical_report(self, scenario_dir, tmp_path,
                                             capsys):
@@ -136,6 +152,21 @@ class TestCampaignAndReport:
         code = main(["report", "--traces", str(tmp_path / "nope"),
                      "--report", str(tmp_path / "r.csv")])
         assert code == EXIT_INVALID
+
+    def test_report_on_a_cut_trace_is_invalid(self, scenario_dir, tmp_path,
+                                              capsys):
+        out = tmp_path / "traces"
+        assert main(["campaign", "--scenario-dir", scenario_dir,
+                     "--runs", "1", "--out", str(out),
+                     "--report", str(tmp_path / "a.csv")]) == EXIT_OK
+        trace = next((out / "nominal").glob("*.jsonl"))
+        lines = trace.read_text().splitlines(keepends=True)
+        trace.write_text("".join(lines[:-1]))
+        capsys.readouterr()
+        code = main(["report", "--traces", str(out),
+                     "--report", str(tmp_path / "b.csv")])
+        assert code == EXIT_INVALID
+        assert "sidecar" in capsys.readouterr().err
 
     def test_failed_run_exit_code(self, scenario_dir, tmp_path, monkeypatch):
         import avguard.cli as cli_mod
