@@ -12,7 +12,7 @@ grade every maneuver against it, then sweeps the crossing car's
 distance to show where each verdict boundary sits.
 """
 
-import numpy as np
+from dataclasses import replace
 
 from avguard.monitor import SafetyParams, safety_check
 from avguard.scenario import ScenarioSpec
@@ -35,13 +35,11 @@ def crossing_scene(car_x):
     world = spawn_world(ScenarioBase.NOMINAL, "straight", seed=0,
                         params=SPEC.sim_params)
     world.agents = []
-    world.ego.position = np.array([2.5, -12.5])
-    world.ego.velocity = np.array([0.0, 5.0])
+    world.ego = replace(world.ego, position=(2.5, -12.5), velocity=(0.0, 5.0))
     perceived = build_perceived_state(world, [], SPEC.sim_params)
     perceived.objects.append(PerceivedObject(
-        id=1, kind=AgentKind.VEHICLE,
-        position=np.array([car_x, 2.5]), velocity=np.array([5.0, 0.0]),
-        half_extent=np.array([2.0, 1.0])))
+        id=1, kind=AgentKind.VEHICLE, position=(car_x, 2.5),
+        velocity=(5.0, 0.0), half_extent=(2.0, 1.0)))
     return perceived
 
 

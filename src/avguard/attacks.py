@@ -10,11 +10,10 @@ its window end, never the tick that triggered it.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
-
-import numpy as np
 
 from .sim import default_ghost_position
 from .state import (
@@ -25,6 +24,7 @@ from .state import (
     GhostSpec,
     PerceivedState,
     SpoofSpec,
+    hypot2,
 )
 
 log = logging.getLogger(__name__)
@@ -121,13 +121,14 @@ class FaultInjector:
 def nearest_closing_vehicle(perceived: PerceivedState) -> Optional[int]:
     """Default spoof target: the closest real vehicle approaching the ego."""
     ego = perceived.ego_odometry
-    best_id, best_dist = None, np.inf
+    best_id, best_dist = None, math.inf
     for obj in perceived.objects:
         if obj.kind != AgentKind.VEHICLE:
             continue
-        line = ego.position - obj.position
-        norm = float(np.hypot(*line))
-        if norm < 1e-9 or float(np.dot(obj.velocity, line / norm)) <= 0.0:
+        lx, ly = ego.position - obj.position
+        norm = hypot2(lx, ly)
+        vx, vy = obj.velocity
+        if norm < 1e-9 or vx * (lx / norm) + vy * (ly / norm) <= 0.0:
             continue
         if norm < best_dist:
             best_id, best_dist = obj.id, norm

@@ -181,8 +181,9 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
 
     Every aggregate field is recomputed from the trace records; the
     sidecar contributes only what a trace cannot carry (termination
-    status, thresholds, failure markers). A trace whose record count or
-    ``trace_hash`` disagrees with its sidecar raises ``MalformedTrace``.
+    status, thresholds, failure markers). A trace with no sidecar, or
+    whose record count or ``trace_hash`` disagrees with its sidecar,
+    raises ``MalformedTrace``.
     """
     from .performance import PerfThresholds
 
@@ -191,7 +192,15 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
         scenario_dir = os.path.join(traces_dir, scenario_id)
         if not os.path.isdir(scenario_dir):
             continue
-        for name in sorted(os.listdir(scenario_dir)):
+        names = sorted(os.listdir(scenario_dir))
+        present = set(names)
+        for name in names:
+            if name.endswith(".jsonl") and \
+                    name.removesuffix(".jsonl") + ".run.json" not in present:
+                raise metrics.MalformedTrace(
+                    None, f"{os.path.join(scenario_dir, name)}: trace has "
+                          f"no .run.json sidecar")
+        for name in names:
             if not name.endswith(".run.json"):
                 continue
             with open(os.path.join(scenario_dir, name), encoding="utf-8") as fh:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .state import ConflictZone, hypot2, normalize_heading
+from .state import ConflictZone, Vec2, hypot2, normalize_heading
 
 
 @dataclass
@@ -46,19 +46,15 @@ class Route:
         # 1.7% of random headings by one ulp), so pose_at hands out the
         # heading an AgentState would store and heading_at the raw one.
         self._pose_headings = [normalize_heading(h) for h in self._headings]
-        # Per segment (ax, ay, dx, dy, length, cum, axis_aligned) as
-        # floats. On an axis-aligned segment the direction is (+-1, 0) or
-        # (0, +-1), so both products of the projection dot are exact and
-        # plain float arithmetic gives np.dot's bits.
+        # Per segment (ax, ay, dx, dy, length, cum) as floats.
         self._segs = [
-            (ax, ay, dx, dy, length, cum,
-             (dx == 0.0 and abs(dy) == 1.0) or (dy == 0.0 and abs(dx) == 1.0))
+            (ax, ay, dx, dy, length, cum)
             for (ax, ay), (dx, dy), length, cum in zip(
                 self.points[:-1].tolist(), self._dirs.tolist(),
                 seg_lengths.tolist(), self._cum)
         ]
         # Per segment (ax, ay, rx, ry): start point and raw delta as
-        # floats, the a0 and a1 - a0 of segment_intersection.
+        # floats, the inputs of segment_crossing.
         self.crossing_segments = [
             (ax, ay, rx, ry) for (ax, ay), (rx, ry) in zip(
                 self.points[:-1].tolist(), deltas.tolist())
@@ -77,39 +73,34 @@ class Route:
             return len(self._segs) - 1
         return bisect_right(self._cum, s) - 1
 
-    def pose_at(self, s: float) -> tuple[np.ndarray, np.ndarray, float]:
+    def pose_at(self, s: float) -> tuple[Vec2, tuple[float, float], float]:
         """(position, unit direction, heading) at arc length s.
 
-        The direction is a read-only view into the route. The heading is
-        ``normalize_heading(heading_at(s))``, the value AgentState stores.
+        The heading is ``normalize_heading(heading_at(s))``, the value
+        AgentState stores.
         """
         i = self._segment_index(s)
-        ax, ay, dx, dy, _, cum, _ = self._segs[i]
+        ax, ay, dx, dy, _, cum = self._segs[i]
         t = s - cum
-        return (np.array([ax + t * dx, ay + t * dy]), self._dirs[i],
-                self._pose_headings[i])
+        return Vec2((ax + t * dx, ay + t * dy)), (dx, dy), self._pose_headings[i]
 
-    def position_at(self, s: float) -> np.ndarray:
+    def position_at(self, s: float) -> Vec2:
         return self.pose_at(s)[0]
 
-    def direction_at(self, s: float) -> np.ndarray:
-        return self._dirs[self._segment_index(s)].copy()
+    def direction_at(self, s: float) -> tuple[float, float]:
+        return self.pose_at(s)[1]
 
     def heading_at(self, s: float) -> float:
         return self._headings[self._segment_index(s)]
 
     def _closest(self, i: int, x: float, y: float) -> tuple[float, float]:
         """(arc length, distance) of the point of segment i closest to (x, y)."""
-        ax, ay, dx, dy, length, cum, axis_aligned = self._segs[i]
-        rx, ry = x - ax, y - ay
-        if axis_aligned:
-            t = rx * dx + ry * dy
-        else:
-            t = float(np.dot(np.array([rx, ry]), self._dirs[i]))
-        t = min(max(t, 0.0), length)
+        ax, ay, dx, dy, length, cum = self._segs[i]
+        t = min(max((x - ax) * dx + (y - ay) * dy, 0.0), length)
         return cum + t, hypot2(x - (ax + t * dx), y - (ay + t * dy))
 
-    def arc_length_of(self, p: np.ndarray, s_min: float = 0.0) -> Optional[float]:
+    def arc_length_of(self, p: tuple[float, float],
+                      s_min: float = 0.0) -> Optional[float]:
         """Arc length of the closest on-route point at or beyond s_min.
 
         Returns None if the point is farther than 5 m from every segment
@@ -123,7 +114,7 @@ class Route:
                 best_s, best_d = s, d
         return best_s
 
-    def lateral_offset(self, p: np.ndarray) -> float:
+    def lateral_offset(self, p: tuple[float, float]) -> float:
         """Distance from a point to the route polyline."""
         x, y = float(p[0]), float(p[1])
         return min(self._closest(i, x, y)[1] for i in range(len(self._segs)))
@@ -197,30 +188,15 @@ def obb_overlap(corners_a: np.ndarray, corners_b: np.ndarray) -> Optional[float]
     return min_depth
 
 
-def segment_intersection(a0: np.ndarray, a1: np.ndarray, b0: np.ndarray,
-                         b1: np.ndarray) -> Optional[np.ndarray]:
-    """Intersection point of two closed segments, or None."""
-    r = a1 - a0
-    s = b1 - b0
-    denom = r[0] * s[1] - r[1] * s[0]
-    if abs(denom) < 1e-12:
-        return None
-    q = b0 - a0
-    t = (q[0] * s[1] - q[1] * s[0]) / denom
-    u = (q[0] * r[1] - q[1] * r[0]) / denom
-    if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= u <= 1 + 1e-12:
-        return a0 + t * r
-    return None
-
-
 def segment_crossing(ax: float, ay: float, rx: float, ry: float,
                      bx: float, by: float, sx: float, sy: float
                      ) -> Optional[tuple[float, float]]:
-    """``segment_intersection`` on floats: the segment from (ax, ay) with
-    delta (rx, ry) against the one from (bx, by) with delta (sx, sy).
+    """Crossing point of the closed segment from (ax, ay) with delta
+    (rx, ry) and the one from (bx, by) with delta (sx, sy), or None.
 
-    It runs the same operations in the same order, each rounded once as
-    numpy rounds it, so a crossing point has segment_intersection's bits.
+    It runs the operations of the numpy 2-vector form in the same order,
+    each rounded once as numpy rounds it, so a crossing point has that
+    form's bits.
     """
     denom = rx * sy - ry * sx
     if abs(denom) < 1e-12:
@@ -239,5 +215,4 @@ __all__ = [
     "obb_overlap",
     "rect_corners",
     "segment_crossing",
-    "segment_intersection",
 ]

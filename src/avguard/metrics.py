@@ -84,8 +84,8 @@ def finalize_tick(tick: int, world: GroundTruthWorld,
     return IterationRecord(
         tick=tick,
         sim_time_s=round(tick * world.clock.dt, 9),
-        ego_position=tuple(ego.position.tolist()),
-        ego_velocity=tuple(ego.velocity.tolist()),
+        ego_position=ego.position,
+        ego_velocity=ego.velocity,
         ego_accel_mps2=float(accel),
         proposed_maneuver=proposal.value,
         rationale=rationale,

@@ -21,6 +21,7 @@ from .state import (
     IntersectionGeometry,
     Maneuver,
     PerceivedState,
+    Vec2,
     Verdict,
     VerdictLevel,
     hypot2,
@@ -54,10 +55,8 @@ def sample_times(horizon: float, sample_dt: float) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _shared_sample_times(horizon: float, sample_dt: float) -> np.ndarray:
-    """sample_times, built once per (horizon, sample_dt) and read-only."""
-    times = sample_times(horizon, sample_dt)
-    times.setflags(write=False)
-    return times
+    """sample_times, built once per (horizon, sample_dt); never written."""
+    return sample_times(horizon, sample_dt)
 
 
 def displacement_along(speed: float, accel: float, times: np.ndarray) -> np.ndarray:
@@ -109,7 +108,7 @@ def safety_check(perceived: PerceivedState, proposed: Maneuver,
     accel = proposed_ego_accel(perceived, proposed, world_geometry, sim_params)
     times = _shared_sample_times(params.horizon, params.sample_dt)
     s = displacement_along(odom.speed, accel, times)
-    ego_x0, ego_y0 = odom.position.tolist()
+    ego_x0, ego_y0 = odom.position
     ego_x = ego_x0 + s * np.cos(odom.heading)
     ego_y = ego_y0 + s * np.sin(odom.heading)
 
@@ -117,8 +116,8 @@ def safety_check(perceived: PerceivedState, proposed: Maneuver,
     # pass vectorized across objects costs more than this loop.
     best_sep, best_t, best_obj = np.inf, 0.0, None
     for obj in perceived.objects:
-        x, y = obj.position.tolist()
-        vx, vy = obj.velocity.tolist()
+        x, y = obj.position
+        vx, vy = obj.velocity
         # A zero velocity component leaves its coordinate at x (or y):
         # ego_x - x and ego_x - (x + times * 0.0) differ at most in the
         # sign of a zero, which hypot ignores.
@@ -127,7 +126,7 @@ def safety_check(perceived: PerceivedState, proposed: Maneuver,
         # Subtracting the radius from every sample before argmin keeps
         # the index that wins a rounding tie.
         sep = np.hypot(dx, dy)
-        sep -= EGO_RADIUS + max(obj.half_extent.tolist())
+        sep -= EGO_RADIUS + max(obj.half_extent)
         i = int(sep.argmin())
         if sep[i] < best_sep:
             best_sep, best_t, best_obj = float(sep[i]), float(times[i]), obj.id
@@ -146,19 +145,15 @@ def safety_check(perceived: PerceivedState, proposed: Maneuver,
                    time_of_min=best_t, offending_object=best_obj)
 
 
-def closing_speed(ego_pos: np.ndarray, ego_vel: np.ndarray,
-                  obj_pos: np.ndarray, obj_vel: np.ndarray) -> float:
+def closing_speed(ego_pos: Vec2, ego_vel: Vec2, obj_pos: Vec2,
+                  obj_vel: Vec2) -> float:
     """Rate of approach along the line of sight at t=0; 0 if separating."""
-    lx = float(ego_pos[0]) - float(obj_pos[0])
-    ly = float(ego_pos[1]) - float(obj_pos[1])
-    rx = float(obj_vel[0]) - float(ego_vel[0])
-    ry = float(obj_vel[1]) - float(ego_vel[1])
+    lx, ly = ego_pos - obj_pos
+    rx, ry = obj_vel - ego_vel
     norm = hypot2(lx, ly)
     if norm < 1e-9:
         return hypot2(rx, ry)
-    # np.dot, not rx * lx + ry * ly: BLAS may fuse the multiply-add.
-    return max(0.0, float(np.dot(np.array([rx, ry]),
-                                 np.array([lx / norm, ly / norm]))))
+    return max(0.0, rx * (lx / norm) + ry * (ly / norm))
 
 
 def recovery_decide(verdict: Verdict, proposed: Maneuver) -> Maneuver:

@@ -107,7 +107,7 @@ def ego_cleared_now(world: GroundTruthWorld) -> bool:
     if cached is not None and cached[0] == ego_s:
         return cached[1]
     _, s_exit = world.ego_route.zone_entry_exit(world.intersection.conflict_zone)
-    cleared = ego_s > s_exit + float(world.ego.half_extent[0])
+    cleared = ego_s > s_exit + world.ego.half_extent[0]
     world.cleared_at = (ego_s, cleared)
     return cleared
 

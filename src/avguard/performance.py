@@ -21,7 +21,6 @@ class PerfFlags:
     accel_violation: bool = False
     jerk_violation: bool = False
     clearance_exceeded: bool = False
-    exempt: bool = False  # violation happened during active recovery
 
 
 def performance_check(run_history: list, sim_time: float, ego_cleared: bool,
@@ -32,19 +31,17 @@ def performance_check(run_history: list, sim_time: float, ego_cleared: bool,
     from the last finalized record and jerk from the last two (commanded
     accel is piecewise constant; jerk is its first difference over dt).
     """
-    accel_violation = jerk_violation = exempt = False
+    accel_violation = jerk_violation = False
     if run_history:
         last = run_history[-1]
         accel_violation = abs(last.ego_accel_mps2) > thresholds.max_abs_accel
         if len(run_history) >= 2:
             jerk = abs(last.ego_accel_mps2 - run_history[-2].ego_accel_mps2) / dt
             jerk_violation = jerk > thresholds.max_abs_jerk
-        exempt = (accel_violation or jerk_violation) and last.recovery_active
     clearance_exceeded = sim_time > thresholds.max_clearance and not ego_cleared
     return PerfFlags(accel_violation=accel_violation,
                      jerk_violation=jerk_violation,
-                     clearance_exceeded=clearance_exceeded,
-                     exempt=exempt)
+                     clearance_exceeded=clearance_exceeded)
 
 
 __all__ = ["PerfFlags", "PerfThresholds", "performance_check"]

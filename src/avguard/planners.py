@@ -99,7 +99,7 @@ def find_conflicts(perceived: PerceivedState, route: geometry.Route,
     conflicts: list[Conflict] = []
     blocker: Optional[int] = None
     for obj in perceived.objects:
-        vx, vy = obj.velocity.tolist()
+        vx, vy = obj.velocity
         speed = hypot2(vx, vy)
         if speed < STATIONARY_SPEED:
             s_obj = route.arc_length_of(obj.position, s_min=ego_s)
@@ -108,13 +108,13 @@ def find_conflicts(perceived: PerceivedState, route: geometry.Route,
             ahead = s_obj - ego_s
             lateral = route.lateral_offset(obj.position)
             if 0.0 < ahead <= BLOCK_LOOKAHEAD and \
-                    lateral <= max(obj.half_extent.tolist()) + BLOCK_LATERAL_MARGIN:
+                    lateral <= max(obj.half_extent) + BLOCK_LATERAL_MARGIN:
                 if blocker is None:
                     blocker = obj.id
             continue
-        px, py = obj.position.tolist()
-        # segment_intersection's s = path_end - position, which rounds
-        # differently from velocity * horizon.
+        px, py = obj.position
+        # The path delta is path_end - position, as the numpy 2-vector
+        # form took it; it rounds differently from velocity * horizon.
         sx = (px + vx * CROSSING_HORIZON) - px
         sy = (py + vy * CROSSING_HORIZON) - py
         for ax, ay, rx, ry in route.crossing_segments:
@@ -195,17 +195,17 @@ def perceived_to_request(perceived: PerceivedState) -> dict:
     return {
         "tick": perceived.clock.tick,
         "ego": {
-            "position": [float(odom.position[0]), float(odom.position[1])],
-            "velocity": [float(odom.velocity[0]), float(odom.velocity[1])],
+            "position": list(odom.position),
+            "velocity": list(odom.velocity),
             "heading": float(odom.heading),
         },
         "objects": [
             {
                 "id": o.id,
                 "kind": o.kind.value,
-                "position": [float(o.position[0]), float(o.position[1])],
-                "velocity": [float(o.velocity[0]), float(o.velocity[1])],
-                "half_extent": [float(o.half_extent[0]), float(o.half_extent[1])],
+                "position": list(o.position),
+                "velocity": list(o.velocity),
+                "half_extent": list(o.half_extent),
             }
             for o in perceived.objects
         ],

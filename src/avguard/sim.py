@@ -13,6 +13,7 @@ import logging
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -35,6 +36,7 @@ from .state import (
     Provenance,
     RouteGoal,
     SimClock,
+    Vec2,
     hypot2,
 )
 from .seeding import stream_for
@@ -192,22 +194,19 @@ def command_accel(maneuver: Maneuver, speed: float, dist_to_entry: float,
     return float(min(max(accel, -params.a_brake_max), params.a_accel_max))
 
 
-def crossing_traffic_within_envelope(others: list[tuple[np.ndarray, np.ndarray]],
+def crossing_traffic_within_envelope(others: list[tuple[Vec2, Vec2]],
                                      zone: ConflictZone) -> bool:
     """Yield envelope: any moving agent inside or closing on the zone."""
-    center = None
-    for pos, vel in others:
-        d = zone.distance_to(pos)
+    cx = (zone.x_min + zone.x_max) / 2
+    cy = (zone.y_min + zone.y_max) / 2
+    for (x, y), (vx, vy) in others:
+        d = zone.distance_to((x, y))
         if d > YIELD_ENVELOPE:
             continue
         if d == 0.0:
             return True
-        if hypot2(float(vel[0]), float(vel[1])) > 0.5:
-            if center is None:
-                center = np.array([(zone.x_min + zone.x_max) / 2,
-                                   (zone.y_min + zone.y_max) / 2])
-            if float(np.dot(vel, center - pos)) > 0.0:
-                return True
+        if hypot2(vx, vy) > 0.5 and vx * (cx - x) + vy * (cy - y) > 0.0:
+            return True
     return False
 
 
@@ -233,6 +232,12 @@ def advance_arc(speed: float, accel: float, dt: float) -> tuple[float, float]:
     return speed * dt + 0.5 * accel * dt * dt, speed + accel * dt
 
 
+@lru_cache(maxsize=64)
+def _circumradius(half_extent: Vec2) -> float:
+    """hypot(*half_extent); a campaign uses only a few distinct extents."""
+    return hypot2(*half_extent)
+
+
 def detect_collision(world: GroundTruthWorld) -> Optional[CollisionEvent]:
     """First ego-vs-agent oriented-rectangle overlap, lowest agent id.
 
@@ -243,12 +248,12 @@ def detect_collision(world: GroundTruthWorld) -> Optional[CollisionEvent]:
     in the corner coordinates.
     """
     ego = world.ego
-    ego_x, ego_y = ego.position.tolist()
-    ego_radius = hypot2(*ego.half_extent.tolist())
+    ego_x, ego_y = ego.position
+    ego_radius = _circumradius(ego.half_extent)
     ego_corners = None
     for agent in sorted(world.agents, key=lambda a: a.id):
-        reach = ego_radius + hypot2(*agent.half_extent.tolist()) + 1e-6
-        x, y = agent.position.tolist()
+        reach = ego_radius + _circumradius(agent.half_extent) + 1e-6
+        x, y = agent.position
         dx = x - ego_x
         dy = y - ego_y
         if dx * dx + dy * dy > reach * reach:
@@ -265,23 +270,14 @@ def detect_collision(world: GroundTruthWorld) -> Optional[CollisionEvent]:
     return None
 
 
-def _frozen(*arrays: np.ndarray) -> None:
-    """Make ground-truth arrays read-only, so nothing downstream (an
-    attack, a planner) can write into them."""
-    for array in arrays:
-        array.setflags(write=False)
-
-
-_ZERO2 = np.zeros(2)
-_frozen(_ZERO2)
+_ZERO = Vec2((0.0, 0.0))
 
 
 def step_dynamics(world: GroundTruthWorld, cmd: EgoCommand) -> GroundTruthWorld:
     """Advance the world one dt under the ego command. Pure: returns a copy.
 
-    The stepped states skip AgentState's validation: they reuse the
-    previous states' validated half extents and take positions,
-    directions and normalized headings from the route.
+    The stepped states take positions, directions and normalized
+    headings from the route, so they skip AgentState's validation.
     """
     if world.collision is not None:
         raise ValueError("cannot step a collided world")
@@ -289,23 +285,23 @@ def step_dynamics(world: GroundTruthWorld, cmd: EgoCommand) -> GroundTruthWorld:
     advance, new_speed = advance_arc(world.ego.speed, cmd.target_accel, dt)
     new_s = world.ego_s + advance
     route = world.ego_route
-    position, direction, heading = route.pose_at(new_s)
-    velocity = new_speed * direction
-    acceleration = cmd.target_accel * direction
-    _frozen(position, velocity, acceleration)
-    ego = AgentState.trusted(world.ego.id, world.ego.kind, position, velocity,
-                             acceleration, heading, world.ego.half_extent)
+    position, (dx, dy), heading = route.pose_at(new_s)
+    accel = cmd.target_accel
+    ego = AgentState.trusted(world.ego.id, world.ego.kind, position,
+                             Vec2((new_speed * dx, new_speed * dy)),
+                             Vec2((accel * dx, accel * dy)), heading,
+                             world.ego.half_extent)
     new_clock = world.clock.advanced()
     sim_time = new_clock.sim_time
     agents = []
     for old in world.agents:
         script = world.agent_scripts[old.id]
-        position, direction, heading = script.route.pose_at(
+        position, (dx, dy), heading = script.route.pose_at(
             script.arc_length_at(sim_time))
-        velocity = script.speed * direction
-        _frozen(position, velocity)
-        agents.append(AgentState.trusted(old.id, old.kind, position, velocity,
-                                         _ZERO2, heading, old.half_extent))
+        speed = script.speed
+        agents.append(AgentState.trusted(old.id, old.kind, position,
+                                         Vec2((speed * dx, speed * dy)),
+                                         _ZERO, heading, old.half_extent))
     new_world = GroundTruthWorld(
         clock=new_clock, ego=ego, agents=agents,
         intersection=world.intersection, collision=None,
@@ -316,9 +312,9 @@ def step_dynamics(world: GroundTruthWorld, cmd: EgoCommand) -> GroundTruthWorld:
     return new_world
 
 
-def _rotate(v: np.ndarray, theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+def _rotate(x: float, y: float, theta: float) -> tuple[float, float]:
+    c, s = float(np.cos(theta)), float(np.sin(theta))
+    return c * x - s * y, s * x + c * y
 
 
 def build_perceived_state(world: GroundTruthWorld,
@@ -333,14 +329,12 @@ def build_perceived_state(world: GroundTruthWorld,
     for the tick. Ground truth is never modified.
     """
     ego = world.ego
-    ego_x, ego_y = ego.position.tolist()
+    ego_x, ego_y = ego.position
     objects: list[PerceivedObject] = []
     for agent in sorted(world.agents, key=lambda a: a.id):
-        x, y = agent.position.tolist()
+        x, y = agent.position
         if hypot2(x - ego_x, y - ego_y) > params.sensing_range:
             continue
-        # Aliasing is safe: ground-truth arrays are read-only, and fault
-        # effects below rebind fields instead of writing into them.
         objects.append(PerceivedObject(
             id=agent.id, kind=agent.kind,
             position=agent.position, velocity=agent.velocity,
@@ -359,8 +353,10 @@ def build_perceived_state(world: GroundTruthWorld,
             for obj in objects:
                 if obj.id == target:
                     spec = directive.spoof
-                    obj.velocity = _rotate(obj.velocity * spec.velocity_scale,
-                                           spec.heading_bias)
+                    vx, vy = obj.velocity
+                    scale = spec.velocity_scale
+                    obj.velocity = Vec2(_rotate(vx * scale, vy * scale,
+                                                spec.heading_bias))
                     obj.provenance = Provenance.SPOOFED
         elif directive.kind == FaultKind.GHOST_OBSTACLE:
             spec = directive.ghost
@@ -369,19 +365,17 @@ def build_perceived_state(world: GroundTruthWorld,
                 position = spec.position
             objects.append(PerceivedObject(
                 id=GHOST_ID_BASE + ghost_seq, kind=spec.kind,
-                position=np.array(position, dtype=float),
-                velocity=np.array(spec.velocity, dtype=float),
-                half_extent=np.array(spec.half_extent, dtype=float),
-                provenance=Provenance.GHOST,
+                position=position, velocity=spec.velocity,
+                half_extent=spec.half_extent, provenance=Provenance.GHOST,
             ))
             ghost_seq += 1
 
     if params.perception_noise_std > 0.0 and stream is not None:
         for obj in objects:
-            obj.position = obj.position + np.array([
-                stream.gauss(0.0, params.perception_noise_std),
-                stream.gauss(0.0, params.perception_noise_std),
-            ])
+            x, y = obj.position
+            x += stream.gauss(0.0, params.perception_noise_std)
+            y += stream.gauss(0.0, params.perception_noise_std)
+            obj.position = Vec2((x, y))
 
     odometry = EgoOdometry(position=ego.position, velocity=ego.velocity,
                            heading=ego.heading)
@@ -457,14 +451,14 @@ def spawn_world(base: ScenarioBase, goal: RouteGoal, seed: int,
     route = ego_route_for(goal)
     s_entry, _ = route.zone_entry_exit(zone)
     ego_s = s_entry - EGO_START_BEFORE_ENTRY
-    direction = route.direction_at(ego_s)
+    dx, dy = route.direction_at(ego_s)
     ego = AgentState(
         id=EGO_ID, kind=AgentKind.EGO_VEHICLE,
         position=route.position_at(ego_s),
-        velocity=EGO_INITIAL_SPEED * direction,
-        acceleration=np.zeros(2),
+        velocity=(EGO_INITIAL_SPEED * dx, EGO_INITIAL_SPEED * dy),
+        acceleration=_ZERO,
         heading=route.heading_at(ego_s),
-        half_extent=np.array(VEHICLE_HALF_EXTENT),
+        half_extent=VEHICLE_HALF_EXTENT,
     )
 
     agents, agent_scripts = [], {}
@@ -472,18 +466,16 @@ def spawn_world(base: ScenarioBase, goal: RouteGoal, seed: int,
         s = script.arc_length_at(0.0)
         half = (PEDESTRIAN_HALF_EXTENT if script.kind == AgentKind.PEDESTRIAN
                 else VEHICLE_HALF_EXTENT)
+        dx, dy = script.route.direction_at(s)
         agents.append(AgentState(
             id=i, kind=script.kind,
             position=script.route.position_at(s),
-            velocity=script.speed * script.route.direction_at(s),
-            acceleration=np.zeros(2),
+            velocity=(script.speed * dx, script.speed * dy),
+            acceleration=_ZERO,
             heading=script.route.heading_at(s),
-            half_extent=np.array(half),
+            half_extent=half,
         ))
         agent_scripts[i] = script
-    for state in (ego, *agents):
-        _frozen(state.position, state.velocity, state.acceleration,
-                state.half_extent)
 
     params_clock = SimClock(tick=0, dt=params.dt)
     return GroundTruthWorld(
@@ -499,8 +491,8 @@ def default_ghost_position(goal: RouteGoal) -> tuple[float, float]:
     route = ego_route_for(goal)
     zone = build_intersection().conflict_zone
     s_entry, _ = route.zone_entry_exit(zone)
-    p = route.position_at(s_entry - GHOST_OFFSET_BEFORE_ENTRY)
-    return (float(p[0]), float(p[1]))
+    x, y = route.position_at(s_entry - GHOST_OFFSET_BEFORE_ENTRY)
+    return (x, y)
 
 
 __all__ = [

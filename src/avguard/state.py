@@ -92,6 +92,25 @@ def hypot2(x: float, y: float) -> float:
     return float(np.hypot(x, y))
 
 
+class Vec2(tuple):
+    """An (x, y) pair of floats; ``a - b`` subtracts elementwise."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        ox, oy = other
+        return Vec2((self[0] - ox, self[1] - oy))
+
+
+def _vec2(value) -> Vec2:
+    """``value`` as a Vec2 of floats. A Vec2 is immutable, so it is
+    shared, not copied."""
+    if type(value) is Vec2:
+        return value
+    x, y = value
+    return Vec2((float(x), float(y)))
+
+
 def normalize_heading(theta: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     wrapped = float(np.arctan2(np.sin(theta), np.cos(theta)))
@@ -102,32 +121,27 @@ def normalize_heading(theta: float) -> float:
 class AgentState:
     id: int
     kind: AgentKind
-    position: np.ndarray      # (2,) m
-    velocity: np.ndarray      # (2,) m/s
-    acceleration: np.ndarray  # (2,) m/s^2
-    heading: float            # rad, normalized
-    half_extent: np.ndarray   # (2,) m, bounding-box half sizes
+    position: Vec2       # m
+    velocity: Vec2       # m/s
+    acceleration: Vec2   # m/s^2
+    heading: float       # rad, normalized
+    half_extent: Vec2    # m, bounding-box half sizes
 
     def __post_init__(self) -> None:
-        self.position = np.asarray(self.position, dtype=float)
-        self.velocity = np.asarray(self.velocity, dtype=float)
-        self.acceleration = np.asarray(self.acceleration, dtype=float)
-        self.half_extent = np.asarray(self.half_extent, dtype=float)
-        if not (self.half_extent > 0).all():
+        self.position = _vec2(self.position)
+        self.velocity = _vec2(self.velocity)
+        self.acceleration = _vec2(self.acceleration)
+        self.half_extent = _vec2(self.half_extent)
+        if not (self.half_extent[0] > 0.0 and self.half_extent[1] > 0.0):
             raise ValueError("half_extent components must be > 0")
         self.heading = normalize_heading(self.heading)
 
     @classmethod
-    def trusted(cls, id: int, kind: AgentKind, position: np.ndarray,
-                velocity: np.ndarray, acceleration: np.ndarray,
-                heading: float, half_extent: np.ndarray) -> "AgentState":
-        """A state from parts that are already valid, without re-checking.
-
-        The simulator steps every agent every tick from parts validated
-        where they entered: float (2,) arrays, a positive half_extent,
-        and the heading the constructor stores for a route segment's
-        heading (``Route.pose_at``).
-        """
+    def trusted(cls, id: int, kind: AgentKind, position: Vec2, velocity: Vec2,
+                acceleration: Vec2, heading: float,
+                half_extent: Vec2) -> "AgentState":
+        """A state whose heading is already normalized: normalize_heading
+        is not idempotent, so the constructor would move it."""
         state = cls.__new__(cls)
         state.__dict__.update(id=id, kind=kind, position=position,
                               velocity=velocity, acceleration=acceleration,
@@ -136,7 +150,7 @@ class AgentState:
 
     @property
     def speed(self) -> float:
-        return hypot2(*self.velocity.tolist())
+        return hypot2(*self.velocity)
 
 
 @dataclass(frozen=True)
@@ -148,14 +162,14 @@ class ConflictZone:
     y_min: float
     y_max: float
 
-    def contains(self, p: np.ndarray) -> bool:
+    def contains(self, p: tuple[float, float]) -> bool:
         return bool(
             self.x_min <= p[0] <= self.x_max and self.y_min <= p[1] <= self.y_max
         )
 
-    def distance_to(self, p: np.ndarray) -> float:
+    def distance_to(self, p: tuple[float, float]) -> float:
         """Euclidean distance from a point to the rectangle (0 inside)."""
-        x, y = float(p[0]), float(p[1])
+        x, y = p
         dx = max(self.x_min - x, 0.0, x - self.x_max)
         dy = max(self.y_min - y, 0.0, y - self.y_max)
         return hypot2(dx, dy)
@@ -200,34 +214,34 @@ class GroundTruthWorld:
 class PerceivedObject:
     id: int
     kind: AgentKind
-    position: np.ndarray
-    velocity: np.ndarray
-    half_extent: np.ndarray
+    position: Vec2
+    velocity: Vec2
+    half_extent: Vec2
     provenance: Provenance = Provenance.REAL
 
     def __post_init__(self) -> None:
-        self.position = np.asarray(self.position, dtype=float)
-        self.velocity = np.asarray(self.velocity, dtype=float)
-        self.half_extent = np.asarray(self.half_extent, dtype=float)
+        self.position = _vec2(self.position)
+        self.velocity = _vec2(self.velocity)
+        self.half_extent = _vec2(self.half_extent)
 
     @property
     def speed(self) -> float:
-        return hypot2(*self.velocity.tolist())
+        return hypot2(*self.velocity)
 
 
 @dataclass
 class EgoOdometry:
-    position: np.ndarray
-    velocity: np.ndarray
+    position: Vec2
+    velocity: Vec2
     heading: float
 
     def __post_init__(self) -> None:
-        self.position = np.asarray(self.position, dtype=float)
-        self.velocity = np.asarray(self.velocity, dtype=float)
+        self.position = _vec2(self.position)
+        self.velocity = _vec2(self.velocity)
 
     @property
     def speed(self) -> float:
-        return hypot2(*self.velocity.tolist())
+        return hypot2(*self.velocity)
 
 
 @dataclass
@@ -314,6 +328,7 @@ __all__ = [
     "RouteGoal",
     "SimClock",
     "SpoofSpec",
+    "Vec2",
     "Verdict",
     "VerdictLevel",
     "hypot2",

@@ -267,6 +267,15 @@ class TestSidecarCheck:
         with pytest.raises(MalformedTrace):
             reaggregate_from_traces(str(tmp_path))
 
+    def test_trace_without_sidecar_is_rejected(self, tmp_path):
+        run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
+        trace = self._trace(tmp_path)
+        trace.with_suffix(".run.json").unlink()
+        with pytest.raises(MalformedTrace) as err:
+            reaggregate_from_traces(str(tmp_path))
+        assert str(trace) in str(err.value)
+        assert err.value.line_number is None
+
     def test_sidecar_without_trace_hash_is_rejected(self, tmp_path):
         run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
         sidecar = self._trace(tmp_path).with_suffix(".run.json")

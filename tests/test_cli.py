@@ -168,6 +168,21 @@ class TestCampaignAndReport:
         assert code == EXIT_INVALID
         assert "sidecar" in capsys.readouterr().err
 
+    def test_report_on_a_trace_without_sidecar_is_invalid(self, scenario_file,
+                                                          tmp_path, capsys):
+        out = tmp_path / "traces"
+        assert main(["campaign", "--scenario-dir", str(tmp_path),
+                     "--runs", "2", "--out", str(out),
+                     "--report", str(tmp_path / "a.csv")]) == EXIT_OK
+        traces = sorted((out / "nominal").glob("*.jsonl"))
+        assert len(traces) == 2
+        traces[0].with_suffix(".run.json").unlink()
+        capsys.readouterr()
+        code = main(["report", "--traces", str(out),
+                     "--report", str(tmp_path / "b.csv")])
+        assert code == EXIT_INVALID
+        assert str(traces[0]) in capsys.readouterr().err
+
     def test_failed_run_exit_code(self, scenario_dir, tmp_path, monkeypatch):
         import avguard.cli as cli_mod
         from avguard.orchestrator import failed_run_summary

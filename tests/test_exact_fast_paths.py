@@ -2,10 +2,12 @@
 
 Each fast path replaces a numpy call on scalars or 2-vectors with plain
 float arithmetic only where the result is provably the same: hypot with
-a zero side, a projection onto an axis-aligned unit direction, and a
-monitor that works on coordinate arrays instead of point arrays. Every
-test here compares against the numpy form the fast path replaced, kept
-as the reference, bit for bit.
+a zero side, elementwise 2-vector arithmetic on floats, and a monitor
+that works on coordinate arrays instead of point arrays. Every test here
+compares against the numpy form the fast path replaced, kept as the
+reference, bit for bit. A 2-vector dot product is written out as
+``a*c + b*d`` on both sides: that it equals an unfused ``np.dot`` is
+pinned by tests/test_cpu_independence.py.
 """
 
 import itertools
@@ -79,6 +81,11 @@ def test_hypot2_equals_np_hypot_on_special_pairs(x, y):
 # --- Route projections -------------------------------------------------------
 
 
+def dot(u, v):
+    """A 2-vector dot product with numpy's operation order, unfused."""
+    return u[0] * v[0] + u[1] * v[1]
+
+
 class NumpyRoute:
     """The numpy projections Route used before its per-segment floats."""
 
@@ -94,7 +101,7 @@ class NumpyRoute:
         best_s, best_d = None, 5.0
         for i in range(len(self.lengths)):
             a = self.points[i]
-            t = float(np.dot(p - a, self.dirs[i]))
+            t = float(dot(p - a, self.dirs[i]))
             t = min(max(t, 0.0), self.lengths[i])
             s = self.cum[i] + t
             if s < s_min:
@@ -109,7 +116,7 @@ class NumpyRoute:
         best = np.inf
         for i in range(len(self.lengths)):
             a = self.points[i]
-            t = float(np.dot(p - a, self.dirs[i]))
+            t = float(dot(p - a, self.dirs[i]))
             t = min(max(t, 0.0), self.lengths[i])
             best = min(best, float(np.hypot(*(p - (a + t * self.dirs[i])))))
         return best
@@ -173,7 +180,7 @@ def test_projection_on_axis_aligned_routes(points, data):
 @given(data=st.data())
 @settings(max_examples=600, deadline=None)
 def test_projection_on_a_diagonal_route(data):
-    # The first two segments are off-axis, so they take the np.dot path.
+    # The first two segments are off-axis, so neither product is exact.
     _check_projection(DIAGONAL_ROUTE, data)
 
 
@@ -204,8 +211,8 @@ def old_closing_speed(ego_pos, ego_vel, obj_pos, obj_vel):
     norm = float(np.hypot(*line))
     if norm < 1e-9:
         return float(np.hypot(*(np.asarray(obj_vel) - np.asarray(ego_vel))))
-    return max(0.0, float(np.dot(np.asarray(obj_vel) - np.asarray(ego_vel),
-                                 line / norm)))
+    return max(0.0, float(dot(np.asarray(obj_vel) - np.asarray(ego_vel),
+                              line / norm)))
 
 
 def old_safety_check(perceived, proposed, params, world_geometry, sim_params):
@@ -218,10 +225,11 @@ def old_safety_check(perceived, proposed, params, world_geometry, sim_params):
     times = sample_times(params.horizon, params.sample_dt)
     u = np.array([np.cos(odom.heading), np.sin(odom.heading)])
     s = displacement_along(odom.speed, accel, times)
-    ego_points = odom.position[None, :] + s[:, None] * u[None, :]
+    ego_points = np.asarray(odom.position)[None, :] + s[:, None] * u[None, :]
     best_sep, best_t, best_obj = np.inf, 0.0, None
     for obj in perceived.objects:
-        obj_points = obj.position[None, :] + times[:, None] * obj.velocity[None, :]
+        obj_points = (np.asarray(obj.position)[None, :]
+                      + times[:, None] * np.asarray(obj.velocity)[None, :])
         delta = ego_points - obj_points
         dist = np.hypot(delta[:, 0], delta[:, 1])
         sep = dist - (EGO_RADIUS + float(np.max(obj.half_extent)))
@@ -324,12 +332,13 @@ def test_zero_velocity_shortcut_on_random_coordinates(ego_x, x, vx, other):
 
 from avguard import geometry  # noqa: E402
 from avguard.planners import STATIONARY_SPEED, find_conflicts  # noqa: E402
+from test_geometry import segment_intersection  # noqa: E402
 
 
 def crossing_pair(a0, a1, b0, b1):
     """(float kernel, numpy reference) for two segments given by points."""
-    ref = geometry.segment_intersection(np.array(a0), np.array(a1),
-                                        np.array(b0), np.array(b1))
+    ref = segment_intersection(np.array(a0), np.array(a1),
+                               np.array(b0), np.array(b1))
     ax, ay = a0
     bx, by = b0
     got = geometry.segment_crossing(ax, ay, a1[0] - ax, a1[1] - ay,
@@ -428,16 +437,17 @@ def old_find_conflicts(perceived, route, ego_s, zone):
                 if blocker is None:
                     blocker = obj.id
             continue
-        path_end = obj.position + obj.velocity * 30.0
+        position = np.asarray(obj.position)
+        path_end = position + np.asarray(obj.velocity) * 30.0
         for i in range(len(route_pts) - 1):
-            cross = geometry.segment_intersection(route_pts[i], route_pts[i + 1],
-                                                  obj.position, path_end)
+            cross = segment_intersection(route_pts[i], route_pts[i + 1],
+                                         position, path_end)
             if cross is None or not zone.contains(cross):
                 continue
             s_cross = route.arc_length_of(cross, s_min=ego_s)
             if s_cross is None or s_cross <= ego_s:
                 continue
-            time_gap = float(np.hypot(*(cross - obj.position))) / speed
+            time_gap = float(np.hypot(*(cross - position))) / speed
             conflicts.append((obj.id, time_gap, s_cross - ego_s))
             break
     return conflicts, blocker

@@ -11,13 +11,24 @@ import random
 import numpy as np
 import pytest
 
-from avguard.geometry import (
-    Route,
-    obb_overlap,
-    rect_corners,
-    segment_intersection,
-)
+from avguard.geometry import Route, obb_overlap, rect_corners
 from avguard.state import ConflictZone
+
+
+def segment_intersection(a0, a1, b0, b1):
+    """Intersection point of two closed segments given as numpy 2-vectors,
+    or None: the numpy form ``geometry.segment_crossing`` reproduces."""
+    r = a1 - a0
+    s = b1 - b0
+    denom = r[0] * s[1] - r[1] * s[0]
+    if abs(denom) < 1e-12:
+        return None
+    q = b0 - a0
+    t = (q[0] * s[1] - q[1] * s[0]) / denom
+    u = (q[0] * r[1] - q[1] * r[0]) / denom
+    if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= u <= 1 + 1e-12:
+        return a0 + t * r
+    return None
 
 
 # --- independent grid-sampling overlap oracle ------------------------------
@@ -188,11 +199,11 @@ class TestRoute:
         for s in samples:
             position, direction, heading = route.pose_at(s)
             ref_position, ref_direction, ref_heading = reference(s)
-            assert position.tolist() == ref_position.tolist()
-            assert direction.tolist() == ref_direction.tolist()
+            assert position == tuple(ref_position.tolist())
+            assert direction == tuple(ref_direction.tolist())
             assert heading == ref_heading
-            assert route.position_at(s).tolist() == position.tolist()
-            assert route.direction_at(s).tolist() == direction.tolist()
+            assert route.position_at(s) == position
+            assert route.direction_at(s) == direction
             assert route.heading_at(s) == heading
 
     def test_route_copies_and_freezes_its_points(self):

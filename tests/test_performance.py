@@ -10,17 +10,13 @@ from avguard.performance import PerfThresholds, performance_check
 @dataclass
 class FakeRecord:
     ego_accel_mps2: float
-    recovery_active: bool = False
 
 
 THRESHOLDS = PerfThresholds()
 
 
-def history(accels, recovery_last=False):
-    records = [FakeRecord(a) for a in accels]
-    if records and recovery_last:
-        records[-1] = FakeRecord(accels[-1], recovery_active=True)
-    return records
+def history(accels):
+    return [FakeRecord(a) for a in accels]
 
 
 class TestAccelAndJerk:
@@ -36,7 +32,6 @@ class TestAccelAndJerk:
                                   THRESHOLDS)
         assert not flags.accel_violation
         assert not flags.jerk_violation
-        assert not flags.exempt
 
     def test_jerk_finite_difference(self):
         # 0 -> 2.0 m/s^2 in one 0.1 s tick: jerk = 20 m/s^3 > 5.
@@ -49,12 +44,6 @@ class TestAccelAndJerk:
         flags = performance_check(history([0.0, -8.0]), 0.2, False, 0.1,
                                   THRESHOLDS)
         assert flags.accel_violation
-
-    def test_recovery_braking_tagged_exempt(self):
-        flags = performance_check(history([0.0, -8.0], recovery_last=True),
-                                  0.2, False, 0.1, THRESHOLDS)
-        assert flags.accel_violation
-        assert flags.exempt
 
     def test_empty_history_is_clean(self):
         flags = performance_check([], 0.0, False, 0.1, THRESHOLDS)

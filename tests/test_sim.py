@@ -43,9 +43,11 @@ from avguard.state import (
     Provenance,
     RouteGoal,
     SpoofSpec,
+    Vec2,
 )
 
 PARAMS = SimParams()
+VECTOR_FIELDS = ("position", "velocity", "acceleration", "half_extent")
 
 
 class TestAdvanceArc:
@@ -340,15 +342,22 @@ class TestSharedConstantsReadOnly:
         with pytest.raises(ValueError):
             approach_route(approach).points[1, 1] = 123.0
 
-    def test_direction_from_pose_is_a_read_only_view(self):
-        _, direction, _ = ego_route_for(RouteGoal.LEFT_TURN).pose_at(5.0)
-        with pytest.raises(ValueError):
-            direction[0] = 0.0
+    def test_pose_is_made_of_float_pairs(self):
+        position, direction, heading = ego_route_for(
+            RouteGoal.LEFT_TURN).pose_at(5.0)
+        assert type(position) is Vec2 and type(direction) is tuple
+        assert all(type(v) is float for v in (*position, *direction, heading))
+
+
+def is_float_pair(value):
+    return (type(value) is Vec2 and len(value) == 2
+            and all(type(v) is float for v in value))
 
 
 class TestGroundTruthWriteProtected:
-    """Ground-truth arrays are read-only from spawn on, and the stepped
-    states are exactly what the validating constructor would build."""
+    """Ground-truth state vectors are immutable float pairs from spawn
+    on, and the stepped states are exactly what the validating
+    constructor would build."""
 
     @staticmethod
     def _walk(base, goal, ticks):
@@ -363,23 +372,19 @@ class TestGroundTruthWriteProtected:
 
     @staticmethod
     def _snapshot(world):
-        return [(a.position.tobytes(), a.velocity.tobytes(),
-                 a.acceleration.tobytes(), a.half_extent.tobytes(),
-                 struct.pack("<d", a.heading))
+        return [struct.pack("<9d", *a.position, *a.velocity, *a.acceleration,
+                            *a.half_extent, a.heading)
                 for a in (world.ego, *world.agents)]
 
     @pytest.mark.parametrize("base", list(ScenarioBase))
-    def test_arrays_read_only_after_spawn_and_steps(self, base):
+    def test_state_vectors_immutable_after_spawn_and_steps(self, base):
         for world in self._walk(base, RouteGoal.STRAIGHT, 5):
             for state in (world.ego, *world.agents):
-                for name in ("position", "velocity", "acceleration",
-                             "half_extent"):
-                    array = getattr(state, name)
-                    assert not array.flags.writeable, name
-                    with pytest.raises(ValueError):
-                        array[0] = 1.0
-                    with pytest.raises(ValueError):
-                        array += 1.0
+                for name in VECTOR_FIELDS:
+                    vector = getattr(state, name)
+                    assert type(vector) is Vec2, name
+                    with pytest.raises(TypeError):
+                        vector[0] = 1.0
 
     @pytest.mark.parametrize("goal", list(RouteGoal))
     @pytest.mark.parametrize("base", list(ScenarioBase))
@@ -390,11 +395,8 @@ class TestGroundTruthWriteProtected:
                 fields = {f.name: getattr(state, f.name)
                           for f in dataclasses.fields(state)}
                 rebuilt = AgentState(**fields)
-                for name in ("position", "velocity", "acceleration",
-                             "half_extent"):
-                    array = getattr(state, name)
-                    assert array.dtype == np.float64 and array.shape == (2,)
-                    assert getattr(rebuilt, name).tobytes() == array.tobytes()
+                for name in VECTOR_FIELDS:
+                    assert is_float_pair(getattr(state, name)), name
                 assert type(state.heading) is float
                 assert (struct.pack("<d", rebuilt.heading)
                         == struct.pack("<d", state.heading))
@@ -429,3 +431,6 @@ class TestGroundTruthWriteProtected:
         step_dynamics(world, maneuver_to_command(proposal, world.ego, world,
                                                  params))
         assert self._snapshot(world) == before
+        for obj in perceived.objects:
+            for name in ("position", "velocity", "half_extent"):
+                assert is_float_pair(getattr(obj, name)), name
