@@ -1,24 +1,23 @@
 """Security assessment and fault injection.
 
-The security assessor walks a configured attack schedule and decides when
-to fire; the fault injector resolves the directive against the current
-scene (ghost placement, spoof target) and keeps the active set. A
-directive activated at tick t corrupts perception from tick t+1 through
-its window end, never the tick that triggered it.
+The security assessor decides when the scenario's one attack fires; the
+fault injector resolves the directive against the current scene (ghost
+placement, spoof target) and keeps the active set. A directive
+activated at tick t corrupts perception from tick t+1 through its window
+end, never the tick that triggered it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .sim import default_ghost_position
 from .state import (
     AgentKind,
-    EgoOdometry,
     FaultDirective,
     FaultKind,
     GhostSpec,
@@ -37,8 +36,10 @@ class TriggerKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class ScheduleEntry:
-    fault_kind: FaultKind
+class AttackConfig:
+    """The scenario's one attack: what to inject, when, and how often."""
+
+    kind: FaultKind
     trigger: TriggerKind
     trigger_value: float
     duration_ticks: int = 80
@@ -47,59 +48,50 @@ class ScheduleEntry:
     spoof: SpoofSpec = SpoofSpec()
 
 
-@dataclass
-class AttackSchedule:
-    entries: list[ScheduleEntry] = field(default_factory=list)
-
-
-def trigger_fires(entry: ScheduleEntry, tick: int, ego: EgoOdometry,
-                  zone_distance: float) -> bool:
-    if entry.trigger == TriggerKind.EGO_WITHIN_DISTANCE:
-        return zone_distance <= entry.trigger_value
-    if entry.trigger == TriggerKind.AT_TICK:
-        return tick == int(entry.trigger_value)
-    period = max(int(entry.trigger_value), 1)
+def trigger_fires(attack: AttackConfig, tick: int, zone_distance: float) -> bool:
+    if attack.trigger == TriggerKind.EGO_WITHIN_DISTANCE:
+        return zone_distance <= attack.trigger_value
+    if attack.trigger == TriggerKind.AT_TICK:
+        return tick == int(attack.trigger_value)
+    period = max(int(attack.trigger_value), 1)
     return tick % period == 0
 
 
 class FaultInjector:
-    """Owns the per-run active-directive set and activation counts."""
+    """Owns the per-run active-directive set and the attack's activation
+    count."""
 
-    def __init__(self, schedule: AttackSchedule):
-        self.schedule = schedule
+    def __init__(self, attack: Optional[AttackConfig]):
+        self.attack = attack
         self.active: list[FaultDirective] = []
-        self.activation_counts: dict[int, int] = {}
+        self.activations = 0
 
-    def plan(self, tick: int, ego: EgoOdometry,
-             zone_distance: float) -> Optional[ScheduleEntry]:
-        """Security-assessor step: first entry that fires and is not
-        already active (one active directive per kind), none otherwise."""
-        for i, entry in enumerate(self.schedule.entries):
-            count = self.activation_counts.get(i, 0)
-            if entry.max_activations and count >= entry.max_activations:
-                continue
-            if self._kind_active(entry.fault_kind, tick + 1):
-                continue
-            if trigger_fires(entry, tick, ego, zone_distance):
-                return entry
-        return None
+    def plan(self, tick: int, zone_distance: float) -> Optional[AttackConfig]:
+        """Security-assessor step: the attack if its trigger fires, its
+        activations are not spent and no directive of it is active next
+        tick; None otherwise."""
+        attack = self.attack
+        if attack is None:
+            return None
+        if attack.max_activations and self.activations >= attack.max_activations:
+            return None
+        if any(d.active_at(tick + 1) for d in self.active):
+            return None
+        return attack if trigger_fires(attack, tick, zone_distance) else None
 
-    def _kind_active(self, kind: FaultKind, tick: int) -> bool:
-        return any(d.kind == kind and d.active_at(tick) for d in self.active)
-
-    def activate(self, entry: ScheduleEntry, tick: int,
+    def activate(self, attack: AttackConfig, tick: int,
                  perceived: PerceivedState,
                  goal) -> Optional[FaultDirective]:
         """Resolve and schedule a directive; effective from tick + 1."""
-        start, end = tick + 1, tick + entry.duration_ticks
-        if entry.fault_kind == FaultKind.GHOST_OBSTACLE:
-            position = entry.ghost.position or default_ghost_position(goal)
+        start, end = tick + 1, tick + attack.duration_ticks
+        if attack.kind == FaultKind.GHOST_OBSTACLE:
+            position = attack.ghost.position or default_ghost_position(goal)
             directive = FaultDirective(kind=FaultKind.GHOST_OBSTACLE,
                                        start_tick=start, end_tick=end,
-                                       ghost=entry.ghost,
+                                       ghost=attack.ghost,
                                        ghost_position=position)
         else:
-            target = entry.spoof.target_id
+            target = attack.spoof.target_id
             if target is None:
                 target = nearest_closing_vehicle(perceived)
             if target is None:
@@ -107,9 +99,8 @@ class FaultInjector:
                 return None
             directive = FaultDirective(kind=FaultKind.TRAJECTORY_SPOOF,
                                        start_tick=start, end_tick=end,
-                                       spoof=entry.spoof, spoof_target=target)
-        index = self.schedule.entries.index(entry)
-        self.activation_counts[index] = self.activation_counts.get(index, 0) + 1
+                                       spoof=attack.spoof, spoof_target=target)
+        self.activations += 1
         self.active.append(directive)
         return directive
 
@@ -136,9 +127,8 @@ def nearest_closing_vehicle(perceived: PerceivedState) -> Optional[int]:
 
 
 __all__ = [
-    "AttackSchedule",
+    "AttackConfig",
     "FaultInjector",
-    "ScheduleEntry",
     "TriggerKind",
     "nearest_closing_vehicle",
     "trigger_fires",

@@ -61,6 +61,7 @@ class Route:
         ]
         for array in (self.points, self._seg_lengths, self._dirs):
             array.setflags(write=False)
+        self._zone_cache: dict[tuple, tuple[float, float]] = {}
 
     @property
     def length(self) -> float:
@@ -126,12 +127,9 @@ class Route:
         zone, since the simulator asks every tick.
         """
         key = (zone.x_min, zone.x_max, zone.y_min, zone.y_max)
-        cache = getattr(self, "_zone_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_zone_cache", cache)
-        if key in cache:
-            return cache[key]
+        cached = self._zone_cache.get(key)
+        if cached is not None:
+            return cached
         entry, exit_ = np.inf, -np.inf
         for i in range(len(self._seg_lengths)):
             a, d, length = self.points[i], self._dirs[i], self._seg_lengths[i]
@@ -155,7 +153,7 @@ class Route:
         if not np.isfinite(entry):
             raise ValueError("route never crosses the conflict zone")
         result = (float(entry), float(exit_))
-        cache[key] = result
+        self._zone_cache[key] = result
         return result
 
 

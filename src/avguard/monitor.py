@@ -62,13 +62,9 @@ def _shared_sample_times(horizon: float, sample_dt: float) -> np.ndarray:
 def displacement_along(speed: float, accel: float, times: np.ndarray) -> np.ndarray:
     """Scalar arc displacement under constant accel, clamped at zero speed."""
     s = speed * times + 0.5 * accel * times * times
-    if accel < 0.0 and speed > 0.0:
+    if accel < 0.0:
         t_stop = speed / -accel
         s = np.where(times >= t_stop, speed * speed / (2.0 * -accel), s)
-    elif accel < 0.0 and speed <= 0.0:
-        s = np.zeros_like(times)
-    elif accel > 0.0 and speed < 0.0:  # defensive; speeds are never negative here
-        s = np.maximum(s, 0.0)
     return s
 
 

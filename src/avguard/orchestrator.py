@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import metrics, planners, sim
-from .attacks import AttackSchedule, FaultInjector
+from .attacks import FaultInjector
 from .metrics import IterationRecord, RunSummary, TerminationStatus
 from .monitor import recovery_decide, safety_check
 from .performance import performance_check
@@ -73,15 +73,12 @@ class RunContext:
     world: GroundTruthWorld
     records: list[IterationRecord] = field(default_factory=list)
     role_timings_ns: list[dict[str, int]] = field(default_factory=list)
-    injector: Optional[FaultInjector] = None
+    injector: FaultInjector = field(init=False)
     plan_fn: Optional[PlanFn] = None  # defaults to the configured planner
     last_verdict: Optional[Verdict] = None
 
     def __post_init__(self) -> None:
-        if self.injector is None:
-            schedule = (self.spec.attack.to_schedule() if self.spec.attack
-                        else None)
-            self.injector = FaultInjector(schedule or AttackSchedule())
+        self.injector = FaultInjector(self.spec.attack)
 
 
 def _timed(timings: dict[str, int], role_id: str, tick: int, fn, *args):
@@ -151,13 +148,13 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
 
     # 4. Security assessor.
     zone_distance = zone.distance_to(world.ego.position)
-    entry = _timed(timings, "security_assessor", tick, ctx.injector.plan,
-                   tick, perceived.ego_odometry, zone_distance)
+    attack = _timed(timings, "security_assessor", tick, ctx.injector.plan,
+                    tick, zone_distance)
 
     # 5. Fault injector (conditional on an assessor directive).
-    if entry is not None:
+    if attack is not None:
         _timed(timings, "fault_injector", tick, ctx.injector.activate,
-               entry, tick, perceived, world.ego_goal)
+               attack, tick, perceived, world.ego_goal)
 
     # 6. Performance oracle.
     flags = _timed(timings, "performance_oracle", tick, performance_check,

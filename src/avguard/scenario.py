@@ -1,7 +1,8 @@
 """Scenario configuration: typed spec, INI-style file parsing, validation.
 
 A scenario file is a small sectioned key/value document; every omitted
-key takes the documented default. Example:
+key takes the documented default, and a key or section the parser does
+not read is rejected. Example:
 
     [scenario]
     id = ghost_attack
@@ -29,7 +30,7 @@ import io
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .attacks import AttackSchedule, ScheduleEntry, TriggerKind
+from .attacks import AttackConfig, TriggerKind
 from .monitor import SafetyParams
 from .performance import PerfThresholds
 from .planners import PlannerConfig, PlannerKind
@@ -49,26 +50,6 @@ class ValidationError(Exception):
 
 class InvalidSpec(ValidationError):
     """A spec failed validation at run time (validation was bypassed)."""
-
-
-@dataclass(frozen=True)
-class AttackConfig:
-    kind: FaultKind
-    trigger: TriggerKind
-    trigger_value: float
-    duration_ticks: int
-    max_activations: int
-    ghost: GhostSpec = GhostSpec()
-    spoof: SpoofSpec = SpoofSpec()
-
-    def to_schedule(self) -> AttackSchedule:
-        return AttackSchedule(entries=[ScheduleEntry(
-            fault_kind=self.kind, trigger=self.trigger,
-            trigger_value=self.trigger_value,
-            duration_ticks=self.duration_ticks,
-            max_activations=self.max_activations,
-            ghost=self.ghost, spoof=self.spoof,
-        )])
 
 
 def default_ghost_attack() -> AttackConfig:
@@ -126,6 +107,8 @@ def validate_spec(spec: ScenarioSpec) -> None:
         raise ValidationError("grace_ticks must be >= 0")
     if spec.attack is not None and spec.attack.duration_ticks < 1:
         raise ValidationError("attack duration_ticks must be >= 1")
+    if spec.attack is not None and spec.attack.max_activations < 0:
+        raise ValidationError("attack max_activations must be >= 0")
 
 
 def spawn_scenario(spec: ScenarioSpec, seed: int) -> GroundTruthWorld:
@@ -168,15 +151,34 @@ _PLANNER_ALIASES = {
 }
 
 
+_SECTIONS = ("scenario", "attack", "safety", "performance", "planner", "sim")
+
+
 class _Section:
-    """Typed accessors over one config section with invariant messages."""
+    """Typed accessors over one config section with invariant messages.
+
+    Every accessor records the key it looked up, so ``reject_unread``
+    can name a key the parser never asked for (a misspelling, say)
+    instead of letting it fall back to its default without a word.
+    """
 
     def __init__(self, parser: configparser.ConfigParser, name: str):
         self._name = name
         self._data = dict(parser[name]) if parser.has_section(name) else {}
+        self._read: set[str] = set()
+
+    def _get(self, key: str) -> Optional[str]:
+        self._read.add(key)
+        return self._data.get(key)
+
+    def reject_unread(self) -> None:
+        unread = sorted(set(self._data) - self._read)
+        if unread:
+            raise ValidationError(f"[{self._name}] {unread[0]} is not a key "
+                                  f"this section reads")
 
     def enum(self, key: str, aliases: dict, default):
-        raw = self._data.get(key)
+        raw = self._get(key)
         if raw is None:
             return default
         value = aliases.get(raw.strip().lower())
@@ -187,7 +189,7 @@ class _Section:
         return value
 
     def number(self, key: str, default: float) -> float:
-        raw = self._data.get(key)
+        raw = self._get(key)
         if raw is None:
             return default
         try:
@@ -200,7 +202,7 @@ class _Section:
         return int(self.number(key, default))
 
     def boolean(self, key: str, default: bool) -> bool:
-        raw = self._data.get(key)
+        raw = self._get(key)
         if raw is None:
             return default
         lowered = raw.strip().lower()
@@ -211,7 +213,8 @@ class _Section:
         raise ValidationError(f"[{self._name}] {key} = {raw!r} is not a boolean")
 
     def text(self, key: str, default: str) -> str:
-        return self._data.get(key, default)
+        raw = self._get(key)
+        return default if raw is None else raw
 
     def has(self, key: str) -> bool:
         return key in self._data
@@ -242,13 +245,21 @@ def parse_scenario_file(text: str) -> ScenarioSpec:
         line = exc.errors[0][0] if exc.errors else 0
         raise ParseError(line, str(exc)) from exc
 
-    scenario = _Section(parser, "scenario")
+    for name in parser.sections() + (["DEFAULT"] if parser.defaults() else []):
+        if name not in _SECTIONS:
+            raise ValidationError(f"[{name}] is not a known section; expected "
+                                  f"one of {sorted(_SECTIONS)}")
+    sections = {name: _Section(parser, name) for name in _SECTIONS}
+
+    scenario = sections["scenario"]
     base = scenario.enum("base", _BASE_ALIASES, ScenarioBase.NOMINAL)
 
-    attack_section = _Section(parser, "attack")
+    attack_section = sections["attack"]
     attack: Optional[AttackConfig] = None
-    if attack_section.has("kind"):
+    if parser.has_section("attack"):
         kind = attack_section.enum("kind", _ATTACK_ALIASES, None)
+        if kind is None:
+            raise ValidationError("[attack] kind is required")
         default = (default_ghost_attack() if kind == FaultKind.GHOST_OBSTACLE
                    else default_spoof_attack())
         trigger, trigger_value = default.trigger, default.trigger_value
@@ -258,11 +269,14 @@ def parse_scenario_file(text: str) -> ScenarioSpec:
             position=((attack_section.number("ghost_x_m", 0.0),
                        attack_section.number("ghost_y_m", 0.0))
                       if attack_section.has("ghost_x_m") else None))
-        spoof = SpoofSpec(
-            target_id=(attack_section.integer("spoof_target_id", 0)
-                       if attack_section.has("spoof_target_id") else None),
-            velocity_scale=attack_section.number("velocity_scale", 2.0),
-            heading_bias=attack_section.number("heading_bias_rad", 0.0))
+        try:
+            spoof = SpoofSpec(
+                target_id=(attack_section.integer("spoof_target_id", 0)
+                           if attack_section.has("spoof_target_id") else None),
+                velocity_scale=attack_section.number("velocity_scale", 2.0),
+                heading_bias=attack_section.number("heading_bias_rad", 0.0))
+        except ValueError as exc:
+            raise ValidationError(f"attack invariant violated: {exc}") from exc
         attack = AttackConfig(
             kind=kind, trigger=trigger, trigger_value=trigger_value,
             duration_ticks=attack_section.integer("duration_ticks",
@@ -271,7 +285,7 @@ def parse_scenario_file(text: str) -> ScenarioSpec:
                                                    default.max_activations),
             ghost=ghost, spoof=spoof)
 
-    safety = _Section(parser, "safety")
+    safety = sections["safety"]
     try:
         safety_params = SafetyParams(
             horizon=safety.number("horizon_s", 3.0),
@@ -282,7 +296,7 @@ def parse_scenario_file(text: str) -> ScenarioSpec:
     except ValueError as exc:
         raise ValidationError(f"safety invariant violated: {exc}") from exc
 
-    performance = _Section(parser, "performance")
+    performance = sections["performance"]
     try:
         perf = PerfThresholds(
             max_clearance=performance.number("max_clearance_s", 30.0),
@@ -291,7 +305,7 @@ def parse_scenario_file(text: str) -> ScenarioSpec:
     except ValueError as exc:
         raise ValidationError(f"performance invariant violated: {exc}") from exc
 
-    planner = _Section(parser, "planner")
+    planner = sections["planner"]
     try:
         planner_config = PlannerConfig(
             kind=planner.enum("kind", _PLANNER_ALIASES, PlannerKind.GAP_ACCEPTANCE),
@@ -300,7 +314,7 @@ def parse_scenario_file(text: str) -> ScenarioSpec:
     except ValueError as exc:
         raise ValidationError(f"planner invariant violated: {exc}") from exc
 
-    sim_section = _Section(parser, "sim")
+    sim_section = sections["sim"]
     sim_params = SimParams(
         dt=sim_section.number("dt_s", 0.1),
         sensing_range=sim_section.number("sensing_range_m", 60.0),
@@ -320,6 +334,8 @@ def parse_scenario_file(text: str) -> ScenarioSpec:
         perf_thresholds=perf,
         planner_config=planner_config,
         sim_params=sim_params)
+    for section in sections.values():
+        section.reject_unread()
     validate_spec(spec)
     return spec
 
@@ -344,7 +360,6 @@ def reference_specs() -> list[ScenarioSpec]:
 
 
 __all__ = [
-    "AttackConfig",
     "InvalidSpec",
     "ParseError",
     "ScenarioSpec",

@@ -111,8 +111,6 @@ _APPROACH_ROUTES = {
 
 _INTERSECTION = IntersectionGeometry(
     conflict_zone=ConflictZone(-ZONE_HALF, ZONE_HALF, -ZONE_HALF, ZONE_HALF),
-    approach_lanes={approach: route.points
-                    for approach, route in _APPROACH_ROUTES.items()},
     speed_limit=SPEED_LIMIT,
 )
 

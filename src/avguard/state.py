@@ -178,7 +178,6 @@ class ConflictZone:
 @dataclass
 class IntersectionGeometry:
     conflict_zone: ConflictZone
-    approach_lanes: dict[str, np.ndarray]  # "N"/"S"/"E"/"W" -> (k, 2) polyline
     speed_limit: float  # m/s
 
 

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avguard.attacks import (
-    AttackSchedule,
+    AttackConfig,
     FaultInjector,
-    ScheduleEntry,
     TriggerKind,
     nearest_closing_vehicle,
     trigger_fires,
@@ -17,7 +18,6 @@ from avguard.state import (
     AgentKind,
     EgoOdometry,
     FaultKind,
-    GhostSpec,
     PerceivedObject,
     PerceivedState,
     RouteGoal,
@@ -45,81 +45,79 @@ def make_object(obj_id, pos, vel):
                            half_extent=np.array([2.0, 1.0]))
 
 
-GHOST_ENTRY = ScheduleEntry(fault_kind=FaultKind.GHOST_OBSTACLE,
-                            trigger=TriggerKind.EGO_WITHIN_DISTANCE,
-                            trigger_value=25.0, duration_ticks=80,
-                            max_activations=1, ghost=GhostSpec())
+GHOST = AttackConfig(kind=FaultKind.GHOST_OBSTACLE,
+                     trigger=TriggerKind.EGO_WITHIN_DISTANCE,
+                     trigger_value=25.0, max_activations=1)
 
 
 class TestTriggerFires:
     def test_ego_within_distance(self):
-        assert trigger_fires(GHOST_ENTRY, 0, make_odometry(), 24.0)
-        assert trigger_fires(GHOST_ENTRY, 0, make_odometry(), 25.0)
-        assert not trigger_fires(GHOST_ENTRY, 0, make_odometry(), 26.0)
+        assert trigger_fires(GHOST, 0, 24.0)
+        assert trigger_fires(GHOST, 0, 25.0)
+        assert not trigger_fires(GHOST, 0, 26.0)
 
     def test_at_tick(self):
-        entry = ScheduleEntry(fault_kind=FaultKind.GHOST_OBSTACLE,
+        attack = AttackConfig(kind=FaultKind.GHOST_OBSTACLE,
                               trigger=TriggerKind.AT_TICK, trigger_value=7)
-        assert not trigger_fires(entry, 6, make_odometry(), 100.0)
-        assert trigger_fires(entry, 7, make_odometry(), 100.0)
-        assert not trigger_fires(entry, 8, make_odometry(), 100.0)
+        assert not trigger_fires(attack, 6, 100.0)
+        assert trigger_fires(attack, 7, 100.0)
+        assert not trigger_fires(attack, 8, 100.0)
 
     def test_periodic(self):
-        entry = ScheduleEntry(fault_kind=FaultKind.TRAJECTORY_SPOOF,
+        attack = AttackConfig(kind=FaultKind.TRAJECTORY_SPOOF,
                               trigger=TriggerKind.PERIODIC, trigger_value=5)
-        fired = [t for t in range(12) if trigger_fires(entry, t,
-                                                       make_odometry(), 100.0)]
+        fired = [t for t in range(12) if trigger_fires(attack, t, 100.0)]
         assert fired == [0, 5, 10]
 
 
 class TestSecurityPlan:
-    def test_empty_schedule_never_fires(self):
-        injector = FaultInjector(AttackSchedule())
+    def test_no_attack_never_fires(self):
+        injector = FaultInjector(None)
         for tick in range(50):
-            assert injector.plan(tick, make_odometry(), 10.0) is None
+            assert injector.plan(tick, 10.0) is None
 
     def test_ghost_fires_within_distance(self):
-        injector = FaultInjector(AttackSchedule(entries=[GHOST_ENTRY]))
-        entry = injector.plan(0, make_odometry(), 24.0)
-        assert entry is not None
-        assert entry.fault_kind == FaultKind.GHOST_OBSTACLE
+        injector = FaultInjector(GHOST)
+        attack = injector.plan(0, 24.0)
+        assert attack is not None
+        assert attack.kind == FaultKind.GHOST_OBSTACLE
 
     def test_no_duplicate_while_active(self):
-        injector = FaultInjector(AttackSchedule(entries=[GHOST_ENTRY]))
-        entry = injector.plan(0, make_odometry(), 24.0)
-        assert entry is not None
-        injector.activate(entry, 0, make_perceived([]), RouteGoal.STRAIGHT)
+        injector = FaultInjector(GHOST)
+        attack = injector.plan(0, 24.0)
+        assert attack is not None
+        injector.activate(attack, 0, make_perceived([]), RouteGoal.STRAIGHT)
         # The trigger condition still holds, but the directive is active.
-        assert injector.plan(1, make_odometry(), 24.0) is None
+        assert injector.plan(1, 24.0) is None
 
     def test_max_activations_cap(self):
-        injector = FaultInjector(AttackSchedule(entries=[GHOST_ENTRY]))
-        entry = injector.plan(0, make_odometry(), 24.0)
-        directive = injector.activate(entry, 0, make_perceived([]),
+        injector = FaultInjector(GHOST)
+        attack = injector.plan(0, 24.0)
+        directive = injector.activate(attack, 0, make_perceived([]),
                                       RouteGoal.STRAIGHT)
         # After the window expires the single allowed activation is spent.
         after = directive.end_tick + 1
-        assert injector.plan(after, make_odometry(), 24.0) is None
+        assert injector.plan(after, 24.0) is None
 
     def test_unlimited_activations_refire_after_window(self):
-        entry = ScheduleEntry(fault_kind=FaultKind.TRAJECTORY_SPOOF,
+        attack = AttackConfig(kind=FaultKind.TRAJECTORY_SPOOF,
                               trigger=TriggerKind.PERIODIC, trigger_value=1,
                               duration_ticks=1, max_activations=0,
                               spoof=SpoofSpec())
-        injector = FaultInjector(AttackSchedule(entries=[entry]))
+        injector = FaultInjector(attack)
         perceived = make_perceived([make_object(1, [2.5, -10.0], [0.0, -3.0])])
-        first = injector.plan(0, make_odometry(), 24.0)
+        first = injector.plan(0, 24.0)
         assert first is not None
         injector.activate(first, 0, perceived, RouteGoal.STRAIGHT)
-        # Window [1, 1] has lapsed by tick 2, so the entry may fire again.
-        assert injector.plan(2, make_odometry(), 24.0) is not None
+        # Window [1, 1] has lapsed by tick 2, so the attack may fire again.
+        assert injector.plan(2, 24.0) is not None
 
 
 class TestActivation:
     def test_window_starts_next_tick(self):
-        injector = FaultInjector(AttackSchedule(entries=[GHOST_ENTRY]))
-        entry = injector.plan(5, make_odometry(), 24.0)
-        directive = injector.activate(entry, 5, make_perceived([]),
+        injector = FaultInjector(GHOST)
+        attack = injector.plan(5, 24.0)
+        directive = injector.activate(attack, 5, make_perceived([]),
                                       RouteGoal.STRAIGHT)
         assert directive.start_tick == 6
         assert directive.end_tick == 6 + 80 - 1
@@ -131,9 +129,9 @@ class TestActivation:
         assert injector.active_directives(6) == [directive]
 
     def test_ghost_position_resolved_on_route(self):
-        injector = FaultInjector(AttackSchedule(entries=[GHOST_ENTRY]))
-        entry = injector.plan(0, make_odometry(), 24.0)
-        directive = injector.activate(entry, 0, make_perceived([]),
+        injector = FaultInjector(GHOST)
+        attack = injector.plan(0, 24.0)
+        directive = injector.activate(attack, 0, make_perceived([]),
                                       RouteGoal.STRAIGHT)
         assert directive.ghost_position is not None
         # On the ego's straight route (x = 2.5) ahead of the ego.
@@ -141,15 +139,15 @@ class TestActivation:
         assert directive.ghost_position[1] > -30.0
 
     def test_spoof_targets_nearest_closing_vehicle(self):
-        entry = ScheduleEntry(fault_kind=FaultKind.TRAJECTORY_SPOOF,
+        attack = AttackConfig(kind=FaultKind.TRAJECTORY_SPOOF,
                               trigger=TriggerKind.PERIODIC, trigger_value=1,
                               duration_ticks=1, spoof=SpoofSpec())
-        injector = FaultInjector(AttackSchedule(entries=[entry]))
+        injector = FaultInjector(attack)
         closing_near = make_object(1, [2.5, -10.0], [0.0, -3.0])
         closing_far = make_object(2, [2.5, 40.0], [0.0, -3.0])
         receding = make_object(3, [2.5, -25.0], [0.0, 9.0])
         perceived = make_perceived([receding, closing_far, closing_near])
-        planned = injector.plan(0, make_odometry(), 24.0)
+        planned = injector.plan(0, 24.0)
         directive = injector.activate(planned, 0, perceived,
                                       RouteGoal.STRAIGHT)
         assert directive.spoof_target == 1
@@ -171,3 +169,35 @@ class TestNearestClosingVehicle:
 
     def test_none_when_empty(self):
         assert nearest_closing_vehicle(make_perceived([])) is None
+
+
+class TestOneActiveDirective:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(list(FaultKind)),
+           trigger=st.sampled_from(list(TriggerKind)),
+           trigger_value=st.integers(0, 30),
+           duration_ticks=st.integers(1, 40),
+           max_activations=st.integers(0, 4),
+           ticks=st.lists(st.tuples(st.floats(0.0, 40.0), st.booleans()),
+                          max_size=120))
+    def test_never_more_than_one_active(self, kind, trigger, trigger_value,
+                                        duration_ticks, max_activations,
+                                        ticks):
+        """Driven as run_tick drives it, the injector never holds two
+        directives active at one tick: the invariant that lets a single
+        AttackConfig stand for the whole attack schedule."""
+        attack = AttackConfig(kind=kind, trigger=trigger,
+                              trigger_value=trigger_value,
+                              duration_ticks=duration_ticks,
+                              max_activations=max_activations)
+        injector = FaultInjector(attack)
+        closing = make_perceived([make_object(1, [2.5, -10.0], [0.0, -3.0])])
+        for tick, (zone_distance, target_seen) in enumerate(ticks):
+            assert len(injector.active_directives(tick)) <= 1
+            planned = injector.plan(tick, zone_distance)
+            if planned is not None:
+                perceived = closing if target_seen else make_perceived([])
+                injector.activate(planned, tick, perceived, RouteGoal.STRAIGHT)
+            assert sum(d.active_at(tick + 1) for d in injector.active) <= 1
+        if max_activations:
+            assert injector.activations <= max_activations

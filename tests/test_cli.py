@@ -61,6 +61,12 @@ class TestValidate:
         missing = str(tmp_path / "nope.ini")
         assert main(["validate", "--scenario", missing]) == EXIT_INVALID
 
+    def test_misspelled_key(self, tmp_path, capsys):
+        path = tmp_path / "typo.ini"
+        path.write_text(NOMINAL_INI + "max_tick = 5\n")
+        assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
+        assert "[scenario] max_tick" in capsys.readouterr().err
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "broken.ini"
         path.write_text("[scenario]\nbase = nominal\nnot a key value\n")

@@ -150,6 +150,16 @@ class TestPredictTrajectory:
             if t >= 0.625:
                 assert d == pytest.approx(1.5625)
 
+    def test_standstill(self):
+        times = sample_times(3.0, 0.125)
+        # Braking from rest stays at +0.0 (never a reversing parabola or
+        # a -0.0); accelerating from rest follows the parabola.
+        braking = displacement_along(0.0, -8.0, times)
+        assert np.array_equal(braking, np.zeros_like(times))
+        assert not np.signbit(braking).any()
+        assert np.array_equal(displacement_along(0.0, 3.0, times),
+                              0.5 * 3.0 * times * times)
+
     def test_sample_times_inclusive(self):
         times = sample_times(3.0, 0.05)
         assert times[0] == 0.0

@@ -1,6 +1,8 @@
 """Scenario file parsing, validation, and the reference catalog."""
 
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from avguard.scenario import (
     ParseError,
     ScenarioSpec,
     ValidationError,
+    load_scenario_file,
     parse_scenario_file,
     reference_specs,
     spawn_scenario,
@@ -16,6 +19,9 @@ from avguard.scenario import (
 )
 from avguard.sim import ScenarioBase
 from avguard.state import FaultKind, RouteGoal
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def parse(text):
@@ -178,6 +184,19 @@ class TestValidation:
                 max_ticks = 0
             """)
 
+    def test_negative_max_activations_rejected(self):
+        # Would otherwise read as "cap already reached": an attack that
+        # never fires.
+        with pytest.raises(ValidationError, match="max_activations"):
+            parse("""
+                [scenario]
+                base = nominal
+
+                [attack]
+                kind = ghost
+                max_activations = -1
+            """)
+
     def test_validate_spec_accepts_defaults(self):
         validate_spec(ScenarioSpec())
 
@@ -217,6 +236,61 @@ class TestParseErrors:
                 kind = ghost
                 trigger = whenever
             """)
+
+    @pytest.mark.parametrize("text, named", [
+        ("[scenario]\nbase = nominal\nmax_tick = 5\n", "[scenario] max_tick"),
+        ("[safety]\nd_unsafe = 3\n", "[safety] d_unsafe"),
+        ("[scenario]\nbase = nominal\n[attack]\nkind = ghost\n"
+         "ghost_y_m = 4\n", "[attack] ghost_y_m"),
+    ])
+    def test_misspelled_key_is_rejected(self, text, named):
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            parse_scenario_file(text)
+
+    def test_misspelled_section_is_rejected(self):
+        with pytest.raises(ValidationError, match=re.escape("[atack]")):
+            parse("""
+                [scenario]
+                base = nominal
+
+                [atack]
+                kind = ghost
+            """)
+
+    def test_attack_without_kind_is_rejected(self):
+        with pytest.raises(ValidationError, match="kind is required"):
+            parse("""
+                [scenario]
+                base = nominal
+
+                [attack]
+                trigger = at_tick:5
+            """)
+
+    def test_bad_spoof_value_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="velocity_scale"):
+            parse("""
+                [scenario]
+                base = congested
+
+                [attack]
+                kind = spoof
+                velocity_scale = -1
+            """)
+
+
+class TestReferenceFiles:
+    @pytest.mark.parametrize("path", sorted((REPO / "scenarios").glob("*.ini")),
+                             ids=lambda p: p.name)
+    def test_file_parses_to_its_reference_spec(self, path):
+        spec = load_scenario_file(str(path))
+        assert spec == {s.id: s for s in reference_specs()}[spec.id]
+
+    def test_readme_block_lists_the_defaults(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        ghost = next(s for s in reference_specs() if s.id == "ghost_attack")
+        assert parse_scenario_file(block) == ghost
 
 
 class TestReferenceCatalog:

@@ -335,10 +335,7 @@ class TestSharedConstantsReadOnly:
         assert np.array_equal(route.points, before)
 
     @pytest.mark.parametrize("approach", ["N", "S", "E", "W"])
-    def test_approach_lanes_and_routes(self, approach):
-        lane = build_intersection().approach_lanes[approach]
-        with pytest.raises(ValueError):
-            lane[0, 0] = 123.0
+    def test_approach_route_points(self, approach):
         with pytest.raises(ValueError):
             approach_route(approach).points[1, 1] = 123.0
 
