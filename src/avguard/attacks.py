@@ -1,10 +1,10 @@
 """Security assessment and fault injection.
 
 The security assessor decides when the scenario's one attack fires; the
-fault injector resolves the directive against the current scene (ghost
-placement, spoof target) and keeps the active set. A directive
-activated at tick t corrupts perception from tick t+1 through its window
-end, never the tick that triggered it.
+fault injector resolves each activation into a directive against the
+current scene (ghost placement, spoof target) and keeps the active set.
+A directive activated at tick t corrupts perception from tick t+1
+through its window end, never the tick that triggered it.
 """
 
 from __future__ import annotations
@@ -16,15 +16,7 @@ from enum import Enum
 from typing import Optional
 
 from .sim import default_ghost_position
-from .state import (
-    AgentKind,
-    FaultDirective,
-    FaultKind,
-    GhostSpec,
-    PerceivedState,
-    SpoofSpec,
-    hypot2,
-)
+from .state import AgentKind, FaultKind, PerceivedState, hypot2
 
 log = logging.getLogger(__name__)
 
@@ -37,15 +29,62 @@ class TriggerKind(str, Enum):
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """The scenario's one attack: what to inject, when, and how often."""
+    """The scenario's one attack: what to inject, when, and how often.
+
+    A ghost is a stationary vehicle-sized object; a spoof rescales and
+    rotates one real vehicle's perceived velocity. The ghost fields have
+    no effect on a spoof attack, nor the spoof fields on a ghost attack.
+    """
 
     kind: FaultKind
     trigger: TriggerKind
     trigger_value: float
     duration_ticks: int = 80
     max_activations: int = 0  # 0 = unlimited
-    ghost: GhostSpec = GhostSpec()
-    spoof: SpoofSpec = SpoofSpec()
+    ghost_position: Optional[tuple[float, float]] = None  # None -> on-route default
+    spoof_target_id: Optional[int] = None  # None -> nearest closing vehicle
+    velocity_scale: float = 2.0
+    heading_bias: float = 0.0  # rad
+
+    def __post_init__(self) -> None:
+        if self.duration_ticks < 1:
+            raise ValueError("duration_ticks must be >= 1")
+        if self.max_activations < 0:
+            raise ValueError("max_activations must be >= 0")
+        if not self.velocity_scale > 0:
+            raise ValueError("velocity_scale must be > 0")
+        value = float(self.trigger_value)
+        if self.trigger == TriggerKind.EGO_WITHIN_DISTANCE:
+            if not value >= 0:
+                raise ValueError("trigger ego_within needs a distance >= 0")
+        else:
+            least = 1 if self.trigger == TriggerKind.PERIODIC else 0
+            if not (value.is_integer() and value >= least):
+                raise ValueError(f"trigger {self.trigger.value} needs a whole "
+                                 f"number >= {least}")
+
+
+@dataclass(frozen=True)
+class FaultDirective:
+    """One activation of the attack: its window (inclusive) and the ghost
+    position or spoof target resolved when it activated."""
+
+    attack: AttackConfig
+    start_tick: int
+    end_tick: int
+    ghost_position: Optional[tuple[float, float]] = None
+    spoof_target: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.start_tick > self.end_tick:
+            raise ValueError("start_tick must be <= end_tick")
+
+    @property
+    def kind(self) -> FaultKind:
+        return self.attack.kind
+
+    def active_at(self, tick: int) -> bool:
+        return self.start_tick <= tick <= self.end_tick
 
 
 def trigger_fires(attack: AttackConfig, tick: int, zone_distance: float) -> bool:
@@ -53,8 +92,7 @@ def trigger_fires(attack: AttackConfig, tick: int, zone_distance: float) -> bool
         return zone_distance <= attack.trigger_value
     if attack.trigger == TriggerKind.AT_TICK:
         return tick == int(attack.trigger_value)
-    period = max(int(attack.trigger_value), 1)
-    return tick % period == 0
+    return tick % int(attack.trigger_value) == 0
 
 
 class FaultInjector:
@@ -85,21 +123,17 @@ class FaultInjector:
         """Resolve and schedule a directive; effective from tick + 1."""
         start, end = tick + 1, tick + attack.duration_ticks
         if attack.kind == FaultKind.GHOST_OBSTACLE:
-            position = attack.ghost.position or default_ghost_position(goal)
-            directive = FaultDirective(kind=FaultKind.GHOST_OBSTACLE,
-                                       start_tick=start, end_tick=end,
-                                       ghost=attack.ghost,
+            position = attack.ghost_position or default_ghost_position(goal)
+            directive = FaultDirective(attack, start, end,
                                        ghost_position=position)
         else:
-            target = attack.spoof.target_id
+            target = attack.spoof_target_id
             if target is None:
                 target = nearest_closing_vehicle(perceived)
             if target is None:
                 log.debug("no spoof target available at tick %d", tick)
                 return None
-            directive = FaultDirective(kind=FaultKind.TRAJECTORY_SPOOF,
-                                       start_tick=start, end_tick=end,
-                                       spoof=attack.spoof, spoof_target=target)
+            directive = FaultDirective(attack, start, end, spoof_target=target)
         self.activations += 1
         self.active.append(directive)
         return directive
@@ -128,6 +162,7 @@ def nearest_closing_vehicle(perceived: PerceivedState) -> Optional[int]:
 
 __all__ = [
     "AttackConfig",
+    "FaultDirective",
     "FaultInjector",
     "TriggerKind",
     "nearest_closing_vehicle",

@@ -43,6 +43,11 @@ class SafetyParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.d_unsafe < self.d_warn):
             raise ValueError("require 0 < d_unsafe < d_warn")
+        for name in ("horizon", "sample_dt"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        if not self.margin_speed_gain >= 0:
+            raise ValueError("margin_speed_gain must be >= 0")
 
 
 def sample_times(horizon: float, sample_dt: float) -> np.ndarray:

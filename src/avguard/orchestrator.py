@@ -23,7 +23,7 @@ from .attacks import FaultInjector
 from .metrics import IterationRecord, RunSummary, TerminationStatus
 from .monitor import recovery_decide, safety_check
 from .performance import performance_check
-from .scenario import InvalidSpec, ScenarioSpec, validate_spec
+from .scenario import InvalidSpec, ScenarioSpec
 from .seeding import stream_for
 from .state import (
     GroundTruthWorld,
@@ -206,7 +206,6 @@ def run_scenario(spec: ScenarioSpec, seed: int,
     records."""
     from .scenario import spawn_scenario
 
-    validate_spec(spec)
     ctx = RunContext(spec=spec, seed=seed, options=options,
                      world=spawn_scenario(spec, seed), plan_fn=plan_fn)
     termination = TerminationStatus.RUNNING

@@ -66,6 +66,8 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         if self.caution <= 0:
             raise ValueError("caution must be > 0")
+        if not self.reaction_time >= 0:
+            raise ValueError("reaction_time must be >= 0")
 
     @property
     def effective_caution(self) -> float:

@@ -1,8 +1,12 @@
 """Scenario configuration: typed spec, INI-style file parsing, validation.
 
-A scenario file is a small sectioned key/value document; every omitted
-key takes the documented default, and a key or section the parser does
-not read is rejected. Example:
+A scenario file is a small sectioned key/value document. Each section
+fills one config dataclass through the ``_KEYS`` table, and that
+dataclass owns each key's default and range check: an omitted key takes
+the dataclass default, and a value out of range is rejected with its
+section named. Integer keys take whole numbers, every number must be
+finite, and ``ghost_x_m`` and ``ghost_y_m`` are set together. A key or
+section the parser does not read is rejected. Example:
 
     [scenario]
     id = ghost_attack
@@ -27,7 +31,8 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .attacks import AttackConfig, TriggerKind
@@ -35,7 +40,7 @@ from .monitor import SafetyParams
 from .performance import PerfThresholds
 from .planners import PlannerConfig, PlannerKind
 from .sim import ScenarioBase, SimParams, spawn_world
-from .state import FaultKind, GhostSpec, GroundTruthWorld, RouteGoal, SpoofSpec
+from .state import FaultKind, GroundTruthWorld, RouteGoal
 
 
 class ParseError(Exception):
@@ -96,19 +101,12 @@ def validate_spec(spec: ScenarioSpec) -> None:
                 f"attack {spec.attack.kind.value} requires base "
                 f"{expected.value} (got {spec.base.value}); set "
                 f"allow_custom_pairing to override")
-    sp = spec.safety_params
-    if not (0.0 < sp.d_unsafe < sp.d_warn):
-        raise ValidationError("safety invariant violated: 0 < d_unsafe < d_warn")
-    if sp.sample_dt > spec.sim_params.dt:
+    if spec.safety_params.sample_dt > spec.sim_params.dt:
         raise ValidationError("safety invariant violated: sample_dt <= dt")
     if spec.max_ticks < 1:
         raise ValidationError("max_ticks must be >= 1")
     if spec.grace_ticks < 0:
         raise ValidationError("grace_ticks must be >= 0")
-    if spec.attack is not None and spec.attack.duration_ticks < 1:
-        raise ValidationError("attack duration_ticks must be >= 1")
-    if spec.attack is not None and spec.attack.max_activations < 0:
-        raise ValidationError("attack max_activations must be >= 0")
 
 
 def spawn_scenario(spec: ScenarioSpec, seed: int) -> GroundTruthWorld:
@@ -151,91 +149,149 @@ _PLANNER_ALIASES = {
 }
 
 
-_SECTIONS = ("scenario", "attack", "safety", "performance", "planner", "sim")
-
-
-class _Section:
-    """Typed accessors over one config section with invariant messages.
-
-    Every accessor records the key it looked up, so ``reject_unread``
-    can name a key the parser never asked for (a misspelling, say)
-    instead of letting it fall back to its default without a word.
-    """
-
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self._name = name
-        self._data = dict(parser[name]) if parser.has_section(name) else {}
-        self._read: set[str] = set()
-
-    def _get(self, key: str) -> Optional[str]:
-        self._read.add(key)
-        return self._data.get(key)
-
-    def reject_unread(self) -> None:
-        unread = sorted(set(self._data) - self._read)
-        if unread:
-            raise ValidationError(f"[{self._name}] {unread[0]} is not a key "
-                                  f"this section reads")
-
-    def enum(self, key: str, aliases: dict, default):
-        raw = self._get(key)
-        if raw is None:
-            return default
-        value = aliases.get(raw.strip().lower())
-        if value is None:
-            raise ValidationError(
-                f"[{self._name}] {key} = {raw!r} is not one of "
-                f"{sorted(aliases)}")
-        return value
-
-    def number(self, key: str, default: float) -> float:
-        raw = self._get(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ValidationError(f"[{self._name}] {key} = {raw!r} "
-                                  f"is not a number") from exc
-
-    def integer(self, key: str, default: int) -> int:
-        return int(self.number(key, default))
-
-    def boolean(self, key: str, default: bool) -> bool:
-        raw = self._get(key)
-        if raw is None:
-            return default
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes", "on", "1"):
-            return True
-        if lowered in ("false", "no", "off", "0"):
-            return False
-        raise ValidationError(f"[{self._name}] {key} = {raw!r} is not a boolean")
-
-    def text(self, key: str, default: str) -> str:
-        raw = self._get(key)
-        return default if raw is None else raw
-
-    def has(self, key: str) -> bool:
-        return key in self._data
-
-
-def _parse_trigger(raw: str) -> tuple[TriggerKind, float]:
-    kind_text, _, value_text = raw.partition(":")
-    kinds = {k.value: k for k in TriggerKind}
-    kind = kinds.get(kind_text.strip().lower())
-    if kind is None:
-        raise ValidationError(f"unknown trigger {kind_text!r}; expected one of "
-                              f"{sorted(kinds)}")
+def _number(raw: str) -> float:
     try:
-        value = float(value_text) if value_text else 0.0
+        value = float(raw)
+    except ValueError:
+        raise ValueError("is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError("is not a finite number")
+    return value
+
+
+def _whole(raw: str) -> int:
+    value = _number(raw)
+    if not value.is_integer():
+        raise ValueError("is not a whole number")
+    return int(value)
+
+
+def _boolean(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in ("true", "yes", "on", "1"):
+        return True
+    if lowered in ("false", "no", "off", "0"):
+        return False
+    raise ValueError("is not a boolean")
+
+
+_TRIGGERS = {k.value: k for k in TriggerKind}
+
+
+def _trigger(raw: str) -> tuple[TriggerKind, float]:
+    kind_text, colon, value_text = raw.partition(":")
+    kind = _TRIGGERS.get(kind_text.strip().lower())
+    if kind is None or not colon:
+        raise ValueError(f"is not <kind>:<value> with a kind in "
+                         f"{sorted(_TRIGGERS)}")
+    return kind, _number(value_text)
+
+
+_READERS = {int: _whole, float: _number, bool: _boolean}
+
+# section -> key -> (field of the section's dataclass, how to read it).
+# ``how`` is an alias dict, str, bool, int, float or the trigger reader.
+# Defaults and range checks belong to the dataclasses (and validate_spec),
+# so a key missing here is unknown and a key left out of a file is not
+# passed at all. ghost_x and ghost_y become AttackConfig.ghost_position.
+_KEYS = {
+    "scenario": {
+        "id": ("id", str),
+        "base": ("base", _BASE_ALIASES),
+        "ego_goal": ("ego_goal", _GOAL_ALIASES),
+        "max_ticks": ("max_ticks", int),
+        "grace_ticks": ("grace_ticks", int),
+        "allow_custom_pairing": ("allow_custom_pairing", bool),
+    },
+    "attack": {
+        "kind": ("kind", _ATTACK_ALIASES),
+        "trigger": ("trigger", _trigger),
+        "duration_ticks": ("duration_ticks", int),
+        "max_activations": ("max_activations", int),
+        "ghost_x_m": ("ghost_x", float),
+        "ghost_y_m": ("ghost_y", float),
+        "spoof_target_id": ("spoof_target_id", int),
+        "velocity_scale": ("velocity_scale", float),
+        "heading_bias_rad": ("heading_bias", float),
+    },
+    "safety": {
+        "horizon_s": ("horizon", float),
+        "sample_dt_s": ("sample_dt", float),
+        "d_unsafe_m": ("d_unsafe", float),
+        "d_warn_m": ("d_warn", float),
+        "margin_speed_gain_s": ("margin_speed_gain", float),
+    },
+    "performance": {
+        "max_clearance_s": ("max_clearance", float),
+        "max_abs_accel_mps2": ("max_abs_accel", float),
+        "max_abs_jerk_mps3": ("max_abs_jerk", float),
+    },
+    "planner": {
+        "kind": ("kind", _PLANNER_ALIASES),
+        "caution": ("caution", float),
+        "reaction_time_s": ("reaction_time", float),
+    },
+    "sim": {
+        "dt_s": ("dt", float),
+        "sensing_range_m": ("sensing_range", float),
+        "a_brake_max_mps2": ("a_brake_max", float),
+        "a_accel_max_mps2": ("a_accel_max", float),
+        "perception_noise_std_m": ("perception_noise_std", float),
+    },
+}
+
+
+def _read(section: str, items) -> dict:
+    """The fields set by a section's (key, raw value) items, typed."""
+    keys, fields = _KEYS[section], {}
+    for key, raw in items:
+        if key not in keys:
+            raise ValidationError(f"[{section}] {key} is not a key this "
+                                  f"section reads")
+        field_name, how = keys[key]
+        try:
+            if isinstance(how, dict):
+                value = how.get(raw.strip().lower())
+                if value is None:
+                    raise ValueError(f"is not one of {sorted(how)}")
+            else:
+                value = _READERS.get(how, how)(raw)
+        except ValueError as exc:
+            raise ValidationError(f"[{section}] {key} = {raw!r} {exc}") from exc
+        fields[field_name] = value
+    return fields
+
+
+def _checked(section: str, build, *args, **fields):
+    """``build(*args, **fields)``, its ValueError naming the section."""
+    try:
+        return build(*args, **fields)
     except ValueError as exc:
-        raise ValidationError(f"trigger value {value_text!r} is not a number") from exc
-    return kind, value
+        raise ValidationError(f"[{section}] {exc}") from exc
+
+
+def _attack(fields: dict) -> AttackConfig:
+    """The [attack] section over its kind's default attack."""
+    kind = fields.pop("kind", None)
+    if kind is None:
+        raise ValidationError("[attack] kind is required")
+    if "trigger" in fields:
+        fields["trigger"], fields["trigger_value"] = fields["trigger"]
+    x, y = fields.pop("ghost_x", None), fields.pop("ghost_y", None)
+    if (x is None) != (y is None):
+        missing = "ghost_x_m" if x is None else "ghost_y_m"
+        raise ValidationError(f"[attack] ghost_x_m and ghost_y_m are set "
+                              f"together; {missing} is missing")
+    if x is not None:
+        fields["ghost_position"] = (x, y)
+    base = (default_ghost_attack() if kind == FaultKind.GHOST_OBSTACLE
+            else default_spoof_attack())
+    return _checked("attack", replace, base, **fields)
 
 
 def parse_scenario_file(text: str) -> ScenarioSpec:
-    """Parse and validate a scenario document; defaults fill omissions."""
+    """Parse and validate a scenario document; an omitted key takes its
+    dataclass default."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_file(io.StringIO(text))
@@ -246,96 +302,24 @@ def parse_scenario_file(text: str) -> ScenarioSpec:
         raise ParseError(line, str(exc)) from exc
 
     for name in parser.sections() + (["DEFAULT"] if parser.defaults() else []):
-        if name not in _SECTIONS:
+        if name not in _KEYS:
             raise ValidationError(f"[{name}] is not a known section; expected "
-                                  f"one of {sorted(_SECTIONS)}")
-    sections = {name: _Section(parser, name) for name in _SECTIONS}
+                                  f"one of {sorted(_KEYS)}")
+    fields = {name: _read(name, parser.items(name)
+                          if parser.has_section(name) else ())
+              for name in _KEYS}
 
-    scenario = sections["scenario"]
-    base = scenario.enum("base", _BASE_ALIASES, ScenarioBase.NOMINAL)
-
-    attack_section = sections["attack"]
-    attack: Optional[AttackConfig] = None
-    if parser.has_section("attack"):
-        kind = attack_section.enum("kind", _ATTACK_ALIASES, None)
-        if kind is None:
-            raise ValidationError("[attack] kind is required")
-        default = (default_ghost_attack() if kind == FaultKind.GHOST_OBSTACLE
-                   else default_spoof_attack())
-        trigger, trigger_value = default.trigger, default.trigger_value
-        if attack_section.has("trigger"):
-            trigger, trigger_value = _parse_trigger(attack_section.text("trigger", ""))
-        ghost = GhostSpec(
-            position=((attack_section.number("ghost_x_m", 0.0),
-                       attack_section.number("ghost_y_m", 0.0))
-                      if attack_section.has("ghost_x_m") else None))
-        try:
-            spoof = SpoofSpec(
-                target_id=(attack_section.integer("spoof_target_id", 0)
-                           if attack_section.has("spoof_target_id") else None),
-                velocity_scale=attack_section.number("velocity_scale", 2.0),
-                heading_bias=attack_section.number("heading_bias_rad", 0.0))
-        except ValueError as exc:
-            raise ValidationError(f"attack invariant violated: {exc}") from exc
-        attack = AttackConfig(
-            kind=kind, trigger=trigger, trigger_value=trigger_value,
-            duration_ticks=attack_section.integer("duration_ticks",
-                                                  default.duration_ticks),
-            max_activations=attack_section.integer("max_activations",
-                                                   default.max_activations),
-            ghost=ghost, spoof=spoof)
-
-    safety = sections["safety"]
-    try:
-        safety_params = SafetyParams(
-            horizon=safety.number("horizon_s", 3.0),
-            sample_dt=safety.number("sample_dt_s", 0.05),
-            d_unsafe=safety.number("d_unsafe_m", 2.0),
-            d_warn=safety.number("d_warn_m", 4.0),
-            margin_speed_gain=safety.number("margin_speed_gain_s", 0.25))
-    except ValueError as exc:
-        raise ValidationError(f"safety invariant violated: {exc}") from exc
-
-    performance = sections["performance"]
-    try:
-        perf = PerfThresholds(
-            max_clearance=performance.number("max_clearance_s", 30.0),
-            max_abs_accel=performance.number("max_abs_accel_mps2", 3.0),
-            max_abs_jerk=performance.number("max_abs_jerk_mps3", 5.0))
-    except ValueError as exc:
-        raise ValidationError(f"performance invariant violated: {exc}") from exc
-
-    planner = sections["planner"]
-    try:
-        planner_config = PlannerConfig(
-            kind=planner.enum("kind", _PLANNER_ALIASES, PlannerKind.GAP_ACCEPTANCE),
-            caution=planner.number("caution", 1.0),
-            reaction_time=planner.number("reaction_time_s", 0.5))
-    except ValueError as exc:
-        raise ValidationError(f"planner invariant violated: {exc}") from exc
-
-    sim_section = sections["sim"]
-    sim_params = SimParams(
-        dt=sim_section.number("dt_s", 0.1),
-        sensing_range=sim_section.number("sensing_range_m", 60.0),
-        a_brake_max=sim_section.number("a_brake_max_mps2", 8.0),
-        a_accel_max=sim_section.number("a_accel_max_mps2", 3.0),
-        perception_noise_std=sim_section.number("perception_noise_std_m", 0.0))
-
+    scenario = fields["scenario"]
+    scenario.setdefault("id", scenario.get("base", ScenarioSpec.base).value)
     spec = ScenarioSpec(
-        id=scenario.text("id", base.value),
-        base=base,
-        attack=attack,
-        ego_goal=scenario.enum("ego_goal", _GOAL_ALIASES, RouteGoal.STRAIGHT),
-        max_ticks=scenario.integer("max_ticks", 600),
-        grace_ticks=scenario.integer("grace_ticks", 10),
-        allow_custom_pairing=scenario.boolean("allow_custom_pairing", False),
-        safety_params=safety_params,
-        perf_thresholds=perf,
-        planner_config=planner_config,
-        sim_params=sim_params)
-    for section in sections.values():
-        section.reject_unread()
+        **scenario,
+        attack=(_attack(fields["attack"]) if parser.has_section("attack")
+                else None),
+        safety_params=_checked("safety", SafetyParams, **fields["safety"]),
+        perf_thresholds=_checked("performance", PerfThresholds,
+                                 **fields["performance"]),
+        planner_config=_checked("planner", PlannerConfig, **fields["planner"]),
+        sim_params=_checked("sim", SimParams, **fields["sim"]))
     validate_spec(spec)
     return spec
 

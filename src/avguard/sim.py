@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .state import (
     CollisionEvent,
     ConflictZone,
     EgoOdometry,
-    FaultDirective,
     FaultKind,
     GroundTruthWorld,
     IntersectionGeometry,
@@ -40,6 +39,9 @@ from .state import (
     hypot2,
 )
 from .seeding import stream_for
+
+if TYPE_CHECKING:
+    from .attacks import FaultDirective
 
 log = logging.getLogger(__name__)
 
@@ -79,6 +81,13 @@ class SimParams:
     a_brake_max: float = 8.0
     a_accel_max: float = 3.0
     perception_noise_std: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("dt", "sensing_range", "a_brake_max", "a_accel_max"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        if not self.perception_noise_std >= 0:
+            raise ValueError("perception_noise_std must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -322,9 +331,9 @@ def build_perceived_state(world: GroundTruthWorld,
     """Object-list perception: ground truth in range, plus fault effects.
 
     Spoof directives rescale/rotate a real object's perceived velocity;
-    ghost directives append an object with no ground-truth counterpart.
-    A spoof whose target is not currently perceived is logged and skipped
-    for the tick. Ground truth is never modified.
+    ghost directives append a stationary vehicle with no ground-truth
+    counterpart. A spoof whose target is not currently perceived is
+    logged and skipped for the tick. Ground truth is never modified.
     """
     ego = world.ego
     ego_x, ego_y = ego.position
@@ -342,7 +351,8 @@ def build_perceived_state(world: GroundTruthWorld,
     perceived_ids = {o.id for o in objects}
     ghost_seq = 0
     for directive in active_faults:
-        if directive.kind == FaultKind.TRAJECTORY_SPOOF:
+        attack = directive.attack
+        if attack.kind == FaultKind.TRAJECTORY_SPOOF:
             target = directive.spoof_target
             if target is None or target not in perceived_ids:
                 log.warning("spoof target %s not perceived at tick %d; skipped",
@@ -350,21 +360,16 @@ def build_perceived_state(world: GroundTruthWorld,
                 continue
             for obj in objects:
                 if obj.id == target:
-                    spec = directive.spoof
                     vx, vy = obj.velocity
-                    scale = spec.velocity_scale
+                    scale = attack.velocity_scale
                     obj.velocity = Vec2(_rotate(vx * scale, vy * scale,
-                                                spec.heading_bias))
+                                                attack.heading_bias))
                     obj.provenance = Provenance.SPOOFED
-        elif directive.kind == FaultKind.GHOST_OBSTACLE:
-            spec = directive.ghost
-            position = directive.ghost_position
-            if position is None:
-                position = spec.position
+        elif attack.kind == FaultKind.GHOST_OBSTACLE:
             objects.append(PerceivedObject(
-                id=GHOST_ID_BASE + ghost_seq, kind=spec.kind,
-                position=position, velocity=spec.velocity,
-                half_extent=spec.half_extent, provenance=Provenance.GHOST,
+                id=GHOST_ID_BASE + ghost_seq, kind=AgentKind.VEHICLE,
+                position=directive.ghost_position, velocity=_ZERO,
+                half_extent=VEHICLE_HALF_EXTENT, provenance=Provenance.GHOST,
             ))
             ghost_seq += 1
 

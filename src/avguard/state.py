@@ -1,9 +1,9 @@
 """Shared domain types.
 
 Everything the roles exchange lives here: the ground-truth world, the
-perceived (possibly fault-corrupted) state handed to the planner, the
-maneuver/verdict vocabulary and fault directives. The controller passes
-each role's output straight to the later phases of the same tick.
+perceived (possibly fault-corrupted) state handed to the planner, and
+the maneuver, verdict and fault vocabulary. The controller passes each
+role's output straight to the later phases of the same tick.
 """
 
 from __future__ import annotations
@@ -259,47 +259,6 @@ class Verdict:
     offending_object: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class GhostSpec:
-    """Template for a ghost obstacle, resolved at activation time."""
-
-    position: Optional[tuple[float, float]] = None  # None -> on-route default
-    velocity: tuple[float, float] = (0.0, 0.0)
-    half_extent: tuple[float, float] = (2.0, 1.0)
-    kind: AgentKind = AgentKind.VEHICLE
-
-
-@dataclass(frozen=True)
-class SpoofSpec:
-    """Trajectory spoof parameters; target resolved at activation time."""
-
-    target_id: Optional[int] = None  # None -> nearest closing vehicle
-    velocity_scale: float = 2.0
-    heading_bias: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.velocity_scale <= 0:
-            raise ValueError("velocity_scale must be > 0")
-
-
-@dataclass(frozen=True)
-class FaultDirective:
-    kind: FaultKind
-    start_tick: int
-    end_tick: int
-    ghost: Optional[GhostSpec] = None
-    spoof: Optional[SpoofSpec] = None
-    ghost_position: Optional[tuple[float, float]] = None  # resolved
-    spoof_target: Optional[int] = None                    # resolved
-
-    def __post_init__(self) -> None:
-        if self.start_tick > self.end_tick:
-            raise ValueError("start_tick must be <= end_tick")
-
-    def active_at(self, tick: int) -> bool:
-        return self.start_tick <= tick <= self.end_tick
-
-
 def truncate_rationale(text: str) -> str:
     if len(text) <= RATIONALE_CAP:
         return text
@@ -314,9 +273,7 @@ __all__ = [
     "CollisionEvent",
     "ConflictZone",
     "EgoOdometry",
-    "FaultDirective",
     "FaultKind",
-    "GhostSpec",
     "GroundTruthWorld",
     "IntersectionGeometry",
     "Maneuver",
@@ -326,7 +283,6 @@ __all__ = [
     "Provenance",
     "RouteGoal",
     "SimClock",
-    "SpoofSpec",
     "Vec2",
     "Verdict",
     "VerdictLevel",

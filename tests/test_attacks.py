@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from avguard.attacks import (
     AttackConfig,
+    FaultDirective,
     FaultInjector,
     TriggerKind,
     nearest_closing_vehicle,
@@ -22,7 +23,6 @@ from avguard.state import (
     PerceivedState,
     RouteGoal,
     SimClock,
-    SpoofSpec,
 )
 
 
@@ -48,6 +48,39 @@ def make_object(obj_id, pos, vel):
 GHOST = AttackConfig(kind=FaultKind.GHOST_OBSTACLE,
                      trigger=TriggerKind.EGO_WITHIN_DISTANCE,
                      trigger_value=25.0, max_activations=1)
+
+
+class TestAttackConfig:
+    def test_rejects_nonpositive_velocity_scale(self):
+        with pytest.raises(ValueError, match="velocity_scale"):
+            AttackConfig(kind=FaultKind.TRAJECTORY_SPOOF,
+                         trigger=TriggerKind.PERIODIC, trigger_value=1,
+                         velocity_scale=0.0)
+
+    # test_scenario.py checks the file-reachable cases through the parser.
+    @pytest.mark.parametrize("trigger, value", [
+        (TriggerKind.PERIODIC, 2.5), (TriggerKind.AT_TICK, -1),
+        (TriggerKind.EGO_WITHIN_DISTANCE, math.nan),
+    ])
+    def test_rejects_a_trigger_that_cannot_fire_as_written(self, trigger,
+                                                           value):
+        with pytest.raises(ValueError, match=trigger.value):
+            AttackConfig(kind=FaultKind.GHOST_OBSTACLE, trigger=trigger,
+                         trigger_value=value)
+
+
+class TestFaultDirective:
+    def test_window(self):
+        d = FaultDirective(GHOST, start_tick=5, end_tick=8)
+        assert d.kind == FaultKind.GHOST_OBSTACLE
+        assert not d.active_at(4)
+        assert d.active_at(5)
+        assert d.active_at(8)
+        assert not d.active_at(9)
+
+    def test_rejects_inverted_window(self):
+        with pytest.raises(ValueError):
+            FaultDirective(GHOST, start_tick=8, end_tick=5)
 
 
 class TestTriggerFires:
@@ -102,8 +135,7 @@ class TestSecurityPlan:
     def test_unlimited_activations_refire_after_window(self):
         attack = AttackConfig(kind=FaultKind.TRAJECTORY_SPOOF,
                               trigger=TriggerKind.PERIODIC, trigger_value=1,
-                              duration_ticks=1, max_activations=0,
-                              spoof=SpoofSpec())
+                              duration_ticks=1, max_activations=0)
         injector = FaultInjector(attack)
         perceived = make_perceived([make_object(1, [2.5, -10.0], [0.0, -3.0])])
         first = injector.plan(0, 24.0)
@@ -141,7 +173,7 @@ class TestActivation:
     def test_spoof_targets_nearest_closing_vehicle(self):
         attack = AttackConfig(kind=FaultKind.TRAJECTORY_SPOOF,
                               trigger=TriggerKind.PERIODIC, trigger_value=1,
-                              duration_ticks=1, spoof=SpoofSpec())
+                              duration_ticks=1)
         injector = FaultInjector(attack)
         closing_near = make_object(1, [2.5, -10.0], [0.0, -3.0])
         closing_far = make_object(2, [2.5, 40.0], [0.0, -3.0])
@@ -174,18 +206,19 @@ class TestNearestClosingVehicle:
 class TestOneActiveDirective:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(list(FaultKind)),
-           trigger=st.sampled_from(list(TriggerKind)),
-           trigger_value=st.integers(0, 30),
+           trigger=st.sampled_from(list(TriggerKind)).flatmap(
+               lambda t: st.tuples(st.just(t), st.integers(
+                   1 if t == TriggerKind.PERIODIC else 0, 30))),
            duration_ticks=st.integers(1, 40),
            max_activations=st.integers(0, 4),
            ticks=st.lists(st.tuples(st.floats(0.0, 40.0), st.booleans()),
                           max_size=120))
-    def test_never_more_than_one_active(self, kind, trigger, trigger_value,
-                                        duration_ticks, max_activations,
-                                        ticks):
+    def test_never_more_than_one_active(self, kind, trigger, duration_ticks,
+                                        max_activations, ticks):
         """Driven as run_tick drives it, the injector never holds two
         directives active at one tick: the invariant that lets a single
         AttackConfig stand for the whole attack schedule."""
+        trigger, trigger_value = trigger
         attack = AttackConfig(kind=kind, trigger=trigger,
                               trigger_value=trigger_value,
                               duration_ticks=duration_ticks,

@@ -5,19 +5,27 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from avguard.attacks import TriggerKind
+from avguard.attacks import AttackConfig, TriggerKind
+from avguard.monitor import SafetyParams
+from avguard.performance import PerfThresholds
+from avguard.planners import PlannerConfig, PlannerKind
 from avguard.scenario import (
+    _KEYS,
     ParseError,
     ScenarioSpec,
     ValidationError,
+    default_ghost_attack,
+    default_spoof_attack,
     load_scenario_file,
     parse_scenario_file,
     reference_specs,
     spawn_scenario,
     validate_spec,
 )
-from avguard.sim import ScenarioBase
+from avguard.sim import ScenarioBase, SimParams
 from avguard.state import FaultKind, RouteGoal
 
 
@@ -26,6 +34,16 @@ REPO = Path(__file__).resolve().parents[1]
 
 def parse(text):
     return parse_scenario_file(textwrap.dedent(text))
+
+
+def with_key(section, key, value):
+    """A valid file, but for ``key = value`` in ``section``."""
+    text = "[scenario]\nallow_custom_pairing = true\n"
+    if section != "scenario":
+        text += f"[{section}]\n"
+    if section == "attack":
+        text += "kind = ghost\n"
+    return text + f"{key} = {value}\n"
 
 
 class TestDefaults:
@@ -106,7 +124,7 @@ class TestAttackParsing:
         """)
         assert spec.attack.kind == FaultKind.TRAJECTORY_SPOOF
         assert spec.attack.trigger == TriggerKind.PERIODIC
-        assert spec.attack.spoof.velocity_scale == 2.0
+        assert spec.attack.velocity_scale == 2.0
 
     def test_at_tick_trigger(self):
         spec = parse("""
@@ -240,12 +258,17 @@ class TestParseErrors:
     @pytest.mark.parametrize("text, named", [
         ("[scenario]\nbase = nominal\nmax_tick = 5\n", "[scenario] max_tick"),
         ("[safety]\nd_unsafe = 3\n", "[safety] d_unsafe"),
-        ("[scenario]\nbase = nominal\n[attack]\nkind = ghost\n"
-         "ghost_y_m = 4\n", "[attack] ghost_y_m"),
     ])
     def test_misspelled_key_is_rejected(self, text, named):
         with pytest.raises(ValidationError, match=re.escape(named)):
             parse_scenario_file(text)
+
+    @pytest.mark.parametrize("given_key, missing", [
+        ("ghost_y_m", "ghost_x_m"), ("ghost_x_m", "ghost_y_m")])
+    def test_ghost_position_needs_both_keys(self, given_key, missing):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{missing} is missing")):
+            parse_scenario_file(with_key("attack", given_key, "4"))
 
     def test_misspelled_section_is_rejected(self):
         with pytest.raises(ValidationError, match=re.escape("[atack]")):
@@ -277,6 +300,174 @@ class TestParseErrors:
                 kind = spoof
                 velocity_scale = -1
             """)
+
+
+class TestNumbers:
+    @pytest.mark.parametrize("section, key, value", [
+        ("scenario", "max_ticks", "600.9"),
+        ("attack", "duration_ticks", "1.5"),
+        ("attack", "spoof_target_id", "2.7"),
+    ])
+    def test_integer_key_rejects_a_fraction(self, section, key, value):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"[{section}] {key} = '{value}' is not a whole number")):
+            parse_scenario_file(with_key(section, key, value))
+
+    def test_integer_key_takes_a_whole_float(self):
+        spec = parse_scenario_file(with_key("scenario", "max_ticks", "6e2"))
+        assert spec.max_ticks == 600 and type(spec.max_ticks) is int
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("scenario", "max_ticks", "nan"),
+        ("scenario", "max_ticks", "inf"),
+        ("safety", "horizon_s", "nan"),
+        ("sim", "dt_s", "-inf"),
+        ("attack", "trigger", "ego_within:nan"),
+        ("attack", "trigger", "at_tick:inf"),
+    ])
+    def test_non_finite_number_rejected(self, section, key, value):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"[{section}] {key} = '{value}' is not a finite number")):
+            parse_scenario_file(with_key(section, key, value))
+
+
+class TestRanges:
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("safety", "horizon_s", "-1", "horizon"),
+        ("safety", "sample_dt_s", "0", "sample_dt"),
+        ("safety", "margin_speed_gain_s", "-0.5", "margin_speed_gain"),
+        ("sim", "dt_s", "0", "dt"),
+        ("sim", "sensing_range_m", "-5", "sensing_range"),
+        ("sim", "a_brake_max_mps2", "-8", "a_brake_max"),
+        ("sim", "a_accel_max_mps2", "0", "a_accel_max"),
+        ("sim", "perception_noise_std_m", "-1", "perception_noise_std"),
+        ("planner", "reaction_time_s", "-0.1", "reaction_time"),
+        ("attack", "duration_ticks", "0", "duration_ticks"),
+        ("attack", "trigger", "periodic:0", "trigger periodic"),
+        ("attack", "trigger", "at_tick:5.7", "trigger at_tick"),
+        ("attack", "trigger", "ego_within:-1", "trigger ego_within"),
+    ])
+    def test_out_of_range_value_rejected(self, section, key, value, named):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"[{section}] {named} ")):
+            parse_scenario_file(with_key(section, key, value))
+
+
+def _floats(lo, hi, away=None):
+    return st.floats(lo, hi).filter(lambda v: v != away)
+
+
+def _away(strategy, default):
+    return strategy.filter(lambda v: v != default)
+
+
+@st.composite
+def _specs(draw):
+    """A valid spec, attack included, with every field off its default."""
+    kind = draw(st.sampled_from(list(FaultKind)))
+    base = (default_ghost_attack() if kind == FaultKind.GHOST_OBSTACLE
+            else default_spoof_attack())
+    trigger = draw(_away(st.sampled_from(list(TriggerKind)), base.trigger))
+    trigger_value = draw(_away(
+        _floats(0.0, 100.0) if trigger == TriggerKind.EGO_WITHIN_DISTANCE
+        else st.integers(1 if trigger == TriggerKind.PERIODIC else 0, 1000),
+        base.trigger_value))
+    attack = AttackConfig(
+        kind=kind, trigger=trigger, trigger_value=trigger_value,
+        duration_ticks=draw(_away(st.integers(1, 500), base.duration_ticks)),
+        max_activations=draw(_away(st.integers(0, 9), base.max_activations)),
+        ghost_position=(draw(_floats(-50.0, 50.0)), draw(_floats(-50.0, 50.0))),
+        spoof_target_id=draw(st.integers(0, 50)),
+        velocity_scale=draw(_floats(0.01, 10.0, 2.0)),
+        heading_bias=draw(_floats(-3.0, 3.0, 0.0)))
+    d_unsafe = draw(_floats(0.01, 5.0, 2.0))
+    d_warn = d_unsafe + draw(_floats(0.01, 5.0))
+    assume(d_warn != 4.0)
+    dt = draw(_floats(0.01, 1.0, 0.1))
+    base_kind = draw(_away(st.sampled_from(list(ScenarioBase)),
+                           ScenarioBase.NOMINAL))
+    return ScenarioSpec(
+        id=draw(_away(st.from_regex(r"[a-z][a-z0-9_]{0,12}", fullmatch=True),
+                      base_kind.value)),
+        base=base_kind,
+        attack=attack,
+        ego_goal=draw(_away(st.sampled_from(list(RouteGoal)),
+                            RouteGoal.STRAIGHT)),
+        max_ticks=draw(_away(st.integers(1, 5000), 600)),
+        grace_ticks=draw(_away(st.integers(0, 100), 10)),
+        allow_custom_pairing=True,
+        safety_params=SafetyParams(
+            horizon=draw(_floats(0.1, 10.0, 3.0)),
+            sample_dt=draw(_floats(0.001, dt, 0.05)),
+            d_unsafe=d_unsafe, d_warn=d_warn,
+            margin_speed_gain=draw(_floats(0.0, 2.0, 0.25))),
+        perf_thresholds=PerfThresholds(
+            max_clearance=draw(_floats(1.0, 100.0, 30.0)),
+            max_abs_accel=draw(_floats(0.1, 10.0, 3.0)),
+            max_abs_jerk=draw(_floats(0.1, 10.0, 5.0))),
+        planner_config=PlannerConfig(
+            kind=draw(_away(st.sampled_from(list(PlannerKind)),
+                            PlannerKind.GAP_ACCEPTANCE)),
+            caution=draw(_floats(0.1, 5.0, 1.0)),
+            reaction_time=draw(_floats(0.0, 3.0, 0.5))),
+        sim_params=SimParams(
+            dt=dt,
+            sensing_range=draw(_floats(1.0, 200.0, 60.0)),
+            a_brake_max=draw(_floats(0.5, 20.0, 8.0)),
+            a_accel_max=draw(_floats(0.5, 10.0, 3.0)),
+            perception_noise_std=draw(_floats(0.01, 2.0))))
+
+
+def _as_ini(spec):
+    """Every key of every section, spelled out here rather than taken
+    from the parser's table, so a key mapped to the wrong field shows."""
+    a, safety, perf = spec.attack, spec.safety_params, spec.perf_thresholds
+    planner, sim = spec.planner_config, spec.sim_params
+    sections = {
+        "scenario": {
+            "id": spec.id, "base": spec.base.value,
+            "ego_goal": spec.ego_goal.value, "max_ticks": spec.max_ticks,
+            "grace_ticks": spec.grace_ticks,
+            "allow_custom_pairing": str(spec.allow_custom_pairing).lower()},
+        "attack": {
+            "kind": a.kind.value,
+            "trigger": f"{a.trigger.value}:{a.trigger_value}",
+            "duration_ticks": a.duration_ticks,
+            "max_activations": a.max_activations,
+            "ghost_x_m": a.ghost_position[0],
+            "ghost_y_m": a.ghost_position[1],
+            "spoof_target_id": a.spoof_target_id,
+            "velocity_scale": a.velocity_scale,
+            "heading_bias_rad": a.heading_bias},
+        "safety": {
+            "horizon_s": safety.horizon, "sample_dt_s": safety.sample_dt,
+            "d_unsafe_m": safety.d_unsafe, "d_warn_m": safety.d_warn,
+            "margin_speed_gain_s": safety.margin_speed_gain},
+        "performance": {
+            "max_clearance_s": perf.max_clearance,
+            "max_abs_accel_mps2": perf.max_abs_accel,
+            "max_abs_jerk_mps3": perf.max_abs_jerk},
+        "planner": {
+            "kind": planner.kind.value, "caution": planner.caution,
+            "reaction_time_s": planner.reaction_time},
+        "sim": {
+            "dt_s": sim.dt, "sensing_range_m": sim.sensing_range,
+            "a_brake_max_mps2": sim.a_brake_max,
+            "a_accel_max_mps2": sim.a_accel_max,
+            "perception_noise_std_m": sim.perception_noise_std},
+    }
+    assert ({name: set(keys) for name, keys in sections.items()}
+            == {name: set(keys) for name, keys in _KEYS.items()})
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n"
+                                           for key, value in keys.items())
+                   for name, keys in sections.items())
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spec=_specs())
+    def test_every_key_reaches_its_field(self, spec):
+        assert parse_scenario_file(_as_ini(spec)) == spec
 
 
 class TestReferenceFiles:

@@ -9,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+from avguard.attacks import AttackConfig, FaultDirective, TriggerKind
 from avguard.monitor import SafetyParams, safety_check
 from avguard.planners import PlannerConfig, plan
 from avguard.sim import (
@@ -36,17 +37,18 @@ from avguard.sim import (
 from avguard.state import (
     AgentKind,
     AgentState,
-    FaultDirective,
     FaultKind,
-    GhostSpec,
     Maneuver,
     Provenance,
     RouteGoal,
-    SpoofSpec,
     Vec2,
 )
 
 PARAMS = SimParams()
+GHOST_ATTACK = AttackConfig(kind=FaultKind.GHOST_OBSTACLE,
+                            trigger=TriggerKind.AT_TICK, trigger_value=0)
+SPOOF_ATTACK = AttackConfig(kind=FaultKind.TRAJECTORY_SPOOF,
+                            trigger=TriggerKind.AT_TICK, trigger_value=0)
 VECTOR_FIELDS = ("position", "velocity", "acceleration", "half_extent")
 
 
@@ -183,9 +185,8 @@ class TestPerception:
     def test_ghost_adds_exactly_one_object(self):
         world = spawn_world(ScenarioBase.NOMINAL, RouteGoal.STRAIGHT, 5, PARAMS)
         pos = default_ghost_position(RouteGoal.STRAIGHT)
-        directive = FaultDirective(kind=FaultKind.GHOST_OBSTACLE,
-                                   start_tick=0, end_tick=10,
-                                   ghost=GhostSpec(), ghost_position=pos)
+        directive = FaultDirective(GHOST_ATTACK, start_tick=0, end_tick=10,
+                                   ghost_position=pos)
         baseline = build_perceived_state(world, [], PARAMS)
         perceived = build_perceived_state(world, [directive], PARAMS)
         assert len(perceived.objects) == len(baseline.objects) + 1
@@ -194,6 +195,10 @@ class TestPerception:
         assert len(ghosts) == 1
         assert ghosts[0].id >= GHOST_ID_BASE
         assert tuple(ghosts[0].position) == pos
+        # A ghost is a stationary vehicle.
+        assert ghosts[0].kind == AgentKind.VEHICLE
+        assert ghosts[0].velocity == (0.0, 0.0)
+        assert ghosts[0].half_extent == (2.0, 1.0)
         # Ground truth untouched.
         assert all(a.id < GHOST_ID_BASE for a in world.agents)
 
@@ -203,8 +208,8 @@ class TestPerception:
         target.position = world.ego.position + np.array([0.0, 30.0])
         target.velocity = np.array([0.0, -4.0])
         directive = FaultDirective(
-            kind=FaultKind.TRAJECTORY_SPOOF, start_tick=0, end_tick=10,
-            spoof=SpoofSpec(velocity_scale=2.0), spoof_target=target.id)
+            dataclasses.replace(SPOOF_ATTACK, velocity_scale=2.0),
+            start_tick=0, end_tick=10, spoof_target=target.id)
         perceived = build_perceived_state(world, [directive], PARAMS)
         spoofed = next(o for o in perceived.objects if o.id == target.id)
         assert np.allclose(spoofed.velocity, [0.0, -8.0])
@@ -215,9 +220,8 @@ class TestPerception:
 
     def test_spoof_missing_target_skipped(self):
         world = spawn_world(ScenarioBase.NOMINAL, RouteGoal.STRAIGHT, 5, PARAMS)
-        directive = FaultDirective(
-            kind=FaultKind.TRAJECTORY_SPOOF, start_tick=0, end_tick=10,
-            spoof=SpoofSpec(), spoof_target=424242)
+        directive = FaultDirective(SPOOF_ATTACK, start_tick=0, end_tick=10,
+                                   spoof_target=424242)
         baseline = build_perceived_state(world, [], PARAMS)
         perceived = build_perceived_state(world, [directive], PARAMS)
         assert len(perceived.objects) == len(baseline.objects)
@@ -408,13 +412,11 @@ class TestGroundTruthWriteProtected:
             world = step_dynamics(world, EgoCommand(target_accel=-0.5))
         target = build_perceived_state(world, [], params).objects[0]
         active = [
-            FaultDirective(kind=FaultKind.GHOST_OBSTACLE, start_tick=0,
-                           end_tick=20, ghost=GhostSpec(),
+            FaultDirective(GHOST_ATTACK, start_tick=0, end_tick=20,
                            ghost_position=default_ghost_position(
                                RouteGoal.STRAIGHT)),
-            FaultDirective(kind=FaultKind.TRAJECTORY_SPOOF, start_tick=0,
-                           end_tick=20, spoof=SpoofSpec(heading_bias=0.3),
-                           spoof_target=target.id),
+            FaultDirective(dataclasses.replace(SPOOF_ATTACK, heading_bias=0.3),
+                           start_tick=0, end_tick=20, spoof_target=target.id),
         ]
         before = self._snapshot(world)
         perceived = build_perceived_state(world, active, params,

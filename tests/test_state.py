@@ -9,9 +9,6 @@ from avguard.state import (
     AgentKind,
     AgentState,
     ConflictZone,
-    FaultDirective,
-    FaultKind,
-    SpoofSpec,
     normalize_heading,
     truncate_rationale,
 )
@@ -37,23 +34,6 @@ class TestValueTypes:
         assert zone.distance_to(np.array([0.0, 0.0])) == 0.0
         assert zone.distance_to(np.array([13.0, 14.0])) == 5.0
         assert zone.contains(np.array([10.0, -10.0]))
-
-    def test_spoof_spec_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            SpoofSpec(velocity_scale=0.0)
-
-    def test_fault_directive_window(self):
-        d = FaultDirective(kind=FaultKind.GHOST_OBSTACLE,
-                           start_tick=5, end_tick=8)
-        assert not d.active_at(4)
-        assert d.active_at(5)
-        assert d.active_at(8)
-        assert not d.active_at(9)
-
-    def test_fault_directive_rejects_inverted_window(self):
-        with pytest.raises(ValueError):
-            FaultDirective(kind=FaultKind.GHOST_OBSTACLE,
-                           start_tick=8, end_tick=5)
 
 
 class TestRationaleCap:
