@@ -2,11 +2,13 @@
 
 Routes are piecewise-linear; agents are addressed by arc length along
 their route. Rectangle overlap uses the separating-axis test and returns
-the minimal penetration depth, which the simulator logs as overlap_depth.
+the minimal penetration depth, which the simulator keeps on its
+CollisionEvent as overlap_depth (it is not part of the trace).
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -20,9 +22,12 @@ from .state import ConflictZone, Vec2, hypot2, normalize_heading
 class Route:
     """A polyline route addressed by arc length.
 
+    ``pose_at`` is the one arc-length lookup: it gives the position, the
+    unit direction and the normalized heading an AgentState stores.
     Positions past the final vertex continue along the last segment
-    direction, so agents simply drive out of the scene. A route's arrays
-    are read-only, so one route can be shared by every run.
+    direction, so agents simply drive out of the scene. ``points`` is
+    read-only and the segment tables are never written after
+    construction, so one route can be shared by every run.
     """
 
     points: np.ndarray  # (k, 2), k >= 2
@@ -35,22 +40,21 @@ class Route:
         seg_lengths = np.hypot(deltas[:, 0], deltas[:, 1])
         if np.any(seg_lengths <= 0):
             raise ValueError("route has a zero-length segment")
-        self._seg_lengths = seg_lengths
         # Segment lookup runs several times per agent per tick; a list
         # searched with bisect is much cheaper than np.searchsorted on a
         # scalar and finds the same segment.
         self._cum = np.concatenate([[0.0], np.cumsum(seg_lengths)]).tolist()
-        self._dirs = deltas / seg_lengths[:, None]
-        self._headings = [float(np.arctan2(d[1], d[0])) for d in self._dirs]
+        dirs = deltas / seg_lengths[:, None]
         # normalize_heading is not idempotent (a second pass moves about
-        # 1.7% of random headings by one ulp), so pose_at hands out the
-        # heading an AgentState would store and heading_at the raw one.
-        self._pose_headings = [normalize_heading(h) for h in self._headings]
+        # 1.7% of random headings by one ulp), so the route normalizes
+        # once and AgentState.trusted stores the result as it is.
+        self._headings = [normalize_heading(float(np.arctan2(d[1], d[0])))
+                          for d in dirs]
         # Per segment (ax, ay, dx, dy, length, cum) as floats.
         self._segs = [
             (ax, ay, dx, dy, length, cum)
             for (ax, ay), (dx, dy), length, cum in zip(
-                self.points[:-1].tolist(), self._dirs.tolist(),
+                self.points[:-1].tolist(), dirs.tolist(),
                 seg_lengths.tolist(), self._cum)
         ]
         # Per segment (ax, ay, rx, ry): start point and raw delta as
@@ -59,40 +63,24 @@ class Route:
             (ax, ay, rx, ry) for (ax, ay), (rx, ry) in zip(
                 self.points[:-1].tolist(), deltas.tolist())
         ]
-        for array in (self.points, self._seg_lengths, self._dirs):
-            array.setflags(write=False)
+        self.points.setflags(write=False)
         self._zone_cache: dict[tuple, tuple[float, float]] = {}
 
     @property
     def length(self) -> float:
         return self._cum[-1]
 
-    def _segment_index(self, s: float) -> int:
-        if s <= 0.0:
-            return 0
-        if s >= self._cum[-1]:
-            return len(self._segs) - 1
-        return bisect_right(self._cum, s) - 1
-
     def pose_at(self, s: float) -> tuple[Vec2, tuple[float, float], float]:
-        """(position, unit direction, heading) at arc length s.
-
-        The heading is ``normalize_heading(heading_at(s))``, the value
-        AgentState stores.
-        """
-        i = self._segment_index(s)
+        """(position, unit direction, normalized heading) at arc length s."""
+        if s <= 0.0:
+            i = 0
+        elif s >= self._cum[-1]:
+            i = len(self._segs) - 1
+        else:
+            i = bisect_right(self._cum, s) - 1
         ax, ay, dx, dy, _, cum = self._segs[i]
         t = s - cum
-        return Vec2((ax + t * dx, ay + t * dy)), (dx, dy), self._pose_headings[i]
-
-    def position_at(self, s: float) -> Vec2:
-        return self.pose_at(s)[0]
-
-    def direction_at(self, s: float) -> tuple[float, float]:
-        return self.pose_at(s)[1]
-
-    def heading_at(self, s: float) -> float:
-        return self._headings[self._segment_index(s)]
+        return Vec2((ax + t * dx, ay + t * dy)), (dx, dy), self._headings[i]
 
     def _closest(self, i: int, x: float, y: float) -> tuple[float, float]:
         """(arc length, distance) of the point of segment i closest to (x, y)."""
@@ -130,27 +118,24 @@ class Route:
         cached = self._zone_cache.get(key)
         if cached is not None:
             return cached
-        entry, exit_ = np.inf, -np.inf
-        for i in range(len(self._seg_lengths)):
-            a, d, length = self.points[i], self._dirs[i], self._seg_lengths[i]
+        entry, exit_ = math.inf, -math.inf
+        for ax, ay, dx, dy, length, cum in self._segs:
             t_min, t_max = 0.0, length
-            ok = True
-            for axis, (lo, hi) in enumerate(((zone.x_min, zone.x_max),
-                                             (zone.y_min, zone.y_max))):
-                if abs(d[axis]) < 1e-12:
-                    if a[axis] < lo or a[axis] > hi:
-                        ok = False
-                        break
+            for a, d, lo, hi in ((ax, dx, zone.x_min, zone.x_max),
+                                 (ay, dy, zone.y_min, zone.y_max)):
+                if abs(d) < 1e-12:
+                    if a < lo or a > hi:  # parallel to the slab, outside it
+                        t_max = -1.0
                 else:
-                    t0 = (lo - a[axis]) / d[axis]
-                    t1 = (hi - a[axis]) / d[axis]
+                    t0 = (lo - a) / d
+                    t1 = (hi - a) / d
                     if t0 > t1:
                         t0, t1 = t1, t0
                     t_min, t_max = max(t_min, t0), min(t_max, t1)
-            if ok and t_min <= t_max:
-                entry = min(entry, self._cum[i] + t_min)
-                exit_ = max(exit_, self._cum[i] + t_max)
-        if not np.isfinite(entry):
+            if t_min <= t_max:
+                entry = min(entry, cum + t_min)
+                exit_ = max(exit_, cum + t_max)
+        if not math.isfinite(entry):
             raise ValueError("route never crosses the conflict zone")
         result = (float(entry), float(exit_))
         self._zone_cache[key] = result

@@ -92,21 +92,9 @@ def _timed(timings: dict[str, int], role_id: str, tick: int, fn, *args):
 
 
 def ego_cleared_now(world: GroundTruthWorld) -> bool:
-    """Ego fully past the conflict zone along its route.
-
-    The performance oracle, the clear streak and the termination check
-    all ask this of the same world, so the answer is kept on the world
-    with the ``ego_s`` it was computed at; a caller that moves the ego
-    by hand gets a fresh answer.
-    """
-    ego_s = world.ego_s
-    cached = world.cleared_at
-    if cached is not None and cached[0] == ego_s:
-        return cached[1]
+    """Ego fully past the conflict zone along its route."""
     _, s_exit = world.ego_route.zone_entry_exit(world.intersection.conflict_zone)
-    cleared = ego_s > s_exit + world.ego.half_extent[0]
-    world.cleared_at = (ego_s, cleared)
-    return cleared
+    return world.ego_s > s_exit + world.ego.half_extent[0]
 
 
 def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:

@@ -6,7 +6,8 @@ dataclass owns each key's default and range check: an omitted key takes
 the dataclass default, and a value out of range is rejected with its
 section named. Integer keys take whole numbers, every number must be
 finite, and ``ghost_x_m`` and ``ghost_y_m`` are set together. A key or
-section the parser does not read is rejected. Example:
+section the parser does not read is rejected, and so is one given twice.
+Values are literal: ``%`` has no special meaning. Example:
 
     [scenario]
     id = ghost_attack
@@ -292,11 +293,17 @@ def _attack(fields: dict) -> AttackConfig:
 def parse_scenario_file(text: str) -> ScenarioSpec:
     """Parse and validate a scenario document; an omitted key takes its
     dataclass default."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         parser.read_file(io.StringIO(text))
     except configparser.MissingSectionHeaderError as exc:
         raise ParseError(exc.lineno, "missing section header") from exc
+    except configparser.DuplicateSectionError as exc:
+        raise ParseError(exc.lineno, f"[{exc.section}] is given twice") from exc
+    except configparser.DuplicateOptionError as exc:
+        raise ParseError(exc.lineno,
+                         f"[{exc.section}] {exc.option} is given twice") from exc
     except configparser.ParsingError as exc:
         line = exc.errors[0][0] if exc.errors else 0
         raise ParseError(line, str(exc)) from exc

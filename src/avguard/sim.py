@@ -52,8 +52,8 @@ LANE_OFFSET = 2.5
 APPROACH_REACH = 200.0
 SPEED_LIMIT = 10.0
 
-VEHICLE_HALF_EXTENT = (2.0, 1.0)
-PEDESTRIAN_HALF_EXTENT = (0.3, 0.3)
+VEHICLE_HALF_EXTENT = Vec2((2.0, 1.0))
+PEDESTRIAN_HALF_EXTENT = Vec2((0.3, 0.3))
 
 EGO_START_BEFORE_ENTRY = 40.0
 EGO_INITIAL_SPEED = 8.0
@@ -246,19 +246,23 @@ def _circumradius(half_extent: Vec2) -> float:
 
 
 def detect_collision(world: GroundTruthWorld) -> Optional[CollisionEvent]:
-    """First ego-vs-agent oriented-rectangle overlap, lowest agent id.
+    """Ego-vs-agent oriented-rectangle overlap with the lowest agent id.
 
-    Broad phase: a rectangle lies inside the disc of radius
-    hypot(*half_extent) around its centre, so an agent whose centre is
-    farther from the ego's than the two radii together cannot overlap
-    and skips the separating-axis test. The 1e-6 m slack covers rounding
-    in the corner coordinates.
+    One pass in any agent order: once an agent hits, agents with a
+    higher id are skipped. Broad phase: a rectangle lies inside the disc
+    of radius hypot(*half_extent) around its centre, so an agent whose
+    centre is farther from the ego's than the two radii together cannot
+    overlap and skips the separating-axis test. The 1e-6 m slack covers
+    rounding in the corner coordinates.
     """
     ego = world.ego
     ego_x, ego_y = ego.position
     ego_radius = _circumradius(ego.half_extent)
     ego_corners = None
-    for agent in sorted(world.agents, key=lambda a: a.id):
+    hit = None
+    for agent in world.agents:
+        if hit is not None and agent.id > hit.agent_b:
+            continue
         reach = ego_radius + _circumradius(agent.half_extent) + 1e-6
         x, y = agent.position
         dx = x - ego_x
@@ -272,43 +276,45 @@ def detect_collision(world: GroundTruthWorld) -> Optional[CollisionEvent]:
                                         agent.heading)
         depth = geometry.obb_overlap(ego_corners, corners)
         if depth is not None:
-            return CollisionEvent(tick=world.clock.tick, agent_a=ego.id,
-                                  agent_b=agent.id, overlap_depth=depth)
-    return None
+            hit = CollisionEvent(tick=world.clock.tick, agent_a=ego.id,
+                                 agent_b=agent.id, overlap_depth=depth)
+    return hit
 
 
 _ZERO = Vec2((0.0, 0.0))
 
 
-def step_dynamics(world: GroundTruthWorld, cmd: EgoCommand) -> GroundTruthWorld:
-    """Advance the world one dt under the ego command. Pure: returns a copy.
+def _on_route(id: int, kind: AgentKind, route: geometry.Route, s: float,
+              speed: float, half_extent: Vec2) -> AgentState:
+    """An agent at arc length s moving along its route at ``speed``.
 
-    The stepped states take positions, directions and normalized
-    headings from the route, so they skip AgentState's validation.
+    Position, direction and normalized heading come from the route, so
+    the state skips AgentState's validation.
     """
+    position, (dx, dy), heading = route.pose_at(s)
+    return AgentState.trusted(id, kind, position, Vec2((speed * dx, speed * dy)),
+                              heading, half_extent)
+
+
+def step_dynamics(world: GroundTruthWorld, cmd: EgoCommand) -> GroundTruthWorld:
+    """Advance the world one dt under the ego command. Pure: returns a copy."""
     if world.collision is not None:
         raise ValueError("cannot step a collided world")
-    dt = world.clock.dt
-    advance, new_speed = advance_arc(world.ego.speed, cmd.target_accel, dt)
+    old_ego = world.ego
+    advance, new_speed = advance_arc(old_ego.speed, cmd.target_accel,
+                                     world.clock.dt)
     new_s = world.ego_s + advance
     route = world.ego_route
-    position, (dx, dy), heading = route.pose_at(new_s)
-    accel = cmd.target_accel
-    ego = AgentState.trusted(world.ego.id, world.ego.kind, position,
-                             Vec2((new_speed * dx, new_speed * dy)),
-                             Vec2((accel * dx, accel * dy)), heading,
-                             world.ego.half_extent)
+    ego = _on_route(old_ego.id, old_ego.kind, route, new_s, new_speed,
+                    old_ego.half_extent)
     new_clock = world.clock.advanced()
     sim_time = new_clock.sim_time
     agents = []
     for old in world.agents:
         script = world.agent_scripts[old.id]
-        position, (dx, dy), heading = script.route.pose_at(
-            script.arc_length_at(sim_time))
-        speed = script.speed
-        agents.append(AgentState.trusted(old.id, old.kind, position,
-                                         Vec2((speed * dx, speed * dy)),
-                                         _ZERO, heading, old.half_extent))
+        agents.append(_on_route(old.id, old.kind, script.route,
+                                script.arc_length_at(sim_time), script.speed,
+                                old.half_extent))
     new_world = GroundTruthWorld(
         clock=new_clock, ego=ego, agents=agents,
         intersection=world.intersection, collision=None,
@@ -338,7 +344,7 @@ def build_perceived_state(world: GroundTruthWorld,
     ego = world.ego
     ego_x, ego_y = ego.position
     objects: list[PerceivedObject] = []
-    for agent in sorted(world.agents, key=lambda a: a.id):
+    for agent in world.agents:
         x, y = agent.position
         if hypot2(x - ego_x, y - ego_y) > params.sensing_range:
             continue
@@ -454,35 +460,19 @@ def spawn_world(base: ScenarioBase, goal: RouteGoal, seed: int,
     route = ego_route_for(goal)
     s_entry, _ = route.zone_entry_exit(zone)
     ego_s = s_entry - EGO_START_BEFORE_ENTRY
-    dx, dy = route.direction_at(ego_s)
-    ego = AgentState(
-        id=EGO_ID, kind=AgentKind.EGO_VEHICLE,
-        position=route.position_at(ego_s),
-        velocity=(EGO_INITIAL_SPEED * dx, EGO_INITIAL_SPEED * dy),
-        acceleration=_ZERO,
-        heading=route.heading_at(ego_s),
-        half_extent=VEHICLE_HALF_EXTENT,
-    )
+    ego = _on_route(EGO_ID, AgentKind.EGO_VEHICLE, route, ego_s,
+                    EGO_INITIAL_SPEED, VEHICLE_HALF_EXTENT)
 
     agents, agent_scripts = [], {}
     for i, script in enumerate(scripts, start=1):
-        s = script.arc_length_at(0.0)
         half = (PEDESTRIAN_HALF_EXTENT if script.kind == AgentKind.PEDESTRIAN
                 else VEHICLE_HALF_EXTENT)
-        dx, dy = script.route.direction_at(s)
-        agents.append(AgentState(
-            id=i, kind=script.kind,
-            position=script.route.position_at(s),
-            velocity=(script.speed * dx, script.speed * dy),
-            acceleration=_ZERO,
-            heading=script.route.heading_at(s),
-            half_extent=half,
-        ))
+        agents.append(_on_route(i, script.kind, script.route,
+                                script.arc_length_at(0.0), script.speed, half))
         agent_scripts[i] = script
 
-    params_clock = SimClock(tick=0, dt=params.dt)
     return GroundTruthWorld(
-        clock=params_clock, ego=ego, agents=agents,
+        clock=SimClock(tick=0, dt=params.dt), ego=ego, agents=agents,
         intersection=intersection, collision=None,
         ego_route=route, ego_s=ego_s, ego_goal=goal,
         agent_scripts=agent_scripts,
@@ -494,8 +484,7 @@ def default_ghost_position(goal: RouteGoal) -> tuple[float, float]:
     route = ego_route_for(goal)
     zone = build_intersection().conflict_zone
     s_entry, _ = route.zone_entry_exit(zone)
-    x, y = route.position_at(s_entry - GHOST_OFFSET_BEFORE_ENTRY)
-    return (x, y)
+    return tuple(route.pose_at(s_entry - GHOST_OFFSET_BEFORE_ENTRY)[0])
 
 
 __all__ = [

@@ -8,7 +8,7 @@ role's output straight to the later phases of the same tick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
@@ -123,14 +123,12 @@ class AgentState:
     kind: AgentKind
     position: Vec2       # m
     velocity: Vec2       # m/s
-    acceleration: Vec2   # m/s^2
     heading: float       # rad, normalized
     half_extent: Vec2    # m, bounding-box half sizes
 
     def __post_init__(self) -> None:
         self.position = _vec2(self.position)
         self.velocity = _vec2(self.velocity)
-        self.acceleration = _vec2(self.acceleration)
         self.half_extent = _vec2(self.half_extent)
         if not (self.half_extent[0] > 0.0 and self.half_extent[1] > 0.0):
             raise ValueError("half_extent components must be > 0")
@@ -138,14 +136,17 @@ class AgentState:
 
     @classmethod
     def trusted(cls, id: int, kind: AgentKind, position: Vec2, velocity: Vec2,
-                acceleration: Vec2, heading: float,
-                half_extent: Vec2) -> "AgentState":
-        """A state whose heading is already normalized: normalize_heading
-        is not idempotent, so the constructor would move it."""
+                heading: float, half_extent: Vec2) -> "AgentState":
+        """A state built from a route pose, without validation.
+
+        The simulator builds every state this way from ``Route.pose_at``,
+        whose heading is already normalized: normalize_heading is not
+        idempotent, so the constructor would move it.
+        """
         state = cls.__new__(cls)
         state.__dict__.update(id=id, kind=kind, position=position,
-                              velocity=velocity, acceleration=acceleration,
-                              heading=heading, half_extent=half_extent)
+                              velocity=velocity, heading=heading,
+                              half_extent=half_extent)
         return state
 
     @property
@@ -191,7 +192,11 @@ class CollisionEvent:
 
 @dataclass
 class GroundTruthWorld:
-    """Authoritative physical state. Fault directives never touch this."""
+    """Authoritative physical state. Fault directives never touch this.
+
+    ``agents`` is in increasing id order: spawn numbers them from 1 and
+    each step keeps their order, so perception need not sort them.
+    """
 
     clock: SimClock
     ego: AgentState
@@ -204,9 +209,6 @@ class GroundTruthWorld:
     ego_goal: RouteGoal = RouteGoal.STRAIGHT
     agent_scripts: dict[int, Any] = field(default_factory=dict)
     clear_streak: int = 0          # consecutive ticks fully past the zone
-    # (ego_s, flag) of the last orchestrator.ego_cleared_now on this world
-    cleared_at: Optional[tuple[float, bool]] = field(
-        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass

@@ -28,8 +28,8 @@ DISC_SUM = 2.0 * math.hypot(*VEHICLE)  # two vehicles' circumscribed radii
 
 def _agent(agent_id, position, half_extent, heading, kind=AgentKind.VEHICLE):
     return AgentState(id=agent_id, kind=kind, position=np.array(position),
-                      velocity=np.zeros(2), acceleration=np.zeros(2),
-                      heading=heading, half_extent=np.array(half_extent))
+                      velocity=np.zeros(2), heading=heading,
+                      half_extent=np.array(half_extent))
 
 
 def _world(ego, agents):

@@ -147,14 +147,14 @@ class TestRoute:
     def test_arc_positions_on_polyline(self):
         route = Route(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 5.0]]))
         assert route.length == pytest.approx(15.0)
-        assert np.allclose(route.position_at(3.0), [3.0, 0.0])
-        assert np.allclose(route.position_at(12.0), [10.0, 2.0])
-        assert route.heading_at(12.0) == pytest.approx(math.pi / 2)
+        assert np.allclose(route.pose_at(3.0)[0], [3.0, 0.0])
+        assert np.allclose(route.pose_at(12.0)[0], [10.0, 2.0])
+        assert route.pose_at(12.0)[2] == pytest.approx(math.pi / 2)
 
-    def test_arc_length_of_inverts_position_at(self):
+    def test_arc_length_of_inverts_pose_at(self):
         route = Route(np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 5.0]]))
         for s in (0.0, 2.5, 9.99, 10.0, 14.0):
-            assert route.arc_length_of(route.position_at(s)) == pytest.approx(s)
+            assert route.arc_length_of(route.pose_at(s)[0]) == pytest.approx(s)
 
     def test_arc_length_of_rejects_far_points(self):
         route = Route(np.array([[0.0, 0.0], [10.0, 0.0]]))
@@ -202,9 +202,6 @@ class TestRoute:
             assert position == tuple(ref_position.tolist())
             assert direction == tuple(ref_direction.tolist())
             assert heading == ref_heading
-            assert route.position_at(s) == position
-            assert route.direction_at(s) == direction
-            assert route.heading_at(s) == heading
 
     def test_route_copies_and_freezes_its_points(self):
         points = np.array([[0.0, 0.0], [10.0, 0.0]])

@@ -201,7 +201,7 @@ class TestCheckTermination:
         _, s_exit = world.ego_route.zone_entry_exit(
             world.intersection.conflict_zone)
         world.ego_s = s_exit + 20.0
-        world.ego.position = world.ego_route.position_at(world.ego_s)
+        world.ego.position = world.ego_route.pose_at(world.ego_s)[0]
         world.clear_streak = streak
         return world
 

@@ -229,6 +229,23 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_scenario_file("base = nominal\n")
 
+    @pytest.mark.parametrize("text, line, named", [
+        ("[scenario]\nmax_ticks = 5\nmax_ticks = 6\n", 3,
+         "[scenario] max_ticks is given twice"),
+        ("[scenario]\nbase = nominal\n[safety]\n[scenario]\n", 4,
+         "[scenario] is given twice"),
+    ])
+    def test_repeat_is_a_line_numbered_error(self, text, line, named):
+        with pytest.raises(ParseError) as err:
+            parse_scenario_file(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {named}"
+
+    def test_percent_is_literal(self):
+        assert parse_scenario_file("[scenario]\nid = 100%\n").id == "100%"
+        assert parse_scenario_file(
+            "[scenario]\nid = %(base)s\n").id == "%(base)s"
+
     def test_bad_number(self):
         with pytest.raises((ParseError, ValidationError)):
             parse("""

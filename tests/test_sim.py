@@ -49,7 +49,7 @@ GHOST_ATTACK = AttackConfig(kind=FaultKind.GHOST_OBSTACLE,
                             trigger=TriggerKind.AT_TICK, trigger_value=0)
 SPOOF_ATTACK = AttackConfig(kind=FaultKind.TRAJECTORY_SPOOF,
                             trigger=TriggerKind.AT_TICK, trigger_value=0)
-VECTOR_FIELDS = ("position", "velocity", "acceleration", "half_extent")
+VECTOR_FIELDS = ("position", "velocity", "half_extent")
 
 
 class TestAdvanceArc:
@@ -144,7 +144,8 @@ class TestStepDynamics:
         world = spawn_world(ScenarioBase.CONGESTED, RouteGoal.STRAIGHT, 3, PARAMS)
         script = world.agent_scripts[world.agents[0].id]
         new = step_dynamics(world, EgoCommand(target_accel=0.0))
-        expected = script.route.position_at(script.arc_length_at(new.clock.sim_time))
+        expected = script.route.pose_at(
+            script.arc_length_at(new.clock.sim_time))[0]
         assert np.allclose(new.agents[0].position, expected)
 
 
@@ -274,6 +275,19 @@ class TestSpawnWorld:
         assert distance_to_entry(world.ego_route, world.ego_s, zone) == (
             pytest.approx(40.0))
 
+    @pytest.mark.parametrize("base", list(ScenarioBase))
+    def test_agent_ids_increase_after_spawn_and_every_step(self, base):
+        # Perception lists objects in world.agents order, which relies on
+        # this. A braking ego stops short of the zone, so no step collides.
+        for seed in (0, 7):
+            worlds = [spawn_world(base, RouteGoal.STRAIGHT, seed, PARAMS)]
+            for _ in range(100):
+                worlds.append(step_dynamics(worlds[-1],
+                                            EgoCommand(target_accel=-8.0)))
+            for world in worlds:
+                ids = [a.id for a in world.agents]
+                assert all(a < b for a, b in zip(ids, ids[1:])), ids
+
 
 class TestTrafficEnvelope:
     def test_agent_inside_zone_counts(self):
@@ -373,8 +387,8 @@ class TestGroundTruthWriteProtected:
 
     @staticmethod
     def _snapshot(world):
-        return [struct.pack("<9d", *a.position, *a.velocity, *a.acceleration,
-                            *a.half_extent, a.heading)
+        return [struct.pack("<7d", *a.position, *a.velocity, *a.half_extent,
+                            a.heading)
                 for a in (world.ego, *world.agents)]
 
     @pytest.mark.parametrize("base", list(ScenarioBase))

@@ -26,8 +26,7 @@ class TestValueTypes:
         with pytest.raises(ValueError):
             AgentState(id=1, kind=AgentKind.VEHICLE,
                        position=np.zeros(2), velocity=np.zeros(2),
-                       acceleration=np.zeros(2), heading=0.0,
-                       half_extent=np.array([2.0, 0.0]))
+                       heading=0.0, half_extent=np.array([2.0, 0.0]))
 
     def test_conflict_zone_distance(self):
         zone = ConflictZone(-10, 10, -10, 10)
