@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Optional
 
 from .sim import default_ghost_position
-from .state import AgentKind, FaultKind, PerceivedState, hypot2
+from .state import AgentKind, FaultKind, PerceivedState
 
 log = logging.getLogger(__name__)
 
@@ -151,7 +151,7 @@ def nearest_closing_vehicle(perceived: PerceivedState) -> Optional[int]:
         if obj.kind != AgentKind.VEHICLE:
             continue
         lx, ly = ego.position - obj.position
-        norm = hypot2(lx, ly)
+        norm = math.hypot(lx, ly)
         vx, vy = obj.velocity
         if norm < 1e-9 or vx * (lx / norm) + vy * (ly / norm) <= 0.0:
             continue

@@ -8,6 +8,8 @@ folded in (scenario, run index) order regardless of completion order.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -181,9 +183,13 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
 
     Every aggregate field is recomputed from the trace records; the
     sidecar contributes only what a trace cannot carry (termination
-    status, thresholds, failure markers). A trace with no sidecar, or
-    whose record count or ``trace_hash`` disagrees with its sidecar,
-    raises ``MalformedTrace``.
+    status, thresholds, failure markers). A trace's own bytes are its
+    hash input: their sha256 with the newlines left out is its
+    ``trace_hash``, so a trace is checked without re-encoding a record,
+    and any byte that differs from the canonical form (re-spaced JSON, a
+    carriage return) fails the check. A trace with no sidecar, or whose
+    line count or hash disagrees with its sidecar, raises
+    ``MalformedTrace``.
     """
     from .performance import PerfThresholds
 
@@ -211,14 +217,19 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
                     meta["scenario_id"], meta["seed"], meta.get("error"))))
                 continue
             trace = os.path.join(scenario_dir, f"{meta['seed']}.jsonl")
-            records = metrics.read_trace(trace)
-            found = (len(records), metrics.trace_hash(records))
+            with open(trace, "rb") as fh:
+                data = fh.read()
+            found = (data.count(b"\n"),
+                     hashlib.sha256(data.replace(b"\n", b"")).hexdigest())
             expected = (meta.get("ticks"), meta.get("trace_hash"))
             if found != expected:
                 raise metrics.MalformedTrace(
-                    None, f"{trace}: {found[0]} records with trace_hash "
+                    None, f"{trace}: {found[0]} lines with trace_hash "
                           f"{found[1]}, but its sidecar records {expected[0]} "
                           f"ticks with trace_hash {expected[1]}")
+            # Decoded as it is read: no second, decoded copy of the file.
+            records = metrics.read_trace(
+                io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
             thresholds = PerfThresholds(max_clearance=meta["max_clearance"],
                                         max_abs_accel=meta["max_abs_accel"],
                                         max_abs_jerk=meta["max_abs_jerk"])

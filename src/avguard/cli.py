@@ -120,8 +120,8 @@ def main(argv: list[str] | None = None) -> int:
                 "report": _cmd_report, "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except (ParseError, ValidationError, metrics.MalformedTrace,
-            FileNotFoundError) as exc:
+    except (ParseError, ValidationError, metrics.MalformedTrace, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

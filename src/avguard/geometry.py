@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .state import ConflictZone, Vec2, hypot2, normalize_heading
+from .state import ConflictZone, Vec2, normalize_heading
 
 
 @dataclass
@@ -86,7 +86,7 @@ class Route:
         """(arc length, distance) of the point of segment i closest to (x, y)."""
         ax, ay, dx, dy, length, cum = self._segs[i]
         t = min(max((x - ax) * dx + (y - ay) * dy, 0.0), length)
-        return cum + t, hypot2(x - (ax + t * dx), y - (ay + t * dy))
+        return cum + t, math.hypot(x - (ax + t * dx), y - (ay + t * dy))
 
     def arc_length_of(self, p: tuple[float, float],
                       s_min: float = 0.0) -> Optional[float]:

@@ -9,6 +9,7 @@ planner overrides an unsafe proposal with an emergency brake.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -24,7 +25,6 @@ from .state import (
     Vec2,
     Verdict,
     VerdictLevel,
-    hypot2,
 )
 
 # Ego footprint radius for the disc approximation; matches the vehicle
@@ -104,18 +104,18 @@ def safety_check(perceived: PerceivedState, proposed: Maneuver,
     odom = perceived.ego_odometry
     if not perceived.objects:
         return Verdict(level=VerdictLevel.SAFE,
-                       min_predicted_separation=np.inf, time_of_min=0.0)
+                       min_predicted_separation=math.inf, time_of_min=0.0)
 
     accel = proposed_ego_accel(perceived, proposed, world_geometry, sim_params)
     times = _shared_sample_times(params.horizon, params.sample_dt)
     s = displacement_along(odom.speed, accel, times)
     ego_x0, ego_y0 = odom.position
-    ego_x = ego_x0 + s * np.cos(odom.heading)
-    ego_y = ego_y0 + s * np.sin(odom.heading)
+    ego_x = ego_x0 + s * math.cos(odom.heading)
+    ego_y = ego_y0 + s * math.sin(odom.heading)
 
     # One object at a time: most checks see one or two objects, where a
     # pass vectorized across objects costs more than this loop.
-    best_sep, best_t, best_obj = np.inf, 0.0, None
+    best_sep, best_t, best_obj = math.inf, 0.0, None
     for obj in perceived.objects:
         x, y = obj.position
         vx, vy = obj.velocity
@@ -151,9 +151,9 @@ def closing_speed(ego_pos: Vec2, ego_vel: Vec2, obj_pos: Vec2,
     """Rate of approach along the line of sight at t=0; 0 if separating."""
     lx, ly = ego_pos - obj_pos
     rx, ry = obj_vel - ego_vel
-    norm = hypot2(lx, ly)
+    norm = math.hypot(lx, ly)
     if norm < 1e-9:
-        return hypot2(rx, ry)
+        return math.hypot(rx, ry)
     return max(0.0, rx * (lx / norm) + ry * (ly / norm))
 
 

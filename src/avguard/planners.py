@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import queue
 import subprocess
 import threading
@@ -30,7 +31,6 @@ from .state import (
     Maneuver,
     PerceivedState,
     RouteGoal,
-    hypot2,
     truncate_rationale,
 )
 from . import geometry
@@ -102,7 +102,7 @@ def find_conflicts(perceived: PerceivedState, route: geometry.Route,
     blocker: Optional[int] = None
     for obj in perceived.objects:
         vx, vy = obj.velocity
-        speed = hypot2(vx, vy)
+        speed = math.hypot(vx, vy)
         if speed < STATIONARY_SPEED:
             s_obj = route.arc_length_of(obj.position, s_min=ego_s)
             if s_obj is None:
@@ -126,7 +126,7 @@ def find_conflicts(perceived: PerceivedState, route: geometry.Route,
             s_cross = route.arc_length_of(cross, s_min=ego_s)
             if s_cross is None or s_cross <= ego_s:
                 continue
-            time_gap = hypot2(cross[0] - px, cross[1] - py) / speed
+            time_gap = math.hypot(cross[0] - px, cross[1] - py) / speed
             conflicts.append(Conflict(object_id=obj.id, time_gap=time_gap,
                                       crossing_distance=s_cross - ego_s))
             break

@@ -10,13 +10,11 @@ list built from ground truth, corrupted only by active fault directives.
 from __future__ import annotations
 
 import logging
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
-
-import numpy as np
 
 from . import geometry
 from .state import (
@@ -36,7 +34,6 @@ from .state import (
     RouteGoal,
     SimClock,
     Vec2,
-    hypot2,
 )
 from .seeding import stream_for
 
@@ -188,8 +185,8 @@ def command_accel(maneuver: Maneuver, speed: float, dist_to_entry: float,
         if crossing_traffic_near and dist_to_entry > 0.0:
             # Creep toward the line, never faster than what still allows
             # a comfortable stop one meter short of it.
-            allowed = float(np.sqrt(2.0 * COMFORT_DECEL
-                                    * max(dist_to_entry - 1.0, 0.0)))
+            allowed = math.sqrt(2.0 * COMFORT_DECEL
+                                * max(dist_to_entry - 1.0, 0.0))
             target = min(target, allowed)
         accel = track(target)
     elif maneuver == Maneuver.PROCEED_CAUTIOUSLY:
@@ -212,7 +209,7 @@ def crossing_traffic_within_envelope(others: list[tuple[Vec2, Vec2]],
             continue
         if d == 0.0:
             return True
-        if hypot2(vx, vy) > 0.5 and vx * (cx - x) + vy * (cy - y) > 0.0:
+        if math.hypot(vx, vy) > 0.5 and vx * (cx - x) + vy * (cy - y) > 0.0:
             return True
     return False
 
@@ -239,12 +236,6 @@ def advance_arc(speed: float, accel: float, dt: float) -> tuple[float, float]:
     return speed * dt + 0.5 * accel * dt * dt, speed + accel * dt
 
 
-@lru_cache(maxsize=64)
-def _circumradius(half_extent: Vec2) -> float:
-    """hypot(*half_extent); a campaign uses only a few distinct extents."""
-    return hypot2(*half_extent)
-
-
 def detect_collision(world: GroundTruthWorld) -> Optional[CollisionEvent]:
     """Ego-vs-agent oriented-rectangle overlap with the lowest agent id.
 
@@ -257,13 +248,13 @@ def detect_collision(world: GroundTruthWorld) -> Optional[CollisionEvent]:
     """
     ego = world.ego
     ego_x, ego_y = ego.position
-    ego_radius = _circumradius(ego.half_extent)
+    ego_radius = math.hypot(*ego.half_extent)
     ego_corners = None
     hit = None
     for agent in world.agents:
         if hit is not None and agent.id > hit.agent_b:
             continue
-        reach = ego_radius + _circumradius(agent.half_extent) + 1e-6
+        reach = ego_radius + math.hypot(*agent.half_extent) + 1e-6
         x, y = agent.position
         dx = x - ego_x
         dy = y - ego_y
@@ -326,7 +317,7 @@ def step_dynamics(world: GroundTruthWorld, cmd: EgoCommand) -> GroundTruthWorld:
 
 
 def _rotate(x: float, y: float, theta: float) -> tuple[float, float]:
-    c, s = float(np.cos(theta)), float(np.sin(theta))
+    c, s = math.cos(theta), math.sin(theta)
     return c * x - s * y, s * x + c * y
 
 
@@ -346,7 +337,7 @@ def build_perceived_state(world: GroundTruthWorld,
     objects: list[PerceivedObject] = []
     for agent in world.agents:
         x, y = agent.position
-        if hypot2(x - ego_x, y - ego_y) > params.sensing_range:
+        if math.hypot(x - ego_x, y - ego_y) > params.sensing_range:
             continue
         objects.append(PerceivedObject(
             id=agent.id, kind=agent.kind,
@@ -435,7 +426,7 @@ def _spawn_traffic(base: ScenarioBase, stream: random.Random,
         y_c = stream.uniform(-6.0, 6.0)
         walk_speed = stream.uniform(0.9, 1.4)
         t_cross = stream.uniform(4.0, 8.0)
-        route = geometry.Route(np.array([[12.0, y_c], [-30.0, y_c]]))
+        route = geometry.Route([[12.0, y_c], [-30.0, y_c]])
         s_cross = 12.0 - LANE_OFFSET  # arc length where the walk crosses the ego lane
         scripts.append(AgentScript(route=route,
                                    s0=s_cross - walk_speed * t_cross,

@@ -8,11 +8,10 @@ role's output straight to the later phases of the same tick.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
-
-import numpy as np
 
 EGO_ID = 0
 
@@ -77,21 +76,6 @@ class SimClock:
         return SimClock(tick=self.tick + 1, dt=self.dt)
 
 
-def hypot2(x: float, y: float) -> float:
-    """``float(np.hypot(x, y))``, without numpy when one side is zero.
-
-    C99 defines hypot(x, +-0) as |x| exactly, so the shortcut returns the
-    bits np.hypot would; NaN goes to numpy, which keeps its sign. Every
-    lane and route here is axis-aligned, so most velocities and zone
-    offsets take the shortcut.
-    """
-    if y == 0.0 and x == x:
-        return abs(x)
-    if x == 0.0 and y == y:
-        return abs(y)
-    return float(np.hypot(x, y))
-
-
 class Vec2(tuple):
     """An (x, y) pair of floats; ``a - b`` subtracts elementwise."""
 
@@ -113,8 +97,8 @@ def _vec2(value) -> Vec2:
 
 def normalize_heading(theta: float) -> float:
     """Wrap an angle into (-pi, pi]."""
-    wrapped = float(np.arctan2(np.sin(theta), np.cos(theta)))
-    return np.pi if wrapped == -np.pi else wrapped
+    wrapped = math.atan2(math.sin(theta), math.cos(theta))
+    return math.pi if wrapped == -math.pi else wrapped
 
 
 @dataclass
@@ -151,7 +135,7 @@ class AgentState:
 
     @property
     def speed(self) -> float:
-        return hypot2(*self.velocity)
+        return math.hypot(*self.velocity)
 
 
 @dataclass(frozen=True)
@@ -173,7 +157,7 @@ class ConflictZone:
         x, y = p
         dx = max(self.x_min - x, 0.0, x - self.x_max)
         dy = max(self.y_min - y, 0.0, y - self.y_max)
-        return hypot2(dx, dy)
+        return math.hypot(dx, dy)
 
 
 @dataclass
@@ -227,7 +211,7 @@ class PerceivedObject:
 
     @property
     def speed(self) -> float:
-        return hypot2(*self.velocity)
+        return math.hypot(*self.velocity)
 
 
 @dataclass
@@ -242,7 +226,7 @@ class EgoOdometry:
 
     @property
     def speed(self) -> float:
-        return hypot2(*self.velocity)
+        return math.hypot(*self.velocity)
 
 
 @dataclass
@@ -288,7 +272,6 @@ __all__ = [
     "Vec2",
     "Verdict",
     "VerdictLevel",
-    "hypot2",
     "normalize_heading",
     "truncate_rationale",
 ]

@@ -267,6 +267,38 @@ class TestSidecarCheck:
         with pytest.raises(MalformedTrace):
             reaggregate_from_traces(str(tmp_path))
 
+    @pytest.mark.parametrize("edit", ["compact", "crlf"])
+    def test_respaced_trace_is_rejected(self, tmp_path, edit):
+        """The same records in other bytes are not the trace: compact
+        separators on every line, or one line ended by CRLF."""
+        run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
+        trace = self._trace(tmp_path)
+        lines = trace.read_bytes().splitlines(keepends=True)
+        if edit == "compact":
+            lines = [json.dumps(json.loads(line), sort_keys=True,
+                                separators=(",", ":")).encode() + b"\n"
+                     for line in lines]
+        else:
+            lines[3] = lines[3].replace(b"\n", b"\r\n")
+        trace.write_bytes(b"".join(lines))
+        with pytest.raises(MalformedTrace) as err:
+            reaggregate_from_traces(str(tmp_path))
+        assert str(trace) in str(err.value)
+
+    def test_reaggregation_encodes_no_record(self, tmp_path, monkeypatch):
+        import avguard.metrics as metrics_mod
+        result = run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
+        real = metrics_mod.record_to_json_dict
+        calls = []
+
+        def counting(record):
+            calls.append(record.tick)
+            return real(record)
+
+        monkeypatch.setattr(metrics_mod, "record_to_json_dict", counting)
+        assert reaggregate_from_traces(str(tmp_path)) == result.summary
+        assert calls == []
+
     def test_trace_without_sidecar_is_rejected(self, tmp_path):
         run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
         trace = self._trace(tmp_path)

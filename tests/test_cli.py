@@ -73,6 +73,26 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
 
 
+class TestInputErrors:
+    """An input that cannot be read is an ``error:`` line and exit 1."""
+
+    @pytest.mark.parametrize("case", ["validate_directory", "validate_not_utf8",
+                                      "report_on_a_file", "campaign_on_a_file"])
+    def test_unreadable_input(self, scenario_file, tmp_path, capsys, case):
+        not_utf8 = tmp_path / "utf16.ini"
+        not_utf8.write_bytes(b"\xff\xfe" + NOMINAL_INI.encode("utf-16-le"))
+        report = ["--report", str(tmp_path / "r.csv")]
+        argv = {
+            "validate_directory": ["validate", "--scenario", str(tmp_path)],
+            "validate_not_utf8": ["validate", "--scenario", str(not_utf8)],
+            "report_on_a_file": ["report", "--traces", scenario_file, *report],
+            "campaign_on_a_file": ["campaign", "--scenario-dir", scenario_file,
+                                   "--out", str(tmp_path / "o"), *report],
+        }[case]
+        assert main(argv) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestRun:
     def test_writes_trace_and_reports_outcome(self, scenario_file, tmp_path,
                                               capsys):

@@ -1,12 +1,14 @@
 """Trace hashes do not depend on the CPU's vector extensions.
 
-The tick path writes every 2-vector dot product out as ``a*c + b*d``
-and uses numpy only for elementwise arithmetic and libm calls. This
-test runs the golden hashes in a fresh interpreter with OpenBLAS held to
-its Nehalem kernels (no fused multiply-add) and every numpy dispatch
-target above the build's baseline disabled. In that interpreter it also
-checks that an unfused ``np.dot`` equals ``a*c + b*d``, the fact the
-explicit dot products rely on.
+The tick path writes every 2-vector dot product out as ``a*c + b*d``,
+takes scalar math from ``math``, and calls numpy only on arrays: the
+monitor's sample grid and the route and rectangle geometry. This test
+runs the golden hashes, every reference run included, in a fresh
+interpreter with OpenBLAS held to its Nehalem kernels (no fused
+multiply-add) and every numpy dispatch target above the build's
+baseline disabled. In that interpreter it also checks that an unfused
+``np.dot`` equals ``a*c + b*d``, the fact the explicit dot products
+rely on.
 """
 
 import os

@@ -1,13 +1,16 @@
-"""The scalar fast paths on the tick path return numpy's bits exactly.
+"""The float fast paths on the tick path return the bits of the numpy
+2-vector forms they replaced.
 
-Each fast path replaces a numpy call on scalars or 2-vectors with plain
-float arithmetic only where the result is provably the same: hypot with
-a zero side, elementwise 2-vector arithmetic on floats, and a monitor
-that works on coordinate arrays instead of point arrays. Every test here
-compares against the numpy form the fast path replaced, kept as the
-reference, bit for bit. A 2-vector dot product is written out as
-``a*c + b*d`` on both sides: that it equals an unfused ``np.dot`` is
-pinned by tests/test_cpu_independence.py.
+Each fast path replaces numpy 2-vector arithmetic with plain float
+arithmetic only where the result is provably the same: elementwise
+2-vector arithmetic on floats, a crossing search that runs numpy's
+operations in numpy's order, and a monitor that works on coordinate
+arrays instead of point arrays. Every test here compares against the
+numpy form the fast path replaced, kept as the reference, bit for bit.
+Scalar ``hypot``, ``atan2``, ``sin`` and ``cos`` go through ``math`` on
+both sides, as they do on the tick path. A 2-vector dot product is
+written out as ``a*c + b*d`` on both sides: that it equals an unfused
+``np.dot`` is pinned by tests/test_cpu_independence.py.
 """
 
 import itertools
@@ -39,7 +42,6 @@ from avguard.state import (
     SimClock,
     Verdict,
     VerdictLevel,
-    hypot2,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -50,32 +52,6 @@ from hypothesis import strategies as st  # noqa: E402
 def bits(x):
     """Exact identity of a float (sign of zero and NaN payload included)."""
     return None if x is None else struct.pack("<d", x)
-
-
-# --- hypot2 ----------------------------------------------------------------
-
-SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
-           5e-324, -5e-324, 2.2250738585072009e-308, 1.0, -3.5, 1e308]
-
-
-@given(st.floats(), st.floats())
-@settings(max_examples=1500, deadline=None)
-def test_hypot2_equals_np_hypot(x, y):
-    assert bits(hypot2(x, y)) == bits(float(np.hypot(x, y)))
-
-
-@pytest.mark.parametrize("special", SPECIAL)
-@given(other=st.floats())
-@settings(max_examples=200, deadline=None)
-def test_hypot2_equals_np_hypot_beside_special_values(special, other):
-    assert bits(hypot2(special, other)) == bits(float(np.hypot(special, other)))
-    assert bits(hypot2(other, special)) == bits(float(np.hypot(other, special)))
-
-
-@pytest.mark.parametrize("x", SPECIAL)
-@pytest.mark.parametrize("y", SPECIAL)
-def test_hypot2_equals_np_hypot_on_special_pairs(x, y):
-    assert bits(hypot2(x, y)) == bits(float(np.hypot(x, y)))
 
 
 # --- Route projections -------------------------------------------------------
@@ -106,7 +82,7 @@ class NumpyRoute:
             s = self.cum[i] + t
             if s < s_min:
                 continue
-            d = float(np.hypot(*(p - (a + t * self.dirs[i]))))
+            d = math.hypot(*(p - (a + t * self.dirs[i])))
             if d < best_d:
                 best_s, best_d = s, d
         return best_s
@@ -118,7 +94,7 @@ class NumpyRoute:
             a = self.points[i]
             t = float(dot(p - a, self.dirs[i]))
             t = min(max(t, 0.0), self.lengths[i])
-            best = min(best, float(np.hypot(*(p - (a + t * self.dirs[i])))))
+            best = min(best, math.hypot(*(p - (a + t * self.dirs[i]))))
         return best
 
 
@@ -188,8 +164,8 @@ def test_projection_on_a_diagonal_route(data):
 
 
 def old_normalize_heading(theta):
-    wrapped = float(np.arctan2(np.sin(theta), np.cos(theta)))
-    return np.pi if wrapped == -np.pi else wrapped
+    wrapped = math.atan2(math.sin(theta), math.cos(theta))
+    return math.pi if wrapped == -math.pi else wrapped
 
 
 @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
@@ -207,9 +183,9 @@ def test_pose_heading_is_the_heading_an_agent_state_stores(dx, dy):
 
 def old_closing_speed(ego_pos, ego_vel, obj_pos, obj_vel):
     line = np.asarray(ego_pos, dtype=float) - np.asarray(obj_pos, dtype=float)
-    norm = float(np.hypot(*line))
+    norm = math.hypot(*line)
     if norm < 1e-9:
-        return float(np.hypot(*(np.asarray(obj_vel) - np.asarray(ego_vel))))
+        return math.hypot(*(np.asarray(obj_vel) - np.asarray(ego_vel)))
     return max(0.0, float(dot(np.asarray(obj_vel) - np.asarray(ego_vel),
                               line / norm)))
 
@@ -222,7 +198,7 @@ def old_safety_check(perceived, proposed, params, world_geometry, sim_params):
                        min_predicted_separation=np.inf, time_of_min=0.0)
     accel = proposed_ego_accel(perceived, proposed, world_geometry, sim_params)
     times = sample_times(params.horizon, params.sample_dt)
-    u = np.array([np.cos(odom.heading), np.sin(odom.heading)])
+    u = np.array([math.cos(odom.heading), math.sin(odom.heading)])
     s = displacement_along(odom.speed, accel, times)
     ego_points = np.asarray(odom.position)[None, :] + s[:, None] * u[None, :]
     best_sep, best_t, best_obj = np.inf, 0.0, None
@@ -424,7 +400,7 @@ def old_find_conflicts(perceived, route, ego_s, zone):
     blocker = None
     route_pts = route.points
     for obj in perceived.objects:
-        speed = float(np.hypot(*obj.velocity))
+        speed = math.hypot(*obj.velocity)
         if speed < STATIONARY_SPEED:
             s_obj = route.arc_length_of(obj.position, s_min=ego_s)
             if s_obj is None:
@@ -446,7 +422,7 @@ def old_find_conflicts(perceived, route, ego_s, zone):
             s_cross = route.arc_length_of(cross, s_min=ego_s)
             if s_cross is None or s_cross <= ego_s:
                 continue
-            time_gap = float(np.hypot(*(cross - position))) / speed
+            time_gap = math.hypot(*(cross - position)) / speed
             conflicts.append((obj.id, time_gap, s_cross - ego_s))
             break
     return conflicts, blocker

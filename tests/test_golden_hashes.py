@@ -1,9 +1,13 @@
-"""Golden trace hashes: run 0 of each reference scenario at base seed 0.
+"""Golden trace hashes of the reference campaign at base seed 0.
 
-Any change to the tick path that moves a single hashed byte of these
+Run 0 of each reference scenario is pinned with its tick count and
+hash; every one of the 90 runs, with recovery on and off, is pinned
+through a digest over the campaign's trace hashes. Any change to the tick path that moves a single hashed byte of these
 traces fails here. A change that is meant to move them must update the
 pinned values and say which hashes changed and why.
 """
+
+import hashlib
 
 import pytest
 
@@ -38,3 +42,24 @@ def test_run_zero_trace_hash_is_pinned(spec):
     result = run_scenario(spec, stable_mix(0, spec.id, 0))
     assert len(result.records) == ticks
     assert trace_hash(result.records) == digest
+
+
+# sha256 over the sorted "scenario\tseed\ttrace_hash" lines of all 90 runs
+# of the reference campaign at base seed 0 (the perfbench digest).
+CAMPAIGN_DIGESTS = {
+    "reference_campaign":
+        "9d18da2a142c1ca4169f917ca7ec6bb65678b9f7d31f7441394f2f2d2ed1b5ee",
+    "no_recovery_campaign":
+        "5d73dce8dedf3477bba2251f21c16ddedc27d7a4eafe40627f6cde15e72d143c",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(CAMPAIGN_DIGESTS))
+def test_every_reference_trace_hash_is_pinned(fixture, request):
+    result = request.getfixturevalue(fixture)[0]
+    lines = sorted(f"{scenario_id}\t{seed}\t{digest}"
+                   for (scenario_id, seed), digest
+                   in result.trace_hashes.items())
+    assert len(lines) == 90
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == CAMPAIGN_DIGESTS[fixture]
