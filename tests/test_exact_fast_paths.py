@@ -8,7 +8,9 @@ operations in numpy's order, and a monitor that works on coordinate
 arrays instead of point arrays. Every test here compares against the
 numpy form the fast path replaced, kept as the reference, bit for bit.
 Scalar ``hypot``, ``atan2``, ``sin`` and ``cos`` go through ``math`` on
-both sides, as they do on the tick path. A 2-vector dot product is
+both sides, as they do on the tick path; the first section pins the
+inputs on which ``math.hypot`` and ``math.sqrt`` must return numpy's
+bits. A 2-vector dot product is
 written out as ``a*c + b*d`` on both sides: that it equals an unfused
 ``np.dot`` is pinned by tests/test_cpu_independence.py.
 """
@@ -52,6 +54,62 @@ from hypothesis import strategies as st  # noqa: E402
 def bits(x):
     """Exact identity of a float (sign of zero and NaN payload included)."""
     return None if x is None else struct.pack("<d", x)
+
+
+# --- scalar hypot and sqrt ---------------------------------------------------
+#
+# The tick path calls math.hypot and math.sqrt on single floats. The two
+# hypots can differ in the last bit on arbitrary pairs, so these tests pin
+# only where both are forced to the same value: a zero side (most calls,
+# since every lane is axis-aligned), an infinite side, and the special
+# pairs below. sqrt is correctly rounded in both.
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+           5e-324, -5e-324, 2.2250738585072009e-308, 1.0, -3.5, 1e308]
+
+
+def same_value(a, b):
+    """Bit identity, except that any NaN matches any NaN: the trace
+    encoder rejects NaN, so its sign and payload never reach a trace."""
+    return (a != a and b != b) or bits(a) == bits(b)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@given(x=st.floats(allow_nan=False))
+@settings(max_examples=500, deadline=None)
+def test_math_hypot_with_a_zero_side_is_the_other_side(zero, x):
+    """C99 defines hypot(x, +-0) as |x| exactly; np.hypot agrees."""
+    assert bits(math.hypot(x, zero)) == bits(abs(x))
+    assert bits(math.hypot(zero, x)) == bits(abs(x))
+    assert bits(float(np.hypot(x, zero))) == bits(abs(x))
+
+
+@pytest.mark.parametrize("infinity", [math.inf, -math.inf])
+@given(other=st.floats())
+@settings(max_examples=200, deadline=None)
+def test_math_hypot_beside_an_infinity_is_inf(infinity, other):
+    """An infinite side gives +inf, even beside NaN, in both."""
+    assert bits(math.hypot(infinity, other)) == bits(math.inf)
+    assert bits(math.hypot(other, infinity)) == bits(math.inf)
+    assert bits(float(np.hypot(infinity, other))) == bits(math.inf)
+
+
+@pytest.mark.parametrize("x", SPECIAL)
+@pytest.mark.parametrize("y", SPECIAL)
+def test_math_hypot_equals_np_hypot_on_special_pairs(x, y):
+    with np.errstate(all="ignore"):
+        assert same_value(math.hypot(x, y), float(np.hypot(x, y)))
+
+
+@pytest.mark.parametrize("x", [x for x in SPECIAL if not x < 0.0])
+def test_math_sqrt_equals_np_sqrt_on_special_values(x):
+    assert bits(math.sqrt(x)) == bits(float(np.sqrt(x)))
+
+
+@given(st.floats(min_value=0.0))
+@settings(max_examples=1500, deadline=None)
+def test_math_sqrt_equals_np_sqrt(x):
+    assert bits(math.sqrt(x)) == bits(float(np.sqrt(x)))
 
 
 # --- Route projections -------------------------------------------------------
