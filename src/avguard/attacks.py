@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .sim import default_ghost_position
+from .sim import APPROACH_REACH, default_ghost_position
 from .state import AgentKind, FaultKind, PerceivedState
 
 log = logging.getLogger(__name__)
+
+MAX_VELOCITY_SCALE = 100.0  # keeps a spoofed velocity and the monitor finite
 
 
 class TriggerKind(str, Enum):
@@ -51,8 +53,12 @@ class AttackConfig:
             raise ValueError("duration_ticks must be >= 1")
         if self.max_activations < 0:
             raise ValueError("max_activations must be >= 0")
-        if not self.velocity_scale > 0:
-            raise ValueError("velocity_scale must be > 0")
+        if not 0 < self.velocity_scale <= MAX_VELOCITY_SCALE:
+            raise ValueError(f"velocity_scale must be in "
+                             f"(0, {MAX_VELOCITY_SCALE:g}]")
+        for key, v in zip(("ghost_x_m", "ghost_y_m"), self.ghost_position or ()):
+            if not abs(v) <= APPROACH_REACH:
+                raise ValueError(f"{key} must be within +-{APPROACH_REACH:g} m")
         value = float(self.trigger_value)
         if self.trigger == TriggerKind.EGO_WITHIN_DISTANCE:
             if not value >= 0:

@@ -13,8 +13,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .state import ConflictZone, Vec2, normalize_heading
 
 
@@ -25,45 +23,35 @@ class Route:
     ``pose_at`` is the one arc-length lookup: it gives the position, the
     unit direction and the normalized heading an AgentState stores.
     Positions past the final vertex continue along the last segment
-    direction, so agents simply drive out of the scene. ``points`` is
-    read-only and the segment tables are never written after
+    direction, so agents simply drive out of the scene. ``points`` is a
+    tuple of Vec2 and the segment tables are never written after
     construction, so one route can be shared by every run.
     """
 
-    points: np.ndarray  # (k, 2), k >= 2
+    points: tuple[Vec2, ...]  # k >= 2
 
     def __post_init__(self) -> None:
-        self.points = np.array(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[0] < 2:
+        self.points = tuple(Vec2((float(x), float(y))) for x, y in self.points)
+        if len(self.points) < 2:
             raise ValueError("route needs at least two points")
-        deltas = np.diff(self.points, axis=0)
-        seg_lengths = np.hypot(deltas[:, 0], deltas[:, 1])
-        if np.any(seg_lengths <= 0):
-            raise ValueError("route has a zero-length segment")
-        # Segment lookup runs several times per agent per tick; a list
-        # searched with bisect is much cheaper than np.searchsorted on a
-        # scalar and finds the same segment.
-        self._cum = np.concatenate([[0.0], np.cumsum(seg_lengths)]).tolist()
-        dirs = deltas / seg_lengths[:, None]
+        # Per segment: (ax, ay, dx, dy, length, cum, heading) for the
+        # arc-length lookups and (ax, ay, rx, ry) for segment_crossing.
+        # abs(complex()) is libm's hypot, which np.hypot calls and whose
+        # bits math.hypot does not always match.
         # normalize_heading is not idempotent (a second pass moves about
         # 1.7% of random headings by one ulp), so the route normalizes
         # once and AgentState.trusted stores the result as it is.
-        self._headings = [normalize_heading(float(np.arctan2(d[1], d[0])))
-                          for d in dirs]
-        # Per segment (ax, ay, dx, dy, length, cum) as floats.
-        self._segs = [
-            (ax, ay, dx, dy, length, cum)
-            for (ax, ay), (dx, dy), length, cum in zip(
-                self.points[:-1].tolist(), dirs.tolist(),
-                seg_lengths.tolist(), self._cum)
-        ]
-        # Per segment (ax, ay, rx, ry): start point and raw delta as
-        # floats, the inputs of segment_crossing.
-        self.crossing_segments = [
-            (ax, ay, rx, ry) for (ax, ay), (rx, ry) in zip(
-                self.points[:-1].tolist(), deltas.tolist())
-        ]
-        self.points.setflags(write=False)
+        self._cum, self._segs, self.crossing_segments = [0.0], [], []
+        for (ax, ay), (bx, by) in zip(self.points, self.points[1:]):
+            rx, ry = bx - ax, by - ay
+            length = abs(complex(rx, ry))
+            if not length > 0.0:
+                raise ValueError("route has a zero-length segment")
+            dx, dy = rx / length, ry / length
+            self._segs.append((ax, ay, dx, dy, length, self._cum[-1],
+                               normalize_heading(math.atan2(dy, dx))))
+            self.crossing_segments.append((ax, ay, rx, ry))
+            self._cum.append(self._cum[-1] + length)
         self._zone_cache: dict[tuple, tuple[float, float]] = {}
 
     @property
@@ -78,13 +66,13 @@ class Route:
             i = len(self._segs) - 1
         else:
             i = bisect_right(self._cum, s) - 1
-        ax, ay, dx, dy, _, cum = self._segs[i]
+        ax, ay, dx, dy, _, cum, heading = self._segs[i]
         t = s - cum
-        return Vec2((ax + t * dx, ay + t * dy)), (dx, dy), self._headings[i]
+        return Vec2((ax + t * dx, ay + t * dy)), (dx, dy), heading
 
     def _closest(self, i: int, x: float, y: float) -> tuple[float, float]:
         """(arc length, distance) of the point of segment i closest to (x, y)."""
-        ax, ay, dx, dy, length, cum = self._segs[i]
+        ax, ay, dx, dy, length, cum, _ = self._segs[i]
         t = min(max((x - ax) * dx + (y - ay) * dy, 0.0), length)
         return cum + t, math.hypot(x - (ax + t * dx), y - (ay + t * dy))
 
@@ -119,7 +107,7 @@ class Route:
         if cached is not None:
             return cached
         entry, exit_ = math.inf, -math.inf
-        for ax, ay, dx, dy, length, cum in self._segs:
+        for ax, ay, dx, dy, length, cum, _ in self._segs:
             t_min, t_max = 0.0, length
             for a, d, lo, hi in ((ax, dx, zone.x_min, zone.x_max),
                                  (ay, dy, zone.y_min, zone.y_max)):
@@ -137,37 +125,39 @@ class Route:
                 exit_ = max(exit_, cum + t_max)
         if not math.isfinite(entry):
             raise ValueError("route never crosses the conflict zone")
-        result = (float(entry), float(exit_))
-        self._zone_cache[key] = result
-        return result
+        self._zone_cache[key] = (entry, exit_)
+        return entry, exit_
 
 
-def rect_corners(center: np.ndarray, half_extent: np.ndarray, heading: float) -> np.ndarray:
+def rect_corners(center, half_extent, heading: float) -> list[tuple[float, float]]:
     """Corners of an oriented rectangle, CCW. half_extent[0] is along heading."""
-    c, s = np.cos(heading), np.sin(heading)
-    rot = np.array([[c, -s], [s, c]])
+    c, s = math.cos(heading), math.sin(heading)
+    cx, cy = float(center[0]), float(center[1])
     hx, hy = float(half_extent[0]), float(half_extent[1])
-    local = np.array([[hx, hy], [-hx, hy], [-hx, -hy], [hx, -hy]])
-    return np.asarray(center, dtype=float) + local @ rot.T
+    return [(cx + (ux * c - uy * s), cy + (ux * s + uy * c))
+            for ux, uy in ((hx, hy), (-hx, hy), (-hx, -hy), (hx, -hy))]
 
 
-def obb_overlap(corners_a: np.ndarray, corners_b: np.ndarray) -> Optional[float]:
-    """Separating-axis overlap test for two oriented rectangles.
+def obb_overlap(corners_a, corners_b) -> Optional[float]:
+    """Separating-axis overlap test for two oriented rectangles, each
+    given by its four corners in order.
 
     Returns the minimal penetration depth if they overlap, else None.
     """
-    min_depth = np.inf
+    min_depth = math.inf
     for corners in (corners_a, corners_b):
         for i in range(2):  # two unique edge normals per rectangle
-            edge = corners[(i + 1) % 4] - corners[i]
-            axis = np.array([-edge[1], edge[0]])
-            axis = axis / np.hypot(*axis)
-            proj_a = corners_a @ axis
-            proj_b = corners_b @ axis
-            overlap = min(proj_a.max(), proj_b.max()) - max(proj_a.min(), proj_b.min())
+            (x0, y0), (x1, y1) = corners[i], corners[i + 1]
+            nx, ny = y0 - y1, x1 - x0
+            norm = abs(complex(nx, ny))
+            nx, ny = nx / norm, ny / norm
+            proj_a = [x * nx + y * ny for x, y in corners_a]
+            proj_b = [x * nx + y * ny for x, y in corners_b]
+            overlap = (min(max(proj_a), max(proj_b))
+                       - max(min(proj_a), min(proj_b)))
             if overlap <= 0:
                 return None
-            min_depth = min(min_depth, float(overlap))
+            min_depth = min(min_depth, overlap)
     return min_depth
 
 

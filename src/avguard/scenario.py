@@ -333,7 +333,11 @@ def parse_scenario_file(text: str) -> ScenarioSpec:
 
 def load_scenario_file(path: str) -> ScenarioSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario_file(fh.read())
+        try:
+            return parse_scenario_file(fh.read())
+        except UnicodeDecodeError as exc:  # name the file in the message
+            exc.reason = f"{exc.reason} in {path}"
+            raise
 
 
 def reference_specs() -> list[ScenarioSpec]:

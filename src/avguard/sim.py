@@ -106,7 +106,7 @@ class AgentScript:
 
 
 # The layout and its routes never change, so they are built once and
-# shared. Route arrays are read-only, and each route keeps its
+# shared. Route points are tuples, and each route keeps its
 # zone_entry_exit cache for the life of the process.
 _APPROACH_ROUTES = {
     "S": geometry.Route([[LANE_OFFSET, -APPROACH_REACH], [LANE_OFFSET, APPROACH_REACH]]),

@@ -1,5 +1,6 @@
 """Attack scheduling: triggers, deduplication, and activation windows."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avguard.attacks import (
+    MAX_VELOCITY_SCALE,
     AttackConfig,
     FaultDirective,
     FaultInjector,
@@ -15,6 +17,7 @@ from avguard.attacks import (
     nearest_closing_vehicle,
     trigger_fires,
 )
+from avguard.sim import APPROACH_REACH
 from avguard.state import (
     AgentKind,
     EgoOdometry,
@@ -56,6 +59,20 @@ class TestAttackConfig:
             AttackConfig(kind=FaultKind.TRAJECTORY_SPOOF,
                          trigger=TriggerKind.PERIODIC, trigger_value=1,
                          velocity_scale=0.0)
+
+    def test_velocity_scale_and_ghost_position_ranges(self):
+        # Past these the monitor's separation is inf or NaN.
+        spoof = dict(kind=FaultKind.TRAJECTORY_SPOOF,
+                     trigger=TriggerKind.PERIODIC, trigger_value=1)
+        AttackConfig(**spoof, velocity_scale=MAX_VELOCITY_SCALE)
+        with pytest.raises(ValueError, match="velocity_scale"):
+            AttackConfig(**spoof, velocity_scale=MAX_VELOCITY_SCALE * 1.01)
+        replace = dataclasses.replace
+        replace(GHOST, ghost_position=(-APPROACH_REACH, APPROACH_REACH))
+        for position, key in (((-200.5, 0.0), "ghost_x_m"),
+                              ((0.0, math.nan), "ghost_y_m")):
+            with pytest.raises(ValueError, match=key):
+                replace(GHOST, ghost_position=position)
 
     # test_scenario.py checks the file-reachable cases through the parser.
     @pytest.mark.parametrize("trigger, value", [

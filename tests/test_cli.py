@@ -72,6 +72,31 @@ class TestValidate:
         path.write_text("[scenario]\nbase = nominal\nnot a key value\n")
         assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
 
+    def test_decode_error_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(b"[scenario]\nid = caf\xe9\n")
+        assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
+    @pytest.mark.parametrize("section, key", [
+        # Each spec used to validate, then crash every run's monitor: the
+        # ghost's separation overflowed to inf, and the spoofed velocity
+        # made it NaN.
+        ("[attack]\nkind = ghost\nghost_x_m = -1.7e308\n"
+         "ghost_y_m = -1.7e308\n", "ghost_x_m"),
+        ("[attack]\nkind = ghost\nghost_x_m = 2.5\nghost_y_m = 200.5\n",
+         "ghost_y_m"),
+        ("[scenario]\nbase = congested\n[attack]\nkind = spoof\n"
+         "velocity_scale = 1e308\n", "velocity_scale"),
+    ])
+    def test_attack_out_of_range(self, tmp_path, capsys, section, key):
+        path = tmp_path / "attack.ini"
+        path.write_text(section)
+        assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: [attack]") and key in err
+
 
 class TestInputErrors:
     """An input that cannot be read is an ``error:`` line and exit 1."""

@@ -1,9 +1,10 @@
 """Trace hashes do not depend on the CPU's vector extensions.
 
 The tick path writes every 2-vector dot product out as ``a*c + b*d``,
-takes scalar math from ``math``, and calls numpy only on arrays: the
-monitor's sample grid and the route and rectangle geometry. This test
-runs the golden hashes, every reference run included, in a fresh
+takes scalar math from ``math``, and builds routes and tests rectangle
+overlap on plain floats. numpy serves only the monitor's sample grid,
+and only ``monitor.py`` imports it, which the first test pins. The
+second runs the golden hashes, every reference run included, in a fresh
 interpreter with OpenBLAS held to its Nehalem kernels (no fused
 multiply-add) and every numpy dispatch target above the build's
 baseline disabled. In that interpreter it also checks that an unfused
@@ -11,6 +12,8 @@ baseline disabled. In that interpreter it also checks that an unfused
 rely on.
 """
 
+import ast
+import glob
 import os
 import platform
 import subprocess
@@ -40,6 +43,23 @@ for a, b, c, d in pairs.tolist():
     assert fused == a * c + b * d, (a, b, c, d)
 sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]]))
 """
+
+
+def test_only_the_monitor_imports_numpy():
+    importers = set()
+    for path in glob.glob(os.path.join(SRC, "avguard", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "numpy" for n in names):
+                importers.add(os.path.basename(path))
+    assert importers == {"monitor.py"}
 
 
 def _blas_name() -> str:

@@ -101,6 +101,16 @@ def test_math_hypot_equals_np_hypot_on_special_pairs(x, y):
         assert same_value(math.hypot(x, y), float(np.hypot(x, y)))
 
 
+@given(x=st.floats(-1e300, 1e300), y=st.floats(-1e300, 1e300))
+@settings(max_examples=1500, deadline=None)
+def test_complex_abs_equals_np_hypot(x, y):
+    """Route segment lengths are abs(complex(rx, ry)), which is libm's
+    hypot, the function np.hypot calls: unlike math.hypot, it keeps the
+    bits of the numpy-built route tables on every pair."""
+    reference = float(np.hypot(np.array([x]), np.array([y]))[0])
+    assert bits(abs(complex(x, y))) == bits(reference)
+
+
 @pytest.mark.parametrize("x", [x for x in SPECIAL if not x < 0.0])
 def test_math_sqrt_equals_np_sqrt_on_special_values(x):
     assert bits(math.sqrt(x)) == bits(float(np.sqrt(x)))
@@ -156,8 +166,8 @@ class NumpyRoute:
         return best
 
 
-REFERENCE_ROUTES = ([ego_route_for(goal).points for goal in RouteGoal]
-                    + [approach_route(a).points for a in "NSEW"]
+REFERENCE_ROUTES = ([np.asarray(ego_route_for(g).points) for g in RouteGoal]
+                    + [np.asarray(approach_route(a).points) for a in "NSEW"]
                     + [np.array([[12.0, 1.7], [-30.0, 1.7]])])
 DIAGONAL_ROUTE = np.array([[2.5, -200.0], [30.0, -7.0], [-41.3, 55.1],
                            [-41.3, 120.0]])
@@ -232,7 +242,7 @@ def test_pose_heading_is_the_heading_an_agent_state_stores(dx, dy):
     assume(math.hypot(dx, dy) > 1e-6)
     route = Route(np.array([[0.0, 0.0], [dx, dy]]))
     direction = np.array([dx, dy]) / np.hypot(dx, dy)
-    raw = float(np.arctan2(direction[1], direction[0]))
+    raw = math.atan2(direction[1], direction[0])
     assert bits(route.pose_at(0.5)[2]) == bits(old_normalize_heading(raw))
 
 
@@ -456,7 +466,7 @@ def old_find_conflicts(perceived, route, ego_s, zone):
     """find_conflicts as it was, on numpy 2-vectors."""
     conflicts = []
     blocker = None
-    route_pts = route.points
+    route_pts = np.asarray(route.points)
     for obj in perceived.objects:
         speed = math.hypot(*obj.velocity)
         if speed < STATIONARY_SPEED:

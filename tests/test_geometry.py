@@ -208,5 +208,6 @@ class TestRoute:
         route = Route(points)
         points[1, 0] = 20.0  # the caller's array stays writable
         assert route.length == 10.0
-        with pytest.raises(ValueError):
-            route.points[1, 0] = 20.0
+        assert route.points == ((0.0, 0.0), (10.0, 0.0))
+        with pytest.raises(TypeError):
+            route.points[1][0] = 20.0

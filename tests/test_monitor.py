@@ -11,7 +11,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from avguard.geometry import obb_overlap, rect_corners
 from avguard.monitor import (
     EGO_RADIUS,
     SafetyParams,
@@ -22,7 +25,7 @@ from avguard.monitor import (
     safety_check,
     sample_times,
 )
-from avguard.sim import SimParams, build_intersection
+from avguard.sim import VEHICLE_HALF_EXTENT, SimParams, build_intersection
 from avguard.state import (
     AgentKind,
     EgoOdometry,
@@ -31,6 +34,7 @@ from avguard.state import (
     PerceivedState,
     RouteGoal,
     SimClock,
+    Vec2,
     Verdict,
     VerdictLevel,
 )
@@ -135,6 +139,73 @@ def _random_config(rng):
     perceived = make_perceived([2.5, ego_y], [0.0, ego_speed], math.pi / 2,
                                objects)
     return perceived, maneuver
+
+
+# --- oriented-rectangle conservatism oracle --------------------------------
+
+def first_predicted_overlap(perceived, proposed, params, oracle_dt=0.002):
+    """Earliest time, sampled every oracle_dt over the horizon, at which
+    the predicted ego rectangle overlaps a predicted object rectangle;
+    None if none does.
+
+    The ego moves as the monitor predicts it; each object moves at
+    constant velocity, heading along it. A stationary object may face
+    any way, so it is tried at eight headings.
+    """
+    odom = perceived.ego_odometry
+    accel = proposed_ego_accel(perceived, proposed, GEOMETRY, SIM_PARAMS)
+    ux, uy = math.cos(odom.heading), math.sin(odom.heading)
+    ego_reach = math.hypot(*VEHICLE_HALF_EXTENT)
+    for k in range(int(round(params.horizon / oracle_dt)) + 1):
+        t = k * oracle_dt
+        s = _ego_arc_at(t, odom.speed, accel)
+        ego_center = (odom.position[0] + s * ux, odom.position[1] + s * uy)
+        for obj in perceived.objects:
+            vx, vy = obj.velocity
+            center = (obj.position[0] + t * vx, obj.position[1] + t * vy)
+            # Broad phase: each rectangle lies inside its circumscribed disc.
+            if math.dist(ego_center, center) > (
+                    ego_reach + math.hypot(*obj.half_extent)):
+                continue
+            ego = rect_corners(ego_center, VEHICLE_HALF_EXTENT, odom.heading)
+            headings = ([math.atan2(vy, vx)] if vx or vy
+                        else [i * math.pi / 4 for i in range(8)])
+            if any(obb_overlap(ego, rect_corners(center, obj.half_extent, h))
+                   is not None for h in headings):
+                return t
+    return None
+
+
+class TestRectangleConservatism:
+    @given(seed=st.integers(0, 2**32 - 1), stationary=st.integers(0, 7))
+    @settings(max_examples=400, deadline=None)
+    def test_predicted_rectangle_overlap_is_unsafe(self, seed, stationary):
+        """If the predicted rectangles overlap within the horizon, the
+        verdict is UNSAFE at the default SafetyParams. Bit i of
+        ``stationary`` stops object i, as a ghost is stopped."""
+        perceived, maneuver = _random_config(random.Random(seed))
+        for i, obj in enumerate(perceived.objects):
+            if stationary >> i & 1:
+                obj.velocity = Vec2((0.0, 0.0))
+        params = SafetyParams()
+        if first_predicted_overlap(perceived, maneuver, params) is not None:
+            verdict = safety_check(perceived, maneuver, params, GEOMETRY)
+            assert verdict.level == VerdictLevel.UNSAFE, verdict
+
+    def test_side_by_side_stationary_overlap(self):
+        # Two stopped vehicles whose rectangles overlap by 0.1 m while
+        # their discs report +0.338 m: the oracle sees the overlap at
+        # t = 0, and the default d_unsafe still calls it UNSAFE.
+        perceived = make_perceived(
+            [2.5, -30.0], [0.0, 0.0], math.pi / 2,
+            [make_object(1, [4.4, -26.1], [0.0, 0.0])])
+        params = SafetyParams()
+        assert first_predicted_overlap(perceived, Maneuver.WAIT,
+                                       params) == 0.0
+        verdict = safety_check(perceived, Maneuver.WAIT, params, GEOMETRY)
+        assert verdict.min_predicted_separation == pytest.approx(0.338,
+                                                                 abs=1e-3)
+        assert verdict.level == VerdictLevel.UNSAFE
 
 
 class TestPredictTrajectory:
