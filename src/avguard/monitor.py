@@ -1,26 +1,48 @@
 """Predicted-trajectory safety monitoring and the recovery override.
 
 The monitor predicts the ego under the proposed maneuver's acceleration
-command (constant-acceleration along its heading, speed clamped at zero)
-and every perceived object under constant velocity, then takes the
-minimum disc-footprint separation over a sampled horizon. The recovery
-planner overrides an unsafe proposal with an emergency brake.
+command (constant acceleration along its heading, speed clamped at
+zero) and every perceived object under constant velocity, then takes
+the minimum disc-footprint separation over the sample grid 0,
+sample_dt, ..., horizon. The recovery planner overrides an unsafe
+proposal with an emergency brake.
+
+The sampled minimum is found by a candidate search, without visiting
+every sample. This is the closest-point-of-approach idea of continuous
+collision detection:
+
+- While the ego moves, the ego-to-object offset r(t) is quadratic in t,
+  so |r| has a local minimum exactly where the cubic r . r' turns from
+  - to +. Each such root is bracketed between the cubic's own turning
+  points and bisected over the samples to one sample_dt. Once the ego
+  has stopped, r(t) is linear and has one closest approach.
+- Between these points the separation is monotone, so the sampled
+  minimum sits at a sample next to a local minimum, next to the stopped
+  phase's closest approach, or at an end of the grid. Only those
+  samples are evaluated.
+- Rounding can make a flat stretch of samples wobble in the last bits,
+  so the search then walks outward from every sample within
+  SEARCH_SLACK of the running minimum until the values rise past it.
+
+Each sample is evaluated with the operations, in the order, of the
+point-array form the search replaced, and ties go to the first sample,
+so the minimum and its time have that form's bits.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
-
-import numpy as np
+from typing import Optional, Sequence
 
 from .sim import SimParams, command_accel, crossing_traffic_within_envelope, \
     distance_to_entry, ego_route_for
 from .state import (
     IntersectionGeometry,
     Maneuver,
+    PerceivedObject,
     PerceivedState,
     Vec2,
     Verdict,
@@ -30,6 +52,11 @@ from .state import (
 # Ego footprint radius for the disc approximation; matches the vehicle
 # bounding box (max half extent).
 EGO_RADIUS = 2.0
+
+# A sample within this many metres of the running minimum may sit on a
+# flat stretch whose rounding hides a lower sample next to it. Rounding
+# on world-scale coordinates is below 1e-13 m.
+SEARCH_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,27 +77,53 @@ class SafetyParams:
             raise ValueError("margin_speed_gain must be >= 0")
 
 
-def sample_times(horizon: float, sample_dt: float) -> np.ndarray:
-    """Samples at 0, sample_dt, ..., horizon inclusive."""
-    times = np.arange(0.0, horizon + 0.5 * sample_dt, sample_dt)
+@lru_cache(maxsize=16)
+def sample_times(horizon: float, sample_dt: float) -> tuple[float, ...]:
+    """Samples k * sample_dt up to horizon, and horizon if the grid misses it.
+
+    These are the bits of np.arange(0, horizon + sample_dt / 2, sample_dt)
+    with horizon appended.
+    """
+    count = math.ceil((horizon + 0.5 * sample_dt) / sample_dt)
+    times = tuple(k * sample_dt for k in range(count))
     if times[-1] < horizon - 1e-12:
-        times = np.append(times, horizon)
+        times += (horizon,)
     return times
 
 
-@lru_cache(maxsize=16)
-def _shared_sample_times(horizon: float, sample_dt: float) -> np.ndarray:
-    """sample_times, built once per (horizon, sample_dt); never written."""
-    return sample_times(horizon, sample_dt)
+def _stop(speed: float, accel: float,
+          times: Sequence[float]) -> tuple[int, float, float]:
+    """The first sample at which the ego has stopped, the time it stops,
+    and its arc from then on.
 
-
-def displacement_along(speed: float, accel: float, times: np.ndarray) -> np.ndarray:
-    """Scalar arc displacement under constant accel, clamped at zero speed."""
-    s = speed * times + 0.5 * accel * times * times
+    An ego at rest with accel <= 0 is stopped from sample 0: there the
+    moving form speed * t + 0.5 * accel * t * t is +0.0 on every sample.
+    An ego that never stops gets (len(times), inf, 0.0).
+    """
     if accel < 0.0:
         t_stop = speed / -accel
-        s = np.where(times >= t_stop, speed * speed / (2.0 * -accel), s)
-    return s
+        return (bisect_left(times, t_stop), t_stop,
+                speed * speed / (2.0 * -accel))
+    if speed == 0.0 and accel == 0.0:
+        return 0, 0.0, 0.0
+    return len(times), math.inf, 0.0
+
+
+def _arc(speed: float, half_a: float, k_stop: int, s_stop: float, k: int,
+         t: float) -> float:
+    """The ego's arc at sample k, time t: speed * t + half_a * t * t while
+    it moves, s_stop from its first stopped sample k_stop on."""
+    return s_stop if k >= k_stop else speed * t + half_a * t * t
+
+
+def displacement_along(speed: float, accel: float,
+                       times: Sequence[float]) -> tuple[float, ...]:
+    """Arc displacement at each time under constant accel, clamped at zero
+    speed: the ego arc the search evaluates one sample at a time."""
+    k_stop, _, s_stop = _stop(speed, accel, times)
+    half_a = 0.5 * accel
+    return tuple(_arc(speed, half_a, k_stop, s_stop, k, t)
+                 for k, t in enumerate(times))
 
 
 def proposed_ego_accel(perceived: PerceivedState, proposed: Maneuver,
@@ -91,6 +144,115 @@ def proposed_ego_accel(perceived: PerceivedState, proposed: Maneuver,
                          world_geometry.speed_limit, sim_params)
 
 
+def _closest_sample(times: tuple[float, ...], ego: tuple,
+                    obj: PerceivedObject) -> tuple[float, int]:
+    """The minimum sampled separation from obj, and its first sample.
+
+    ego is (x0, y0, speed, accel / 2, cos, sin of heading) followed by
+    what _stop returns.
+    """
+    ex0, ey0, speed, half_a, c, s, k_stop, t_stop, s_stop = ego
+    x, y = obj.position
+    vx, vy = obj.velocity
+    radius = EGO_RADIUS + max(obj.half_extent)
+    last = len(times) - 1
+
+    def separation(k: int) -> float:
+        t = times[k]
+        d = _arc(speed, half_a, k_stop, s_stop, k, t)
+        return abs(complex((ex0 + d * c) - (x + t * vx),
+                           (ey0 + d * s) - (y + t * vy))) - radius
+
+    candidates = []
+    limit = last
+    if k_stop > 0:
+        # Moving phase: r(t) = a + b t + q t^2, so r . r' is the cubic
+        # c3 t^3 + c2 t^2 + c1 t + c0, and |r| falls where it is < 0.
+        ax, ay = ex0 - x, ey0 - y
+        bx, by = speed * c - vx, speed * s - vy
+        qx, qy = half_a * c, half_a * s
+        c3 = 2.0 * (qx * qx + qy * qy)
+        c2 = 3.0 * (bx * qx + by * qy)
+        c1 = 2.0 * (ax * qx + ay * qy) + bx * bx + by * by
+        c0 = ax * bx + ay * by
+        # Cut the phase at the cubic's turning points, so that it is
+        # monotone between cuts.
+        end = min(t_stop, times[last])
+        cuts = [0.0]
+        if c3 != 0.0:
+            disc = c2 * c2 - 3.0 * c3 * c1
+            if disc > 0.0:
+                q = -(c2 + math.copysign(math.sqrt(disc), c2))
+                for t in sorted((q / (3.0 * c3), c1 / q)):
+                    if 0.0 < t < end:
+                        cuts.append(t)
+        elif c2 != 0.0 and 0.0 < -c1 / (2.0 * c2) < end:
+            cuts.append(-c1 / (2.0 * c2))
+        cuts.append(end)
+        falling = c0 < 0.0
+        if not falling:
+            candidates.append(0)
+        for n in range(1, len(cuts)):
+            hi_t = cuts[n]
+            was_falling = falling
+            falling = ((c3 * hi_t + c2) * hi_t + c1) * hi_t + c0 < 0.0
+            if was_falling and not falling:
+                # A local minimum of |r| in (cuts[n - 1], hi_t]: bisect
+                # for the first sample there at which the cubic is >= 0.
+                lo = bisect_left(times, cuts[n - 1])
+                hi = bisect_right(times, hi_t)
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    t = times[mid]
+                    if ((c3 * t + c2) * t + c1) * t + c0 < 0.0:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                candidates += (lo - 1, lo)
+        if falling and k_stop > last:
+            candidates.append(last)
+    if k_stop <= last:
+        # Stopped phase: r(t) = d - t v, closest at t = d . v / |v|^2.
+        if vx == 0.0 and vy == 0.0:
+            # Every stopped sample of a still object has the same bits.
+            limit = k_stop
+            candidates.append(k_stop)
+        else:
+            dx = (ex0 + s_stop * c) - x
+            dy = (ey0 + s_stop * s) - y
+            # Normalizing first keeps a subnormal |v|^2 from reaching 0.
+            norm = abs(complex(vx, vy))
+            t_close = (dx * (vx / norm) + dy * (vy / norm)) / norm
+            k = bisect_left(times, t_close, k_stop)
+            candidates += (k - 1, k)
+
+    seps = {}
+    for k in candidates:
+        if 0 <= k <= limit and k not in seps:
+            seps[k] = separation(k)
+    best = min(seps.values())
+    bound = best + SEARCH_SLACK
+    for k in sorted(seps):
+        if seps[k] > bound:
+            continue
+        # Walk on through samples within the slack, both ways.
+        for step in (-1, 1):
+            j = k + step
+            while 0 <= j <= limit:
+                sep = seps.get(j)
+                if sep is None:
+                    sep = seps[j] = separation(j)
+                if sep > bound:
+                    break
+                if sep < best:
+                    best, bound = sep, sep + SEARCH_SLACK
+                j += step
+    # The first sample that holds the minimum, as argmin takes it.
+    for k in sorted(seps):
+        if seps[k] == best:
+            return seps[k], k
+
+
 def safety_check(perceived: PerceivedState, proposed: Maneuver,
                  params: SafetyParams, world_geometry: IntersectionGeometry,
                  sim_params: Optional[SimParams] = None) -> Verdict:
@@ -107,30 +269,16 @@ def safety_check(perceived: PerceivedState, proposed: Maneuver,
                        min_predicted_separation=math.inf, time_of_min=0.0)
 
     accel = proposed_ego_accel(perceived, proposed, world_geometry, sim_params)
-    times = _shared_sample_times(params.horizon, params.sample_dt)
-    s = displacement_along(odom.speed, accel, times)
-    ego_x0, ego_y0 = odom.position
-    ego_x = ego_x0 + s * math.cos(odom.heading)
-    ego_y = ego_y0 + s * math.sin(odom.heading)
+    times = sample_times(params.horizon, params.sample_dt)
+    speed = odom.speed
+    ego = (*odom.position, speed, 0.5 * accel, math.cos(odom.heading),
+           math.sin(odom.heading), *_stop(speed, accel, times))
 
-    # One object at a time: most checks see one or two objects, where a
-    # pass vectorized across objects costs more than this loop.
     best_sep, best_t, best_obj = math.inf, 0.0, None
     for obj in perceived.objects:
-        x, y = obj.position
-        vx, vy = obj.velocity
-        # A zero velocity component leaves its coordinate at x (or y):
-        # ego_x - x and ego_x - (x + times * 0.0) differ at most in the
-        # sign of a zero, which hypot ignores.
-        dx = ego_x - x if vx == 0.0 else ego_x - (x + times * vx)
-        dy = ego_y - y if vy == 0.0 else ego_y - (y + times * vy)
-        # Subtracting the radius from every sample before argmin keeps
-        # the index that wins a rounding tie.
-        sep = np.hypot(dx, dy)
-        sep -= EGO_RADIUS + max(obj.half_extent)
-        i = int(sep.argmin())
-        if sep[i] < best_sep:
-            best_sep, best_t, best_obj = float(sep[i]), float(times[i]), obj.id
+        sep, i = _closest_sample(times, ego, obj)
+        if sep < best_sep:
+            best_sep, best_t, best_obj = sep, times[i], obj.id
 
     offender = next(o for o in perceived.objects if o.id == best_obj)
     closing = closing_speed(odom.position, odom.velocity,
@@ -168,7 +316,6 @@ __all__ = [
     "EGO_RADIUS",
     "SafetyParams",
     "closing_speed",
-    "displacement_along",
     "proposed_ego_accel",
     "recovery_decide",
     "safety_check",

@@ -93,6 +93,12 @@ _ATTACK_BASE_PAIRING = {
 }
 
 
+# The most samples the monitor's grid may hold: horizon / sample_dt.
+# The grid is built in memory, so a sample_dt typed a few orders of
+# magnitude too small would otherwise take gigabytes before a run starts.
+MAX_SAFETY_SAMPLES = 100_000
+
+
 def validate_spec(spec: ScenarioSpec) -> None:
     """Raise ValidationError naming the first violated invariant."""
     if spec.attack is not None and not spec.allow_custom_pairing:
@@ -102,8 +108,13 @@ def validate_spec(spec: ScenarioSpec) -> None:
                 f"attack {spec.attack.kind.value} requires base "
                 f"{expected.value} (got {spec.base.value}); set "
                 f"allow_custom_pairing to override")
-    if spec.safety_params.sample_dt > spec.sim_params.dt:
+    safety = spec.safety_params
+    if safety.sample_dt > spec.sim_params.dt:
         raise ValidationError("safety invariant violated: sample_dt <= dt")
+    if safety.horizon / safety.sample_dt > MAX_SAFETY_SAMPLES:
+        raise ValidationError(
+            f"safety invariant violated: horizon / sample_dt <= "
+            f"{MAX_SAFETY_SAMPLES} (got {safety.horizon / safety.sample_dt:.6g})")
     if spec.max_ticks < 1:
         raise ValidationError("max_ticks must be >= 1")
     if spec.grace_ticks < 0:

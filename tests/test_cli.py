@@ -97,6 +97,15 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("error: [attack]") and key in err
 
+    def test_sample_grid_too_fine(self, tmp_path, capsys):
+        # 3 s / 1e-7 s is 3e7 samples: this spec used to validate, then
+        # took 12.5 s and 1.6 GB for one 72-tick run.
+        path = tmp_path / "fine.ini"
+        path.write_text(NOMINAL_INI + "[safety]\nsample_dt_s = 1e-7\n")
+        assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sample_dt" in err
+
 
 class TestInputErrors:
     """An input that cannot be read is an ``error:`` line and exit 1."""

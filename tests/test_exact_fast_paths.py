@@ -1,12 +1,13 @@
 """The float fast paths on the tick path return the bits of the numpy
 2-vector forms they replaced.
 
-Each fast path replaces numpy 2-vector arithmetic with plain float
-arithmetic only where the result is provably the same: elementwise
-2-vector arithmetic on floats, a crossing search that runs numpy's
-operations in numpy's order, and a monitor that works on coordinate
-arrays instead of point arrays. Every test here compares against the
-numpy form the fast path replaced, kept as the reference, bit for bit.
+Each fast path replaces numpy arithmetic with plain float arithmetic
+only where the result is provably the same: elementwise 2-vector
+arithmetic on floats, a crossing search that runs numpy's operations in
+numpy's order, and a monitor that searches its sample grid for the
+minimum the point-array form finds over every sample. Every test here
+compares against the numpy form the fast path replaced, kept as the
+reference, bit for bit.
 Scalar ``hypot``, ``atan2``, ``sin`` and ``cos`` go through ``math`` on
 both sides, as they do on the tick path; the first section pins the
 inputs on which ``math.hypot`` and ``math.sqrt`` must return numpy's
@@ -18,10 +19,12 @@ written out as ``a*c + b*d`` on both sides: that it equals an unfused
 import itertools
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from avguard import monitor
 from avguard.geometry import Route
 from avguard.monitor import (
     EGO_RADIUS,
@@ -258,16 +261,28 @@ def old_closing_speed(ego_pos, ego_vel, obj_pos, obj_vel):
                               line / norm)))
 
 
-def old_safety_check(perceived, proposed, params, world_geometry, sim_params):
-    """safety_check as it was built on (k, 2) point arrays."""
+def old_sample_times(horizon, sample_dt):
+    times = np.arange(0.0, horizon + 0.5 * sample_dt, sample_dt)
+    if times[-1] < horizon - 1e-12:
+        times = np.append(times, horizon)
+    return times
+
+
+def old_displacement_along(speed, accel, times):
+    s = speed * times + 0.5 * accel * times * times
+    if accel < 0.0:
+        t_stop = speed / -accel
+        s = np.where(times >= t_stop, speed * speed / (2.0 * -accel), s)
+    return s
+
+
+def old_minimum(perceived, accel, params):
+    """(separation, time, object id) of the sampled minimum, from (k, 2)
+    point arrays over every sample."""
     odom = perceived.ego_odometry
-    if not perceived.objects:
-        return Verdict(level=VerdictLevel.SAFE,
-                       min_predicted_separation=np.inf, time_of_min=0.0)
-    accel = proposed_ego_accel(perceived, proposed, world_geometry, sim_params)
-    times = sample_times(params.horizon, params.sample_dt)
+    times = old_sample_times(params.horizon, params.sample_dt)
     u = np.array([math.cos(odom.heading), math.sin(odom.heading)])
-    s = displacement_along(odom.speed, accel, times)
+    s = old_displacement_along(odom.speed, accel, times)
     ego_points = np.asarray(odom.position)[None, :] + s[:, None] * u[None, :]
     best_sep, best_t, best_obj = np.inf, 0.0, None
     for obj in perceived.objects:
@@ -279,6 +294,17 @@ def old_safety_check(perceived, proposed, params, world_geometry, sim_params):
         i = int(np.argmin(sep))
         if sep[i] < best_sep:
             best_sep, best_t, best_obj = float(sep[i]), float(times[i]), obj.id
+    return best_sep, best_t, best_obj
+
+
+def old_safety_check(perceived, proposed, params, world_geometry, sim_params):
+    """safety_check as it was built on (k, 2) point arrays."""
+    odom = perceived.ego_odometry
+    if not perceived.objects:
+        return Verdict(level=VerdictLevel.SAFE,
+                       min_predicted_separation=np.inf, time_of_min=0.0)
+    accel = proposed_ego_accel(perceived, proposed, world_geometry, sim_params)
+    best_sep, best_t, best_obj = old_minimum(perceived, accel, params)
     offender = next(o for o in perceived.objects if o.id == best_obj)
     closing = old_closing_speed(odom.position, odom.velocity,
                                 offender.position, offender.velocity)
@@ -346,8 +372,10 @@ def test_safety_check_equals_the_point_array_form(perceived, maneuver):
 def test_zero_velocity_shortcut_keeps_the_full_forms_bits():
     """ego_x - x stands in for ego_x - (x + times * vx) when vx is a zero
     of either sign: the differences agree up to the sign of a zero, so
-    hypot returns the same bits."""
-    times = sample_times(3.0, 0.05)[:3]
+    hypot returns the same bits. So the search, which applies the full
+    form to every object, keeps the hashes of a monitor that took this
+    shortcut."""
+    times = np.asarray(sample_times(3.0, 0.05)[:3])
     values = [0.0, -0.0, 5e-324, -5e-324, 1.0, -2.5, 1e300, math.inf]
     for ego_x0, x, vx, other in itertools.product(
             values, values, (0.0, -0.0), (0.0, -0.0, 1.5, -1e-300)):
@@ -369,6 +397,140 @@ def test_zero_velocity_shortcut_on_random_coordinates(ego_x, x, vx, other):
         full = np.hypot(ego_x - (x + times * vx), other)
         short = np.hypot(ego_x - x, other)
     assert full.tobytes() == short.tobytes()
+
+
+grids = st.tuples(st.floats(0.1, 10.0), st.floats(0.001, 1.0)) | \
+    st.sampled_from([(3.0, 0.05), (3.0, 0.125), (2.0, 0.1), (10.0, 0.001),
+                     (3.0, 0.03), (0.1, 0.1)])
+
+
+@given(grid=grids)
+@settings(max_examples=500, deadline=None)
+def test_sample_times_is_the_arange_grid(grid):
+    times = sample_times(*grid)
+    old = old_sample_times(*grid)
+    assert len(times) == len(old)
+    assert np.array(times).tobytes() == old.tobytes()
+
+
+@given(grid=grids, speed=st.floats(0.0, 15.0) | st.sampled_from([0.0, 5e-324]),
+       accel=st.floats(-10.0, 4.0) | st.sampled_from([0.0, -0.0, -5e-324,
+                                                      1e-300]))
+@settings(max_examples=300, deadline=None)
+def test_displacement_along_is_the_where_form(grid, speed, accel):
+    times = sample_times(*grid)
+    old = old_displacement_along(speed, accel, np.array(times))
+    assert np.array(displacement_along(speed, accel, times)).tobytes() == (
+        old.tobytes())
+
+
+tiny = st.sampled_from([5e-324, -5e-324, 9.2e-200, -1e-160, 2.2e-308, 0.0,
+                        -0.0])
+
+
+@st.composite
+def degenerate_cases(draw):
+    """A perceived state and an ego command aimed at the search's edges:
+    an ego at rest, a stop inside the horizon, still objects, subnormal
+    velocities, objects on the ego's path (where the cubic's roots nearly
+    touch), and grids other than the default."""
+    horizon, sample_dt = draw(grids)
+    heading = draw(st.sampled_from([math.pi / 2, 0.0, -math.pi / 2,
+                                    draw(st.floats(-math.pi, math.pi))]))
+    ux, uy = math.cos(heading), math.sin(heading)
+    speed = draw(st.sampled_from([0.0, 5e-324]) | st.floats(0.0, 15.0))
+    # A braking command stops the ego inside the horizon when
+    # speed / -accel < horizon.
+    accel = draw(st.sampled_from([0.0, -0.0, -8.0, 3.0, -5e-324, 1e-300])
+                 | st.floats(-10.0, 4.0))
+    ego_x, ego_y = draw(st.floats(-60.0, 60.0)), draw(st.floats(-60.0, 60.0))
+    objects = []
+    for i in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["still", "subnormal", "on_path",
+                                     "free"]))
+        if kind == "still":
+            position = (draw(st.floats(-70.0, 70.0)),
+                        draw(st.floats(-70.0, 70.0)))
+            velocity = (draw(st.sampled_from([0.0, -0.0])),
+                        draw(st.sampled_from([0.0, -0.0])))
+        elif kind == "subnormal":
+            position = (draw(st.floats(-70.0, 70.0)),
+                        draw(st.floats(-70.0, 70.0)))
+            velocity = (draw(tiny), draw(tiny))
+        elif kind == "on_path":
+            along = draw(st.floats(-10.0, 50.0))
+            aside = draw(st.sampled_from([0.0, 1e-9, -1e-6]) | st.floats(-1.0, 1.0))
+            position = (ego_x + along * ux - aside * uy,
+                        ego_y + along * uy + aside * ux)
+            v = draw(st.sampled_from([0.0, speed]) | st.floats(-15.0, 15.0))
+            velocity = (v * ux, v * uy)
+        else:
+            position = (draw(st.floats(-70.0, 70.0)),
+                        draw(st.floats(-70.0, 70.0)))
+            velocity = (draw(st.floats(-15.0, 15.0)),
+                        draw(st.floats(-15.0, 15.0)))
+        objects.append(PerceivedObject(
+            id=i + 1, kind=AgentKind.VEHICLE, position=position,
+            velocity=velocity,
+            half_extent=draw(st.sampled_from([(2.0, 1.0), (0.3, 0.3)]))))
+    perceived = PerceivedState(
+        clock=SimClock(),
+        ego_odometry=EgoOdometry(position=(ego_x, ego_y),
+                                 velocity=(speed * ux, speed * uy),
+                                 heading=heading),
+        objects=objects, goal=RouteGoal.STRAIGHT)
+    return perceived, accel, SafetyParams(horizon=horizon,
+                                          sample_dt=sample_dt)
+
+
+@given(case=degenerate_cases())
+@settings(max_examples=500, deadline=None)
+def test_search_equals_the_point_array_form_on_edge_cases(case):
+    perceived, accel, params = case
+    with mock.patch.object(monitor, "proposed_ego_accel",
+                           return_value=accel):
+        new = safety_check(perceived, Maneuver.PROCEED, params,
+                           build_intersection())
+    with np.errstate(all="ignore"):
+        sep, t, obj = old_minimum(perceived, accel, params)
+    assert bits(new.min_predicted_separation) == bits(sep)
+    assert bits(new.time_of_min) == bits(t)
+    assert new.offending_object == obj
+
+
+@pytest.mark.parametrize("ego, obj, accel", [
+    # Braking ego passes a slower object on its path and falls back
+    # behind it: two local minima of nearly the same depth.
+    ((3.671053526153152, 13.886901193131408, math.pi, 6.731411523740231),
+     ((2.857272552685905, 13.886901193131408),
+      (-2.5025206447792048, 3.0647038974290235e-16)), -8.0),
+    # An ego at a subnormal speed pulls away from an object that first
+    # runs into it from behind.
+    ((2.5, -13.00408185325157, 0.0, 5e-324),
+     ((0.5070413309447291, -13.00408185325157), (3.348503092829084, 0.0)),
+     2.0),
+])
+def test_search_takes_the_sample_on_either_side_of_a_minimum(ego, obj,
+                                                             accel):
+    x, y, heading, speed = ego
+    perceived = PerceivedState(
+        clock=SimClock(),
+        ego_odometry=EgoOdometry(position=(x, y),
+                                 velocity=(speed * math.cos(heading),
+                                           speed * math.sin(heading)),
+                                 heading=heading),
+        objects=[PerceivedObject(id=1, kind=AgentKind.VEHICLE,
+                                 position=obj[0], velocity=obj[1],
+                                 half_extent=(0.3, 0.3))],
+        goal=RouteGoal.STRAIGHT)
+    params = SafetyParams()
+    with mock.patch.object(monitor, "proposed_ego_accel",
+                           return_value=accel):
+        new = safety_check(perceived, Maneuver.PROCEED, params,
+                           build_intersection())
+    sep, t, _ = old_minimum(perceived, accel, params)
+    assert bits(new.min_predicted_separation) == bits(sep)
+    assert bits(new.time_of_min) == bits(t)
 
 
 # --- crossing search ---------------------------------------------------------

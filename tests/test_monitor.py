@@ -229,7 +229,7 @@ class TestPredictTrajectory:
         assert np.array_equal(braking, np.zeros_like(times))
         assert not np.signbit(braking).any()
         assert np.array_equal(displacement_along(0.0, 3.0, times),
-                              0.5 * 3.0 * times * times)
+                              [0.5 * 3.0 * t * t for t in times])
 
     def test_sample_times_inclusive(self):
         times = sample_times(3.0, 0.05)
