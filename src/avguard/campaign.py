@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import os
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -19,13 +20,9 @@ from typing import Optional
 
 from . import metrics
 from .metrics import CampaignSummary, RunSummary, TerminationStatus
-from .orchestrator import (
-    RunOptions,
-    RunResult,
-    failed_run_summary,
-    run_scenario,
-)
-from .scenario import ScenarioSpec, validate_spec
+from .orchestrator import RunOptions, RunResult, run_scenario
+from .performance import PerfThresholds
+from .scenario import ScenarioSpec, ValidationError, validate_spec
 from .seeding import stable_mix
 
 
@@ -50,9 +47,9 @@ class CampaignResult:
     trace_hashes: dict[tuple[str, int], str] = field(default_factory=dict)
 
 
-def persist_run(out_dir: str, spec: ScenarioSpec, summary: RunSummary,
-                result: Optional[RunResult], scenario_index: int = 0,
-                run_index: int = 0) -> Optional[str]:
+def _persist_run(out_dir: str, spec: ScenarioSpec, summary: RunSummary,
+                 result: Optional[RunResult], scenario_index: int,
+                 run_index: int) -> Optional[str]:
     """Write a run's trace ``<seed>.jsonl``, if it has one, then its
     ``<seed>.run.json`` sidecar; return the trace's hash.
 
@@ -88,33 +85,46 @@ def persist_run(out_dir: str, spec: ScenarioSpec, summary: RunSummary,
     return digest
 
 
+Outcome = tuple[RunSummary, Optional[str], int]  # summary, trace_hash, ticks
+
+
+def _failed_run(spec: ScenarioSpec, seed: int, exc: BaseException,
+                out_dir: Optional[str], scenario_index: int,
+                run_index: int) -> Outcome:
+    """A run that raised or lost its worker: a failed summary, and its
+    failed sidecar when there is an ``out_dir``."""
+    summary = RunSummary.failed_run(
+        spec.id, seed,
+        "".join(traceback.format_exception_only(type(exc), exc)).strip())
+    if out_dir:
+        _persist_run(out_dir, spec, summary, None, scenario_index, run_index)
+    return summary, None, 0
+
+
 def _execute_run(spec: ScenarioSpec, seed: int, options: RunOptions,
                  out_dir: Optional[str], scenario_index: int = 0,
-                 run_index: int = 0) -> tuple[RunSummary, Optional[str]]:
+                 run_index: int = 0) -> Outcome:
     """One run end-to-end: simulate, persist trace + sidecar, summarize."""
     try:
         result = run_scenario(spec, seed, options)
     except Exception as exc:  # noqa: BLE001 - reported as a failed run
-        summary = failed_run_summary(spec, seed, exc)
-        if out_dir:
-            persist_run(out_dir, spec, summary, None, scenario_index, run_index)
-        return summary, None
+        return _failed_run(spec, seed, exc, out_dir, scenario_index, run_index)
     if out_dir:
-        digest = persist_run(out_dir, spec, result.summary, result,
-                             scenario_index, run_index)
+        digest = _persist_run(out_dir, spec, result.summary, result,
+                              scenario_index, run_index)
     else:
         digest = metrics.trace_hash(result.records)
-    return result.summary, digest
+    return result.summary, digest, len(result.records)
 
 
 Task = tuple[ScenarioSpec, int, int, int]  # spec, seed, scenario index, run index
 
 
 def _run_pool(tasks: list[Task], options: RunOptions, out_dir: Optional[str],
-              workers: int) -> list[Optional[tuple[RunSummary, Optional[str]]]]:
+              workers: int) -> list[Optional[Outcome]]:
     """Each task's outcome, or None where a worker died and broke the pool
     before the task finished."""
-    outcomes: list[Optional[tuple[RunSummary, Optional[str]]]] = []
+    outcomes: list[Optional[Outcome]] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_execute_run, spec, seed, options, out_dir, si, i)
                    for spec, seed, si, i in tasks]
@@ -127,8 +137,7 @@ def _run_pool(tasks: list[Task], options: RunOptions, out_dir: Optional[str],
 
 
 def _run_parallel(tasks: list[Task], options: RunOptions,
-                  out_dir: Optional[str], workers: int
-                  ) -> list[tuple[RunSummary, Optional[str]]]:
+                  out_dir: Optional[str], workers: int) -> list[Outcome]:
     """Run the tasks on a process pool; a run whose worker dies is a
     failed run.
 
@@ -145,20 +154,28 @@ def _run_parallel(tasks: list[Task], options: RunOptions,
         outcome = _run_pool([task], options, out_dir, 1)[0]
         if outcome is None:
             spec, seed, si, i = task
-            summary = failed_run_summary(
-                spec, seed, BrokenProcessPool("the run's worker process died"))
-            if out_dir:
-                persist_run(out_dir, spec, summary, None, si, i)
-            outcome = (summary, None)
+            outcome = _failed_run(
+                spec, seed, BrokenProcessPool("the run's worker process died"),
+                out_dir, si, i)
         outcomes[index] = outcome
     return outcomes
 
 
 def run_campaign(plan: CampaignPlan,
                  out_dir: Optional[str] = None) -> CampaignResult:
-    """Execute the whole plan; output is independent of parallelism."""
+    """Execute the whole plan; output is independent of parallelism.
+
+    Every spec is validated before any run starts. Seeds derive from the
+    scenario id, so two specs with one id would share seeds and overwrite
+    each other's traces: that is a ``ValidationError`` too.
+    """
+    seen: set[str] = set()
     for spec in plan.specs:
         validate_spec(spec)
+        if spec.id in seen:
+            raise ValidationError(
+                f"scenario id {spec.id!r} is used by more than one spec")
+        seen.add(spec.id)
     options = plan.options()
     tasks = [(spec, stable_mix(plan.base_seed, spec.id, i), si, i)
              for si, spec in enumerate(plan.specs)
@@ -170,12 +187,56 @@ def run_campaign(plan: CampaignPlan,
         outcomes = [_execute_run(spec, seed, options, out_dir, si, i)
                     for spec, seed, si, i in tasks]
 
-    summaries = [summary for summary, _ in outcomes]
+    summaries = [summary for summary, _, _ in outcomes]
     hashes = {(spec.id, seed): digest
-              for (spec, seed, _, _), (_, digest) in zip(tasks, outcomes)
+              for (spec, seed, _, _), (_, digest, _) in zip(tasks, outcomes)
               if digest is not None}
     return CampaignResult(summary=metrics.summarize_campaign(summaries),
                           run_summaries=summaries, trace_hashes=hashes)
+
+
+# Every key _persist_run writes; the sidecar of a run with a trace has
+# _TRACE_KEYS too.
+_SIDECAR_KEYS = frozenset({
+    "scenario_id", "seed", "scenario_index", "run_index", "termination",
+    "failed", "error", "dt", "max_abs_accel", "max_abs_jerk",
+    "max_clearance"})
+_TRACE_KEYS = frozenset({"trace_hash", "ticks", "role_timings_ns"})
+
+
+def _read_sidecar(path: str
+                  ) -> tuple[dict, TerminationStatus, PerfThresholds]:
+    """A sidecar's fields, with its termination and thresholds decoded.
+
+    A sidecar that is not a JSON object, lacks a key its writer writes,
+    or holds a value the writer never writes raises ``MalformedTrace``
+    naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
+        keys = _SIDECAR_KEYS if meta.get("failed") else \
+            _SIDECAR_KEYS | _TRACE_KEYS
+        missing = sorted(keys - meta.keys())
+        if missing:
+            raise ValueError(f"no {', '.join(missing)}")
+        if any(type(meta[key]) is not int
+               for key in ("seed", "scenario_index", "run_index")):
+            raise ValueError("seed, scenario_index and run_index must be "
+                             "integers")
+        if not meta["dt"] > 0:
+            raise ValueError("dt must be > 0")
+        if not meta["failed"] and not meta["ticks"] >= 1:
+            raise ValueError("a run records at least one tick")
+        termination = TerminationStatus(meta["termination"])
+        thresholds = PerfThresholds(max_clearance=meta["max_clearance"],
+                                    max_abs_accel=meta["max_abs_accel"],
+                                    max_abs_jerk=meta["max_abs_jerk"])
+    except (ValueError, TypeError) as exc:
+        raise metrics.MalformedTrace(None, f"{path}: {exc}") from exc
+    return meta, termination, thresholds
 
 
 def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
@@ -187,12 +248,10 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
     hash input: their sha256 with the newlines left out is its
     ``trace_hash``, so a trace is checked without re-encoding a record,
     and any byte that differs from the canonical form (re-spaced JSON, a
-    carriage return) fails the check. A trace with no sidecar, or whose
-    line count or hash disagrees with its sidecar, raises
-    ``MalformedTrace``.
+    carriage return) fails the check. A damaged sidecar, a trace with no
+    sidecar, or a trace whose line count or hash disagrees with its
+    sidecar, raises ``MalformedTrace``.
     """
-    from .performance import PerfThresholds
-
     keyed: list[tuple[int, int, RunSummary]] = []
     for scenario_id in sorted(os.listdir(traces_dir)):
         scenario_dir = os.path.join(traces_dir, scenario_id)
@@ -209,19 +268,19 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
         for name in names:
             if not name.endswith(".run.json"):
                 continue
-            with open(os.path.join(scenario_dir, name), encoding="utf-8") as fh:
-                meta = json.load(fh)
-            order = (meta.get("scenario_index", 0), meta.get("run_index", 0))
-            if meta.get("failed"):
+            meta, termination, thresholds = _read_sidecar(
+                os.path.join(scenario_dir, name))
+            order = (meta["scenario_index"], meta["run_index"])
+            if meta["failed"]:
                 keyed.append((*order, RunSummary.failed_run(
-                    meta["scenario_id"], meta["seed"], meta.get("error"))))
+                    meta["scenario_id"], meta["seed"], meta["error"])))
                 continue
             trace = os.path.join(scenario_dir, f"{meta['seed']}.jsonl")
             with open(trace, "rb") as fh:
                 data = fh.read()
             found = (data.count(b"\n"),
                      hashlib.sha256(data.replace(b"\n", b"")).hexdigest())
-            expected = (meta.get("ticks"), meta.get("trace_hash"))
+            expected = (meta["ticks"], meta["trace_hash"])
             if found != expected:
                 raise metrics.MalformedTrace(
                     None, f"{trace}: {found[0]} lines with trace_hash "
@@ -230,12 +289,8 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
             # Decoded as it is read: no second, decoded copy of the file.
             records = metrics.read_trace(
                 io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-            thresholds = PerfThresholds(max_clearance=meta["max_clearance"],
-                                        max_abs_accel=meta["max_abs_accel"],
-                                        max_abs_jerk=meta["max_abs_jerk"])
             keyed.append((*order, metrics.summarize_run(
-                records, TerminationStatus(meta["termination"]),
-                thresholds, meta["dt"],
+                records, termination, thresholds, meta["dt"],
                 scenario_id=meta["scenario_id"], seed=meta["seed"])))
     keyed.sort(key=lambda item: (item[0], item[1]))
     return metrics.summarize_campaign([summary for _, _, summary in keyed])
@@ -244,7 +299,6 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
 __all__ = [
     "CampaignPlan",
     "CampaignResult",
-    "persist_run",
     "reaggregate_from_traces",
     "run_campaign",
 ]

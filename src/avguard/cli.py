@@ -12,12 +12,12 @@ import sys
 from . import metrics
 from .campaign import (
     CampaignPlan,
-    persist_run,
+    _execute_run,
     reaggregate_from_traces,
     run_campaign,
 )
 from .metrics import render_report
-from .orchestrator import RunOptions, run_scenario
+from .orchestrator import RunOptions
 from .scenario import ParseError, ValidationError, load_scenario_file
 
 EXIT_OK = 0
@@ -64,16 +64,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = load_scenario_file(args.scenario)
     options = RunOptions(recovery_enabled=not args.no_recovery,
                          halt_on_violation=args.halt_on_violation)
-    try:
-        result = run_scenario(spec, args.seed, options)
-    except Exception as exc:  # noqa: BLE001
-        print(f"run failed: {exc}", file=sys.stderr)
+    summary, digest, ticks = _execute_run(spec, args.seed, options, args.out)
+    if summary.failed:
+        print(f"run failed: {summary.error}", file=sys.stderr)
         return EXIT_RUN_FAILURE
-    digest = persist_run(args.out, spec, result.summary, result)
-    s = result.summary
-    print(f"termination={result.termination.value} ticks={len(result.records)} "
-          f"unsafe_ticks={s.unsafe_tick_count} collision={s.collision} "
-          f"clearance_s={s.clearance_time_s} trace_hash={digest}")
+    print(f"termination={summary.termination.value} ticks={ticks} "
+          f"unsafe_ticks={summary.unsafe_tick_count} "
+          f"collision={summary.collision} "
+          f"clearance_s={summary.clearance_time_s} trace_hash={digest}")
     return EXIT_OK
 
 

@@ -166,7 +166,7 @@ def read_trace(source: Union[str, IO[str]]) -> list[IterationRecord]:
                 continue
             try:
                 records.append(record_from_json_dict(json.loads(stripped)))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise MalformedTrace(number, str(exc)) from exc
         return records
 

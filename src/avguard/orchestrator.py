@@ -14,7 +14,6 @@ assembled from those locals once the action phase has stepped the world.
 from __future__ import annotations
 
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -30,6 +29,7 @@ from .state import (
     Maneuver,
     Verdict,
     VerdictLevel,
+    truncate_rationale,
 )
 
 
@@ -128,6 +128,8 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
     if proposal == Maneuver.EMERGENCY_BRAKE:
         # Only the recovery planner may emergency-brake; demote to Wait.
         proposal, rationale = Maneuver.WAIT, f"demoted emergency_brake; {rationale}"
+    # Whichever generator ran, its rationale enters the record capped.
+    rationale = truncate_rationale(rationale)
 
     # 3. Safety monitor.
     verdict: Verdict = _timed(timings, "safety_monitor", tick, safety_check,
@@ -212,14 +214,6 @@ def run_scenario(spec: ScenarioSpec, seed: int,
                      summary=summary, role_timings_ns=ctx.role_timings_ns)
 
 
-def failed_run_summary(spec: ScenarioSpec, seed: int,
-                       exc: BaseException) -> RunSummary:
-    """Placeholder summary so a campaign can report, not hide, role faults."""
-    return RunSummary.failed_run(
-        spec.id, seed,
-        "".join(traceback.format_exception_only(type(exc), exc)).strip())
-
-
 __all__ = [
     "RolePanic",
     "RunContext",
@@ -227,7 +221,6 @@ __all__ = [
     "RunResult",
     "check_termination",
     "ego_cleared_now",
-    "failed_run_summary",
     "run_scenario",
     "run_tick",
 ]

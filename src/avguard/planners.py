@@ -31,7 +31,6 @@ from .state import (
     Maneuver,
     PerceivedState,
     RouteGoal,
-    truncate_rationale,
 )
 from . import geometry
 
@@ -144,12 +143,11 @@ def plan(perceived: PerceivedState, goal: RouteGoal, cfg: PlannerConfig,
     odom = perceived.ego_odometry
     ego_s = route.arc_length_of(odom.position)
     if ego_s is None:
-        return Maneuver.WAIT, truncate_rationale("ego off route; waiting")
+        return Maneuver.WAIT, "ego off route; waiting"
 
     conflicts, blocker = find_conflicts(perceived, route, ego_s, zone)
     if blocker is not None:
-        return Maneuver.WAIT, truncate_rationale(
-            f"path blocked by stationary object {blocker}")
+        return Maneuver.WAIT, f"path blocked by stationary object {blocker}"
 
     def go() -> tuple[Maneuver, str]:
         if odom.speed < ACCELERATE_BELOW_FRACTION * limit:
@@ -157,21 +155,20 @@ def plan(perceived: PerceivedState, goal: RouteGoal, cfg: PlannerConfig,
         return Maneuver.PROCEED, "no conflicts"
 
     if not conflicts:
-        maneuver, why = go()
-        return maneuver, truncate_rationale(why)
+        return go()
 
     binding = min(conflicts, key=lambda c: (c.time_gap, c.object_id))
     req = required_gap(odom.speed, binding.crossing_distance, cfg)
     detail = (f"object {binding.object_id}: gap {binding.time_gap:.2f}s, "
               f"required {req:.2f}s at {binding.crossing_distance:.1f}m")
     if binding.time_gap < cfg.reaction_time:
-        return Maneuver.WAIT, truncate_rationale(f"imminent conflict; {detail}")
+        return Maneuver.WAIT, f"imminent conflict; {detail}"
     if binding.time_gap >= req:
         maneuver, why = go()
-        return maneuver, truncate_rationale(f"{why}; accepted {detail}")
+        return maneuver, f"{why}; accepted {detail}"
     if binding.time_gap >= 0.5 * req:
-        return Maneuver.PROCEED_CAUTIOUSLY, truncate_rationale(f"tight {detail}")
-    return Maneuver.YIELD, truncate_rationale(f"rejected {detail}")
+        return Maneuver.PROCEED_CAUTIOUSLY, f"tight {detail}"
+    return Maneuver.YIELD, f"rejected {detail}"
 
 
 # --- optional external planner binding -----------------------------------
@@ -294,9 +291,8 @@ class ExternalPlanner:
         if maneuver is None:
             self.fault_count += 1
             log.warning("unmapped planner maneuver at tick %d", perceived.clock.tick)
-            return Maneuver.WAIT, truncate_rationale(
-                f"unmapped maneuver; {rationale}")
-        return maneuver, truncate_rationale(rationale)
+            return Maneuver.WAIT, f"unmapped maneuver; {rationale}"
+        return maneuver, rationale
 
     def close(self) -> None:
         """Stop the child, if any, and wait for its reader to finish."""

@@ -80,6 +80,18 @@ class TestRunCampaign:
                          out_dir=str(tmp_path))
         assert not os.listdir(tmp_path)
 
+    def test_duplicate_scenario_id_rejected_before_any_run(self, tmp_path):
+        """Seeds derive from the id, so two specs that share one would
+        overwrite each other's traces."""
+        from avguard.scenario import ValidationError
+        nominal = spec_named("nominal")
+        twin = dataclasses.replace(spec_named("congested"), id="nominal")
+        with pytest.raises(ValidationError) as err:
+            run_campaign(CampaignPlan(specs=[nominal, twin], runs_per_spec=1),
+                         out_dir=str(tmp_path))
+        assert "'nominal'" in str(err.value)
+        assert not os.listdir(tmp_path)
+
     def test_failed_run_reported_not_hidden(self, tmp_path, monkeypatch):
         """A role fault in one run becomes a failed-run entry; the
         campaign completes and the failure survives re-aggregation."""
@@ -307,6 +319,36 @@ class TestSidecarCheck:
             reaggregate_from_traces(str(tmp_path))
         assert str(trace) in str(err.value)
         assert err.value.line_number is None
+
+    @pytest.mark.parametrize("damage", ["cut", "termination", "no_ticks",
+                                        "threshold", "no_run_index",
+                                        "string_seed", "zero_dt"])
+    def test_damaged_sidecar_is_rejected(self, tmp_path, damage):
+        """Each damage used to escape as a bare exception."""
+        run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
+        trace = self._trace(tmp_path)
+        sidecar = trace.with_suffix(".run.json")
+        meta = json.loads(sidecar.read_text())
+        if damage == "cut":  # JSONDecodeError
+            sidecar.write_text(sidecar.read_text()[:100])
+        else:
+            if damage == "termination":  # ValueError
+                meta["termination"] = "exploded"
+            elif damage == "no_ticks":  # EmptyTrace; the hash still matches
+                trace.write_bytes(b"")
+                meta.update(ticks=0, trace_hash=hashlib.sha256().hexdigest())
+            elif damage == "threshold":  # PerfThresholds' ValueError
+                meta["max_abs_jerk"] = -1.0
+            elif damage == "no_run_index":  # was read as run index 0
+                del meta["run_index"]
+            elif damage == "string_seed":
+                meta["seed"] = str(meta["seed"])
+            else:
+                meta["dt"] = 0.0
+            sidecar.write_text(json.dumps(meta))
+        with pytest.raises(MalformedTrace) as err:
+            reaggregate_from_traces(str(tmp_path))
+        assert str(sidecar) in str(err.value)
 
     def test_sidecar_without_trace_hash_is_rejected(self, tmp_path):
         run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))

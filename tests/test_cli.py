@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, outputs, and exit codes."""
 
+import hashlib
 import json
 import os
 
@@ -153,6 +154,30 @@ class TestRun:
                 assert not json.loads(line)["recovery_active"]
 
 
+    def test_failed_run_leaves_a_failed_sidecar(self, scenario_file,
+                                                tmp_path, capsys, monkeypatch):
+        """A run that raises exits 2 and, as in a campaign, leaves a
+        sidecar, so ``report`` counts it in its failed column."""
+        import avguard.campaign as campaign_mod
+
+        def broken(spec, seed, options):
+            raise RuntimeError("injected role fault")
+
+        monkeypatch.setattr(campaign_mod, "run_scenario", broken)
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", scenario_file, "--seed", "5",
+                     "--out", str(out)])
+        assert code == EXIT_RUN_FAILURE
+        assert capsys.readouterr().err == (
+            "run failed: RuntimeError: injected role fault\n")
+        meta = json.loads((out / "nominal" / "5.run.json").read_text())
+        assert meta["failed"] is True
+        assert not (out / "nominal" / "5.jsonl").exists()
+        assert main(["report", "--traces", str(out),
+                     "--report", str(tmp_path / "r.csv")]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == \
+            "nominal,0,0.0,0.0,,,0,1"
+
     def test_run_output_can_be_reaggregated(self, scenario_file, tmp_path):
         out = str(tmp_path / "out")
         assert main(["run", "--scenario", scenario_file, "--seed", "5",
@@ -243,14 +268,56 @@ class TestCampaignAndReport:
         assert code == EXIT_INVALID
         assert str(traces[0]) in capsys.readouterr().err
 
+    def test_duplicate_scenario_id_is_invalid(self, scenario_dir, tmp_path,
+                                              capsys):
+        with open(os.path.join(scenario_dir, "03_twin.ini"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(CONGESTED_INI.replace("id = congested", "id = nominal"))
+        out = tmp_path / "o"
+        code = main(["campaign", "--scenario-dir", scenario_dir,
+                     "--runs", "1", "--out", str(out),
+                     "--report", str(tmp_path / "r.csv")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'nominal'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["cut", "termination", "no_ticks",
+                                        "threshold"])
+    def test_report_on_a_damaged_sidecar_is_invalid(self, scenario_file,
+                                                    tmp_path, capsys, damage):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", scenario_file, "--seed", "5",
+                     "--out", str(out)]) == EXIT_OK
+        sidecar = out / "nominal" / "5.run.json"
+        text = sidecar.read_text()
+        meta = json.loads(text)
+        if damage == "cut":
+            text = text[:100]
+        else:
+            if damage == "termination":
+                meta["termination"] = "exploded"
+            elif damage == "no_ticks":
+                (out / "nominal" / "5.jsonl").write_bytes(b"")
+                meta.update(ticks=0, trace_hash=hashlib.sha256().hexdigest())
+            else:
+                meta["max_clearance"] = 0.0
+            text = json.dumps(meta)
+        sidecar.write_text(text)
+        capsys.readouterr()
+        code = main(["report", "--traces", str(out),
+                     "--report", str(tmp_path / "r.csv")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(sidecar) in err
+
     def test_failed_run_exit_code(self, scenario_dir, tmp_path, monkeypatch):
         import avguard.cli as cli_mod
-        from avguard.orchestrator import failed_run_summary
         from avguard.campaign import CampaignResult
-        from avguard.metrics import summarize_campaign
+        from avguard.metrics import RunSummary, summarize_campaign
 
         def fake_run_campaign(plan, out_dir=None):
-            summaries = [failed_run_summary(spec, 0, RuntimeError("x"))
+            summaries = [RunSummary.failed_run(spec.id, 0, "RuntimeError: x")
                          for spec in plan.specs]
             return CampaignResult(summary=summarize_campaign(summaries),
                                   run_summaries=summaries)

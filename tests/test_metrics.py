@@ -122,6 +122,15 @@ class TestTraceCodec:
             read_trace(io.StringIO(json.dumps(line) + "\n"))
         assert err.value.line_number == 1
 
+    def test_line_that_is_a_json_string_rejected(self):
+        # json.loads gives the str "ab", which record_from_json_dict's
+        # dict() call rejects with a bare ValueError.
+        buffer = io.StringIO()
+        write_trace([make_record(0)], buffer)
+        with pytest.raises(MalformedTrace) as err:
+            read_trace(io.StringIO(buffer.getvalue() + '"ab"\n'))
+        assert err.value.line_number == 2
+
     def test_file_round_trip(self, tmp_path):
         rng = random.Random(1)
         records = [random_record(rng, i) for i in range(25)]

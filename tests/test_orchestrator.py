@@ -34,6 +34,8 @@ from avguard.sim import (
     step_dynamics,
 )
 from avguard.state import (
+    RATIONALE_CAP,
+    RATIONALE_TRUNCATION_MARKER,
     Maneuver,
     MissingMandatoryOutput,
     Verdict,
@@ -86,6 +88,24 @@ class TestRunTick:
         _, record = run_tick(ctx)
         assert record.proposed_maneuver == "wait"
         assert "demoted" in record.rationale
+
+    def test_generator_rationale_capped_in_every_record(self):
+        """run_tick caps the answer of any generator, not only the
+        built-in planner's."""
+        result = run_scenario(NOMINAL, seed=0, plan_fn=lambda p, g: (
+            Maneuver.PROCEED, "x" * 5000))
+        assert result.records
+        for record in result.records:
+            assert len(record.rationale) == RATIONALE_CAP
+            assert record.rationale.endswith(RATIONALE_TRUNCATION_MARKER)
+
+    def test_demoted_rationale_capped(self):
+        ctx = fresh_context(NOMINAL, seed=0, plan_fn=lambda p, g: (
+            Maneuver.EMERGENCY_BRAKE, "y" * RATIONALE_CAP))
+        _, record = run_tick(ctx)
+        assert record.proposed_maneuver == "wait"
+        assert record.rationale.startswith("demoted emergency_brake; ")
+        assert len(record.rationale) <= RATIONALE_CAP
 
     def test_role_failure_wrapped_in_panic(self):
         def exploding(p, g):
