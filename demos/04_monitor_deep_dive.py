@@ -22,7 +22,7 @@ from avguard.sim import (
     build_perceived_state,
     spawn_world,
 )
-from avguard.state import AgentKind, Maneuver, PerceivedObject
+from avguard.state import AgentKind, Maneuver, PerceivedObject, Vec2
 
 SPEC = ScenarioSpec(id="demo", base=ScenarioBase.NOMINAL)
 PARAMS = SafetyParams()
@@ -35,11 +35,12 @@ def crossing_scene(car_x):
     world = spawn_world(ScenarioBase.NOMINAL, "straight", seed=0,
                         params=SPEC.sim_params)
     world.agents = []
-    world.ego = replace(world.ego, position=(2.5, -12.5), velocity=(0.0, 5.0))
+    world.ego = replace(world.ego, position=Vec2((2.5, -12.5)),
+                        velocity=Vec2((0.0, 5.0)))
     perceived = build_perceived_state(world, [], SPEC.sim_params)
     perceived.objects.append(PerceivedObject(
-        id=1, kind=AgentKind.VEHICLE, position=(car_x, 2.5),
-        velocity=(5.0, 0.0), half_extent=(2.0, 1.0)))
+        id=1, kind=AgentKind.VEHICLE, position=Vec2((float(car_x), 2.5)),
+        velocity=Vec2((5.0, 0.0)), half_extent=Vec2((2.0, 1.0))))
     return perceived
 
 

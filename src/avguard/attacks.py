@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Optional
 
 from .sim import APPROACH_REACH, default_ghost_position
-from .state import AgentKind, FaultKind, PerceivedState
+from .state import AgentKind, FaultKind, PerceivedState, Vec2
 
 log = logging.getLogger(__name__)
 
@@ -78,7 +78,7 @@ class FaultDirective:
     attack: AttackConfig
     start_tick: int
     end_tick: int
-    ghost_position: Optional[tuple[float, float]] = None
+    ghost_position: Optional[Vec2] = None
     spoof_target: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -131,7 +131,7 @@ class FaultInjector:
         if attack.kind == FaultKind.GHOST_OBSTACLE:
             position = attack.ghost_position or default_ghost_position(goal)
             directive = FaultDirective(attack, start, end,
-                                       ghost_position=position)
+                                       ghost_position=Vec2(position))
         else:
             target = attack.spoof_target_id
             if target is None:

@@ -167,7 +167,9 @@ def run_campaign(plan: CampaignPlan,
 
     Every spec is validated before any run starts. Seeds derive from the
     scenario id, so two specs with one id would share seeds and overwrite
-    each other's traces: that is a ``ValidationError`` too.
+    each other's traces: that is a ``ValidationError`` too. So is an
+    ``out_dir`` that holds anything, since ``reaggregate_from_traces``
+    would count an earlier campaign's runs as this one's.
     """
     seen: set[str] = set()
     for spec in plan.specs:
@@ -176,6 +178,9 @@ def run_campaign(plan: CampaignPlan,
             raise ValidationError(
                 f"scenario id {spec.id!r} is used by more than one spec")
         seen.add(spec.id)
+    if out_dir and os.path.isdir(out_dir) and os.listdir(out_dir):
+        raise ValidationError(f"out_dir {out_dir!r} is not empty: a campaign "
+                              f"writes only into a new or empty directory")
     options = plan.options()
     tasks = [(spec, stable_mix(plan.base_seed, spec.id, i), si, i)
              for si, spec in enumerate(plan.specs)

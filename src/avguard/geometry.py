@@ -40,7 +40,7 @@ class Route:
         # bits math.hypot does not always match.
         # normalize_heading is not idempotent (a second pass moves about
         # 1.7% of random headings by one ulp), so the route normalizes
-        # once and AgentState.trusted stores the result as it is.
+        # once and every AgentState stores the result as it is.
         self._cum, self._segs, self.crossing_segments = [0.0], [], []
         for (ax, ay), (bx, by) in zip(self.points, self.points[1:]):
             rx, ry = bx - ax, by - ay

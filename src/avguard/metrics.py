@@ -20,7 +20,6 @@ from .performance import PerfFlags, PerfThresholds
 from .state import (
     GroundTruthWorld,
     Maneuver,
-    MissingMandatoryOutput,
     Verdict,
     VerdictLevel,
 )
@@ -71,15 +70,12 @@ class IterationRecord:
 
 
 def finalize_tick(tick: int, world: GroundTruthWorld,
-                  proposal: Optional[Maneuver], rationale: str,
+                  proposal: Maneuver, rationale: str,
                   verdict: Verdict, flags: PerfFlags,
-                  final: Optional[Maneuver], active_fault: Optional[str],
+                  final: Maneuver, active_fault: Optional[str],
                   accel: float) -> IterationRecord:
     """Assemble tick ``tick``'s record from the role outputs and the world
     the action phase stepped to."""
-    if proposal is None or final is None:
-        raise MissingMandatoryOutput(
-            "generator proposal and final maneuver are mandatory")
     ego = world.ego
     return IterationRecord(
         tick=tick,

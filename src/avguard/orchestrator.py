@@ -117,14 +117,20 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
     active_fault = ("+".join(sorted({d.kind.value for d in active}))
                     if active else None)
 
-    # 2. Generator (the AUT).
+    # 2. Generator (the AUT). Any answer but a (Maneuver, str) pair is
+    # the generator's fault, caught here before a later phase reads it.
     if ctx.plan_fn is None:
-        proposal, rationale = _timed(timings, "generator", tick, planners.plan,
-                                     perceived, world.ego_goal,
-                                     spec.planner_config, world.intersection)
+        answer = _timed(timings, "generator", tick, planners.plan, perceived,
+                        world.ego_goal, spec.planner_config, world.intersection)
     else:
-        proposal, rationale = _timed(timings, "generator", tick, ctx.plan_fn,
-                                     perceived, world.ego_goal)
+        answer = _timed(timings, "generator", tick, ctx.plan_fn, perceived,
+                        world.ego_goal)
+    if not (isinstance(answer, tuple) and len(answer) == 2
+            and isinstance(answer[0], Maneuver)
+            and isinstance(answer[1], str)):
+        raise RolePanic("generator", tick, TypeError(
+            f"answer must be a (Maneuver, str) pair, not {answer!r:.100}"))
+    proposal, rationale = answer
     if proposal == Maneuver.EMERGENCY_BRAKE:
         # Only the recovery planner may emergency-brake; demote to Wait.
         proposal, rationale = Maneuver.WAIT, f"demoted emergency_brake; {rationale}"
@@ -158,13 +164,12 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
         final = proposal
 
     # 8. Action execution.
-    command = sim.maneuver_to_command(final, world.ego, world, spec.sim_params)
+    accel = sim.maneuver_to_command(final, world.ego, world, spec.sim_params)
     new_world = _timed(timings, "action_execution", tick, sim.step_dynamics,
-                       world, command)
+                       world, accel)
 
     record = metrics.finalize_tick(tick, new_world, proposal, rationale,
-                                   verdict, flags, final, active_fault,
-                                   command.target_accel)
+                                   verdict, flags, final, active_fault, accel)
     ctx.records.append(record)
     ctx.role_timings_ns.append(timings)
     ctx.last_verdict = verdict

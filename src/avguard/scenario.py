@@ -37,10 +37,10 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .attacks import AttackConfig, TriggerKind
-from .monitor import SafetyParams
+from .monitor import EGO_RADIUS, SafetyParams
 from .performance import PerfThresholds
 from .planners import PlannerConfig, PlannerKind
-from .sim import ScenarioBase, SimParams, spawn_world
+from .sim import VEHICLE_HALF_EXTENT, ScenarioBase, SimParams, spawn_world
 from .state import FaultKind, GroundTruthWorld, RouteGoal
 
 
@@ -98,6 +98,13 @@ _ATTACK_BASE_PAIRING = {
 # magnitude too small would otherwise take gigabytes before a run starts.
 MAX_SAFETY_SAMPLES = 100_000
 
+# The least d_unsafe_m at which the monitor stays conservative. It takes
+# the ego as a disc of radius EGO_RADIUS and a vehicle as one of its
+# half-length, but a vehicle's corners lie hypot(*VEHICLE_HALF_EXTENT)
+# from its centre. So two vehicles can overlap while their discs are
+# still this far apart: 2 * (sqrt(5) - 2), about 0.472 m.
+MIN_D_UNSAFE = 2.0 * (math.hypot(*VEHICLE_HALF_EXTENT) - EGO_RADIUS)
+
 
 def validate_spec(spec: ScenarioSpec) -> None:
     """Raise ValidationError naming the first violated invariant."""
@@ -115,6 +122,11 @@ def validate_spec(spec: ScenarioSpec) -> None:
         raise ValidationError(
             f"safety invariant violated: horizon / sample_dt <= "
             f"{MAX_SAFETY_SAMPLES} (got {safety.horizon / safety.sample_dt:.6g})")
+    if safety.d_unsafe < MIN_D_UNSAFE:
+        raise ValidationError(
+            f"safety invariant violated: d_unsafe_m >= {MIN_D_UNSAFE:.3f}, "
+            f"the most the disc model under-reports two vehicles' overlap "
+            f"(got {safety.d_unsafe:g})")
     if spec.max_ticks < 1:
         raise ValidationError("max_ticks must be >= 1")
     if spec.grace_ticks < 0:

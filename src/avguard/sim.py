@@ -87,11 +87,6 @@ class SimParams:
             raise ValueError("perception_noise_std must be >= 0")
 
 
-@dataclass(frozen=True)
-class EgoCommand:
-    target_accel: float  # m/s^2, signed, longitudinal along the ego route
-
-
 @dataclass
 class AgentScript:
     """Constant-speed profile along a route; s(t) = s0 + speed * t."""
@@ -215,14 +210,15 @@ def crossing_traffic_within_envelope(others: list[tuple[Vec2, Vec2]],
 
 
 def maneuver_to_command(maneuver: Maneuver, ego: AgentState,
-                        world: GroundTruthWorld, params: SimParams) -> EgoCommand:
+                        world: GroundTruthWorld, params: SimParams) -> float:
+    """The ego's commanded acceleration for a maneuver: m/s^2, signed,
+    along its route."""
     zone = world.intersection.conflict_zone
     dist = distance_to_entry(world.ego_route, world.ego_s, zone)
     near = crossing_traffic_within_envelope(
         [(a.position, a.velocity) for a in world.agents], zone)
-    accel = command_accel(maneuver, ego.speed, dist, near,
-                          world.intersection.speed_limit, params)
-    return EgoCommand(target_accel=accel)
+    return command_accel(maneuver, ego.speed, dist, near,
+                         world.intersection.speed_limit, params)
 
 
 def advance_arc(speed: float, accel: float, dt: float) -> tuple[float, float]:
@@ -279,21 +275,20 @@ def _on_route(id: int, kind: AgentKind, route: geometry.Route, s: float,
               speed: float, half_extent: Vec2) -> AgentState:
     """An agent at arc length s moving along its route at ``speed``.
 
-    Position, direction and normalized heading come from the route, so
-    the state skips AgentState's validation.
+    Position, direction and normalized heading come from the route.
     """
     position, (dx, dy), heading = route.pose_at(s)
-    return AgentState.trusted(id, kind, position, Vec2((speed * dx, speed * dy)),
-                              heading, half_extent)
+    return AgentState(id, kind, position, Vec2((speed * dx, speed * dy)),
+                      heading, half_extent)
 
 
-def step_dynamics(world: GroundTruthWorld, cmd: EgoCommand) -> GroundTruthWorld:
-    """Advance the world one dt under the ego command. Pure: returns a copy."""
+def step_dynamics(world: GroundTruthWorld, accel: float) -> GroundTruthWorld:
+    """Advance the world one dt under the ego's commanded acceleration
+    (m/s^2, along its route). Pure: returns a copy."""
     if world.collision is not None:
         raise ValueError("cannot step a collided world")
     old_ego = world.ego
-    advance, new_speed = advance_arc(old_ego.speed, cmd.target_accel,
-                                     world.clock.dt)
+    advance, new_speed = advance_arc(old_ego.speed, accel, world.clock.dt)
     new_s = world.ego_s + advance
     route = world.ego_route
     ego = _on_route(old_ego.id, old_ego.kind, route, new_s, new_speed,
@@ -480,7 +475,6 @@ def default_ghost_position(goal: RouteGoal) -> tuple[float, float]:
 
 __all__ = [
     "AgentScript",
-    "EgoCommand",
     "ScenarioBase",
     "SimParams",
     "advance_arc",

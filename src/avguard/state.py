@@ -57,10 +57,6 @@ class FaultKind(str, Enum):
     TRAJECTORY_SPOOF = "trajectory_spoof"
 
 
-class MissingMandatoryOutput(Exception):
-    """Tick finalized without a generator proposal or final maneuver."""
-
-
 @dataclass(frozen=True)
 class SimClock:
     """Discrete simulation clock; sim_time is always tick * dt."""
@@ -86,15 +82,6 @@ class Vec2(tuple):
         return Vec2((self[0] - ox, self[1] - oy))
 
 
-def _vec2(value) -> Vec2:
-    """``value`` as a Vec2 of floats. A Vec2 is immutable, so it is
-    shared, not copied."""
-    if type(value) is Vec2:
-        return value
-    x, y = value
-    return Vec2((float(x), float(y)))
-
-
 def normalize_heading(theta: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     wrapped = math.atan2(math.sin(theta), math.cos(theta))
@@ -109,29 +96,6 @@ class AgentState:
     velocity: Vec2       # m/s
     heading: float       # rad, normalized
     half_extent: Vec2    # m, bounding-box half sizes
-
-    def __post_init__(self) -> None:
-        self.position = _vec2(self.position)
-        self.velocity = _vec2(self.velocity)
-        self.half_extent = _vec2(self.half_extent)
-        if not (self.half_extent[0] > 0.0 and self.half_extent[1] > 0.0):
-            raise ValueError("half_extent components must be > 0")
-        self.heading = normalize_heading(self.heading)
-
-    @classmethod
-    def trusted(cls, id: int, kind: AgentKind, position: Vec2, velocity: Vec2,
-                heading: float, half_extent: Vec2) -> "AgentState":
-        """A state built from a route pose, without validation.
-
-        The simulator builds every state this way from ``Route.pose_at``,
-        whose heading is already normalized: normalize_heading is not
-        idempotent, so the constructor would move it.
-        """
-        state = cls.__new__(cls)
-        state.__dict__.update(id=id, kind=kind, position=position,
-                              velocity=velocity, heading=heading,
-                              half_extent=half_extent)
-        return state
 
     @property
     def speed(self) -> float:
@@ -204,11 +168,6 @@ class PerceivedObject:
     half_extent: Vec2
     provenance: Provenance = Provenance.REAL
 
-    def __post_init__(self) -> None:
-        self.position = _vec2(self.position)
-        self.velocity = _vec2(self.velocity)
-        self.half_extent = _vec2(self.half_extent)
-
     @property
     def speed(self) -> float:
         return math.hypot(*self.velocity)
@@ -219,10 +178,6 @@ class EgoOdometry:
     position: Vec2
     velocity: Vec2
     heading: float
-
-    def __post_init__(self) -> None:
-        self.position = _vec2(self.position)
-        self.velocity = _vec2(self.velocity)
 
     @property
     def speed(self) -> float:
@@ -263,7 +218,6 @@ __all__ = [
     "GroundTruthWorld",
     "IntersectionGeometry",
     "Maneuver",
-    "MissingMandatoryOutput",
     "PerceivedObject",
     "PerceivedState",
     "Provenance",

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,12 +25,13 @@ from avguard.state import (
     PerceivedState,
     RouteGoal,
     SimClock,
+    Vec2,
 )
 
 
 def make_odometry(pos=(2.5, -30.0), vel=(0.0, 8.0)):
-    return EgoOdometry(position=np.asarray(pos, dtype=float),
-                       velocity=np.asarray(vel, dtype=float),
+    return EgoOdometry(position=Vec2((float(pos[0]), float(pos[1]))),
+                       velocity=Vec2((float(vel[0]), float(vel[1]))),
                        heading=math.pi / 2)
 
 
@@ -43,9 +43,9 @@ def make_perceived(objects):
 
 def make_object(obj_id, pos, vel):
     return PerceivedObject(id=obj_id, kind=AgentKind.VEHICLE,
-                           position=np.asarray(pos, dtype=float),
-                           velocity=np.asarray(vel, dtype=float),
-                           half_extent=np.array([2.0, 1.0]))
+                           position=Vec2((float(pos[0]), float(pos[1]))),
+                           velocity=Vec2((float(vel[0]), float(vel[1]))),
+                           half_extent=Vec2((2.0, 1.0)))
 
 
 GHOST = AttackConfig(kind=FaultKind.GHOST_OBSTACLE,

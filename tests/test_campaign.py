@@ -18,6 +18,7 @@ from avguard.metrics import (
     MalformedTrace,
     TerminationStatus,
     read_trace,
+    render_report,
     summarize_run,
 )
 from avguard.scenario import ScenarioSpec, reference_specs
@@ -91,6 +92,22 @@ class TestRunCampaign:
                          out_dir=str(tmp_path))
         assert "'nominal'" in str(err.value)
         assert not os.listdir(tmp_path)
+
+    def test_second_campaign_into_a_used_out_dir_rejected(self, tmp_path):
+        """A report over the directory would count the first campaign's
+        extra runs as the second's."""
+        from avguard.scenario import ValidationError
+        run_campaign(small_plan(runs_per_spec=3), out_dir=str(tmp_path))
+        files = {p: p.read_bytes() for p in tmp_path.rglob("*")
+                 if p.is_file()}
+        report = render_report(reaggregate_from_traces(str(tmp_path)), "csv")
+        with pytest.raises(ValidationError) as err:
+            run_campaign(small_plan(runs_per_spec=2), out_dir=str(tmp_path))
+        assert "out_dir" in str(err.value)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+                if p.is_file()} == files
+        assert render_report(reaggregate_from_traces(str(tmp_path)),
+                             "csv") == report
 
     def test_failed_run_reported_not_hidden(self, tmp_path, monkeypatch):
         """A role fault in one run becomes a failed-run entry; the

@@ -4,7 +4,6 @@ agent with the separating-axis overlap in id order."""
 
 import math
 
-import numpy as np
 import pytest
 
 from avguard import geometry, sim
@@ -16,6 +15,7 @@ from avguard.state import (
     AgentState,
     GroundTruthWorld,
     SimClock,
+    Vec2,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -27,9 +27,11 @@ DISC_SUM = 2.0 * math.hypot(*VEHICLE)  # two vehicles' circumscribed radii
 
 
 def _agent(agent_id, position, half_extent, heading, kind=AgentKind.VEHICLE):
-    return AgentState(id=agent_id, kind=kind, position=np.array(position),
-                      velocity=np.zeros(2), heading=heading,
-                      half_extent=np.array(half_extent))
+    return AgentState(id=agent_id, kind=kind,
+                      position=Vec2((float(position[0]), float(position[1]))),
+                      velocity=Vec2((0.0, 0.0)), heading=heading,
+                      half_extent=Vec2((float(half_extent[0]),
+                                        float(half_extent[1]))))
 
 
 def _world(ego, agents):

@@ -45,6 +45,7 @@ from avguard.state import (
     PerceivedState,
     RouteGoal,
     SimClock,
+    Vec2,
     Verdict,
     VerdictLevel,
 )
@@ -328,23 +329,25 @@ def perceived_states(draw):
                                     draw(st.floats(-math.pi, math.pi))]))
     ego_speed = draw(st.floats(0.0, 12.0))
     ego = EgoOdometry(
-        position=[2.5, draw(st.floats(-60.0, 20.0))],
-        velocity=[ego_speed * float(np.cos(heading)),
-                  ego_speed * float(np.sin(heading))],
+        position=Vec2((2.5, draw(st.floats(-60.0, 20.0)))),
+        velocity=Vec2((ego_speed * float(np.cos(heading)),
+                       ego_speed * float(np.sin(heading)))),
         heading=heading)
     objects = []
     for i in range(draw(st.integers(0, 4))):
         # Mostly lane traffic (one velocity component exactly zero), some
         # spoofed or ghost objects moving off-axis.
         if draw(st.booleans()):
-            velocity = [draw(lane_speed), 0.0]
+            velocity = Vec2((draw(lane_speed), 0.0))
         else:
-            velocity = [draw(lane_speed), draw(lane_speed)]
+            velocity = Vec2((draw(lane_speed), draw(lane_speed)))
         objects.append(PerceivedObject(
             id=i + 1, kind=AgentKind.VEHICLE,
-            position=[draw(st.floats(-70.0, 70.0)), draw(st.floats(-70.0, 70.0))],
+            position=Vec2((draw(st.floats(-70.0, 70.0)),
+                           draw(st.floats(-70.0, 70.0)))),
             velocity=velocity,
-            half_extent=draw(st.sampled_from([(2.0, 1.0), (0.3, 0.3)]))))
+            half_extent=Vec2(draw(st.sampled_from([(2.0, 1.0),
+                                                   (0.3, 0.3)])))))
     return PerceivedState(clock=SimClock(), ego_odometry=ego, objects=objects,
                           goal=RouteGoal.STRAIGHT)
 
@@ -470,13 +473,14 @@ def degenerate_cases(draw):
             velocity = (draw(st.floats(-15.0, 15.0)),
                         draw(st.floats(-15.0, 15.0)))
         objects.append(PerceivedObject(
-            id=i + 1, kind=AgentKind.VEHICLE, position=position,
-            velocity=velocity,
-            half_extent=draw(st.sampled_from([(2.0, 1.0), (0.3, 0.3)]))))
+            id=i + 1, kind=AgentKind.VEHICLE, position=Vec2(position),
+            velocity=Vec2(velocity),
+            half_extent=Vec2(draw(st.sampled_from([(2.0, 1.0),
+                                                   (0.3, 0.3)])))))
     perceived = PerceivedState(
         clock=SimClock(),
-        ego_odometry=EgoOdometry(position=(ego_x, ego_y),
-                                 velocity=(speed * ux, speed * uy),
+        ego_odometry=EgoOdometry(position=Vec2((ego_x, ego_y)),
+                                 velocity=Vec2((speed * ux, speed * uy)),
                                  heading=heading),
         objects=objects, goal=RouteGoal.STRAIGHT)
     return perceived, accel, SafetyParams(horizon=horizon,
@@ -515,13 +519,13 @@ def test_search_takes_the_sample_on_either_side_of_a_minimum(ego, obj,
     x, y, heading, speed = ego
     perceived = PerceivedState(
         clock=SimClock(),
-        ego_odometry=EgoOdometry(position=(x, y),
-                                 velocity=(speed * math.cos(heading),
-                                           speed * math.sin(heading)),
+        ego_odometry=EgoOdometry(position=Vec2((x, y)),
+                                 velocity=Vec2((speed * math.cos(heading),
+                                                speed * math.sin(heading))),
                                  heading=heading),
         objects=[PerceivedObject(id=1, kind=AgentKind.VEHICLE,
-                                 position=obj[0], velocity=obj[1],
-                                 half_extent=(0.3, 0.3))],
+                                 position=Vec2(obj[0]), velocity=Vec2(obj[1]),
+                                 half_extent=Vec2((0.3, 0.3)))],
         goal=RouteGoal.STRAIGHT)
     params = SafetyParams()
     with mock.patch.object(monitor, "proposed_ego_accel",

@@ -25,6 +25,7 @@ from avguard.monitor import (
     safety_check,
     sample_times,
 )
+from avguard.scenario import MIN_D_UNSAFE
 from avguard.sim import VEHICLE_HALF_EXTENT, SimParams, build_intersection
 from avguard.state import (
     AgentKind,
@@ -47,8 +48,10 @@ def make_perceived(ego_pos, ego_vel, ego_heading, objects,
                    goal=RouteGoal.STRAIGHT):
     return PerceivedState(
         clock=SimClock(tick=0, dt=0.1),
-        ego_odometry=EgoOdometry(position=np.asarray(ego_pos, dtype=float),
-                                 velocity=np.asarray(ego_vel, dtype=float),
+        ego_odometry=EgoOdometry(position=Vec2((float(ego_pos[0]),
+                                                float(ego_pos[1]))),
+                                 velocity=Vec2((float(ego_vel[0]),
+                                                float(ego_vel[1]))),
                                  heading=ego_heading),
         objects=objects,
         goal=goal)
@@ -56,9 +59,10 @@ def make_perceived(ego_pos, ego_vel, ego_heading, objects,
 
 def make_object(obj_id, pos, vel, half_extent=(2.0, 1.0)):
     return PerceivedObject(id=obj_id, kind=AgentKind.VEHICLE,
-                           position=np.asarray(pos, dtype=float),
-                           velocity=np.asarray(vel, dtype=float),
-                           half_extent=np.asarray(half_extent, dtype=float))
+                           position=Vec2((float(pos[0]), float(pos[1]))),
+                           velocity=Vec2((float(vel[0]), float(vel[1]))),
+                           half_extent=Vec2((float(half_extent[0]),
+                                             float(half_extent[1]))))
 
 
 # --- independent 1 ms brute-force oracle ------------------------------------
@@ -176,30 +180,40 @@ def first_predicted_overlap(perceived, proposed, params, oracle_dt=0.002):
     return None
 
 
+# The default d_unsafe, and the least one validate_spec accepts.
+D_UNSAFE_CASES = [SafetyParams().d_unsafe, MIN_D_UNSAFE]
+
+
 class TestRectangleConservatism:
+    @pytest.mark.parametrize("d_unsafe", D_UNSAFE_CASES,
+                             ids=["default", "least"])
     @given(seed=st.integers(0, 2**32 - 1), stationary=st.integers(0, 7))
     @settings(max_examples=400, deadline=None)
-    def test_predicted_rectangle_overlap_is_unsafe(self, seed, stationary):
+    def test_predicted_rectangle_overlap_is_unsafe(self, d_unsafe, seed,
+                                                   stationary):
         """If the predicted rectangles overlap within the horizon, the
-        verdict is UNSAFE at the default SafetyParams. Bit i of
-        ``stationary`` stops object i, as a ghost is stopped."""
+        verdict is UNSAFE at the default SafetyParams and at the least
+        d_unsafe a spec may set. Bit i of ``stationary`` stops object i,
+        as a ghost is stopped."""
         perceived, maneuver = _random_config(random.Random(seed))
         for i, obj in enumerate(perceived.objects):
             if stationary >> i & 1:
                 obj.velocity = Vec2((0.0, 0.0))
-        params = SafetyParams()
+        params = SafetyParams(d_unsafe=d_unsafe)
         if first_predicted_overlap(perceived, maneuver, params) is not None:
             verdict = safety_check(perceived, maneuver, params, GEOMETRY)
             assert verdict.level == VerdictLevel.UNSAFE, verdict
 
-    def test_side_by_side_stationary_overlap(self):
+    @pytest.mark.parametrize("d_unsafe", D_UNSAFE_CASES,
+                             ids=["default", "least"])
+    def test_side_by_side_stationary_overlap(self, d_unsafe):
         # Two stopped vehicles whose rectangles overlap by 0.1 m while
         # their discs report +0.338 m: the oracle sees the overlap at
-        # t = 0, and the default d_unsafe still calls it UNSAFE.
+        # t = 0, and every d_unsafe a spec may set calls it UNSAFE.
         perceived = make_perceived(
             [2.5, -30.0], [0.0, 0.0], math.pi / 2,
             [make_object(1, [4.4, -26.1], [0.0, 0.0])])
-        params = SafetyParams()
+        params = SafetyParams(d_unsafe=d_unsafe)
         assert first_predicted_overlap(perceived, Maneuver.WAIT,
                                        params) == 0.0
         verdict = safety_check(perceived, Maneuver.WAIT, params, GEOMETRY)

@@ -25,7 +25,6 @@ from avguard.scenario import (
     spawn_scenario,
 )
 from avguard.sim import (
-    EgoCommand,
     GHOST_ID_BASE,
     ScenarioBase,
     build_perceived_state,
@@ -37,7 +36,6 @@ from avguard.state import (
     RATIONALE_CAP,
     RATIONALE_TRUNCATION_MARKER,
     Maneuver,
-    MissingMandatoryOutput,
     Verdict,
     VerdictLevel,
 )
@@ -115,6 +113,21 @@ class TestRunTick:
             run_tick(ctx)
         assert err.value.role_id == "generator"
         assert err.value.tick == 0
+
+    @pytest.mark.parametrize("answer", [
+        (None, "x"),
+        ("proceed", "x"),
+        (Maneuver.PROCEED, None),
+    ])
+    def test_bad_generator_answer_is_a_generator_panic(self, answer):
+        ctx = fresh_context(NOMINAL, seed=0, plan_fn=lambda p, g: answer)
+        with pytest.raises(RolePanic) as err:
+            run_tick(ctx)
+        assert err.value.role_id == "generator"
+        assert err.value.tick == 0
+        assert isinstance(err.value.cause, TypeError)
+        assert "(Maneuver, str)" in str(err.value)
+        assert ctx.records == []
 
     def test_collided_world_cannot_tick(self):
         from avguard.state import CollisionEvent
@@ -312,14 +325,6 @@ class TestFinalizeTickContract:
                           min_predicted_separation=math.inf, time_of_min=0.0)
         return finalize_tick(0, world, proposal, "ok", verdict, PerfFlags(),
                              final, None, 0.0)
-
-    def test_missing_generator_output_rejected(self):
-        with pytest.raises(MissingMandatoryOutput):
-            self._finalize(None, Maneuver.PROCEED)
-
-    def test_missing_decision_rejected(self):
-        with pytest.raises(MissingMandatoryOutput):
-            self._finalize(Maneuver.PROCEED, None)
 
     def test_complete_outputs_give_a_record(self):
         record = self._finalize(Maneuver.PROCEED, Maneuver.EMERGENCY_BRAKE)

@@ -6,7 +6,6 @@ import sys
 import textwrap
 import threading
 
-import numpy as np
 import pytest
 
 from avguard.planners import (
@@ -28,6 +27,7 @@ from avguard.state import (
     Provenance,
     RouteGoal,
     SimClock,
+    Vec2,
 )
 
 GEOMETRY = build_intersection()
@@ -46,8 +46,10 @@ AGGRESSIVENESS = {
 def make_perceived(ego_pos, ego_vel, objects, goal=RouteGoal.STRAIGHT):
     return PerceivedState(
         clock=SimClock(tick=0, dt=0.1),
-        ego_odometry=EgoOdometry(position=np.asarray(ego_pos, dtype=float),
-                                 velocity=np.asarray(ego_vel, dtype=float),
+        ego_odometry=EgoOdometry(position=Vec2((float(ego_pos[0]),
+                                                float(ego_pos[1]))),
+                                 velocity=Vec2((float(ego_vel[0]),
+                                                float(ego_vel[1]))),
                                  heading=math.pi / 2),
         objects=objects,
         goal=goal)
@@ -56,9 +58,10 @@ def make_perceived(ego_pos, ego_vel, objects, goal=RouteGoal.STRAIGHT):
 def make_object(obj_id, pos, vel, provenance=Provenance.REAL,
                 half_extent=(2.0, 1.0)):
     return PerceivedObject(id=obj_id, kind=AgentKind.VEHICLE,
-                           position=np.asarray(pos, dtype=float),
-                           velocity=np.asarray(vel, dtype=float),
-                           half_extent=np.asarray(half_extent, dtype=float),
+                           position=Vec2((float(pos[0]), float(pos[1]))),
+                           velocity=Vec2((float(vel[0]), float(vel[1]))),
+                           half_extent=Vec2((float(half_extent[0]),
+                                             float(half_extent[1]))),
                            provenance=provenance)
 
 

@@ -14,6 +14,7 @@ from avguard.performance import PerfThresholds
 from avguard.planners import PlannerConfig, PlannerKind
 from avguard.scenario import (
     _KEYS,
+    MIN_D_UNSAFE,
     ParseError,
     ScenarioSpec,
     ValidationError,
@@ -183,6 +184,21 @@ class TestValidation:
                 d_unsafe_m = 5.0
                 d_warn_m = 4.0
             """)
+
+    @pytest.mark.parametrize("d_unsafe, valid", [(0.3, False), (0.5, True)])
+    def test_d_unsafe_must_cover_the_disc_model_gap(self, d_unsafe, valid):
+        text = f"""
+            [scenario]
+            base = nominal
+
+            [safety]
+            d_unsafe_m = {d_unsafe}
+        """
+        if valid:
+            assert parse(text).safety_params.d_unsafe == d_unsafe
+        else:
+            with pytest.raises(ValidationError, match="d_unsafe_m >= 0.472"):
+                parse(text)
 
     def test_sample_dt_cannot_exceed_dt(self):
         with pytest.raises(ValidationError):
@@ -397,7 +413,7 @@ def _specs(draw):
         spoof_target_id=draw(st.integers(0, 50)),
         velocity_scale=draw(_floats(0.01, 10.0, 2.0)),
         heading_bias=draw(_floats(-3.0, 3.0, 0.0)))
-    d_unsafe = draw(_floats(0.01, 5.0, 2.0))
+    d_unsafe = draw(_floats(MIN_D_UNSAFE, 5.0, 2.0))
     d_warn = d_unsafe + draw(_floats(0.01, 5.0))
     assume(d_warn != 4.0)
     dt = draw(_floats(0.01, 1.0, 0.1))

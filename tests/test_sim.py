@@ -18,7 +18,6 @@ from avguard.sim import (
     GHOST_ID_BASE,
     SPEED_LIMIT,
     AgentScript,
-    EgoCommand,
     ScenarioBase,
     SimParams,
     advance_arc,
@@ -37,12 +36,12 @@ from avguard.sim import (
 )
 from avguard.state import (
     AgentKind,
-    AgentState,
     FaultKind,
     Maneuver,
     Provenance,
     RouteGoal,
     Vec2,
+    normalize_heading,
 )
 
 PARAMS = SimParams()
@@ -127,7 +126,7 @@ class TestStepDynamics:
     def test_ego_advances_along_route(self):
         world = spawn_world(ScenarioBase.NOMINAL, RouteGoal.STRAIGHT, 0, PARAMS)
         s0, v0 = world.ego_s, world.ego.speed
-        new = step_dynamics(world, EgoCommand(target_accel=0.0))
+        new = step_dynamics(world, 0.0)
         assert new.clock.tick == 1
         assert new.ego_s == pytest.approx(s0 + v0 * PARAMS.dt, abs=1e-12)
         # The input world is untouched (pure stepping).
@@ -138,13 +137,13 @@ class TestStepDynamics:
         world = spawn_world(ScenarioBase.NOMINAL, RouteGoal.STRAIGHT, 0, PARAMS)
         s0, v0 = world.ego_s, world.ego.speed
         for _ in range(20):
-            world = step_dynamics(world, EgoCommand(target_accel=0.0))
+            world = step_dynamics(world, 0.0)
         assert abs(world.ego_s - (s0 + 20 * v0 * PARAMS.dt)) <= 1e-12
 
     def test_scripted_agents_follow_profiles(self):
         world = spawn_world(ScenarioBase.CONGESTED, RouteGoal.STRAIGHT, 3, PARAMS)
         script = world.agent_scripts[world.agents[0].id]
-        new = step_dynamics(world, EgoCommand(target_accel=0.0))
+        new = step_dynamics(world, 0.0)
         expected = script.route.pose_at(
             script.arc_length_at(new.clock.sim_time))[0]
         assert np.allclose(new.agents[0].position, expected)
@@ -283,8 +282,7 @@ class TestSpawnWorld:
         for seed in (0, 7):
             worlds = [spawn_world(base, RouteGoal.STRAIGHT, seed, PARAMS)]
             for _ in range(100):
-                worlds.append(step_dynamics(worlds[-1],
-                                            EgoCommand(target_accel=-8.0)))
+                worlds.append(step_dynamics(worlds[-1], -8.0))
             for world in worlds:
                 ids = [a.id for a in world.agents]
                 assert all(a < b for a, b in zip(ids, ids[1:])), ids
@@ -373,8 +371,8 @@ def is_float_pair(value):
 
 class TestGroundTruthWriteProtected:
     """Ground-truth state vectors are immutable float pairs from spawn
-    on, and the stepped states are exactly what the validating
-    constructor would build."""
+    on, and normalize_heading leaves every stepped heading's bits as
+    they are."""
 
     @staticmethod
     def _walk(base, goal, ticks):
@@ -383,7 +381,7 @@ class TestGroundTruthWriteProtected:
         for _ in range(ticks):
             if world.collision is not None:
                 break
-            world = step_dynamics(world, EgoCommand(target_accel=0.5))
+            world = step_dynamics(world, 0.5)
             worlds.append(world)
         return worlds
 
@@ -405,17 +403,15 @@ class TestGroundTruthWriteProtected:
 
     @pytest.mark.parametrize("goal", list(RouteGoal))
     @pytest.mark.parametrize("base", list(ScenarioBase))
-    def test_stepped_state_equals_validating_constructor(self, base, goal):
+    def test_stepped_state_is_float_pairs_with_a_normalized_heading(
+            self, base, goal):
         # 80 ticks carry the ego through its turn onto the exit segment.
         for world in self._walk(base, goal, 80):
             for state in (world.ego, *world.agents):
-                fields = {f.name: getattr(state, f.name)
-                          for f in dataclasses.fields(state)}
-                rebuilt = AgentState(**fields)
                 for name in VECTOR_FIELDS:
                     assert is_float_pair(getattr(state, name)), name
                 assert type(state.heading) is float
-                assert (struct.pack("<d", rebuilt.heading)
+                assert (struct.pack("<d", normalize_heading(state.heading))
                         == struct.pack("<d", state.heading))
 
     def test_ghost_spoof_and_noise_leave_ground_truth_bytes(self):
@@ -425,7 +421,7 @@ class TestGroundTruthWriteProtected:
         # Step until two agents are in sensing range: one to spoof, one
         # to stay real.
         while len(build_perceived_state(world, [], params).objects) < 2:
-            world = step_dynamics(world, EgoCommand(target_accel=-0.5))
+            world = step_dynamics(world, -0.5)
         target = build_perceived_state(world, [], params).objects[0]
         active = [
             FaultDirective(GHOST_ATTACK, start_tick=0, end_tick=20,
@@ -467,7 +463,7 @@ def test_world_states_on_every_route_keep_their_bytes():
                 world = spawn_world(base, goal, seed, PARAMS)
                 for tick in range(101):
                     if tick:
-                        world = step_dynamics(world, EgoCommand(0.0))
+                        world = step_dynamics(world, 0.0)
                     for a in (world.ego, *world.agents):
                         digest.update(struct.pack("<5d", *a.position,
                                                   *a.velocity, a.heading))

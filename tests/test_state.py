@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from avguard.state import (
-    AgentKind,
-    AgentState,
     ConflictZone,
     normalize_heading,
     truncate_rationale,
@@ -21,12 +19,6 @@ class TestValueTypes:
         assert math.isclose(normalize_heading(-math.pi / 2), -math.pi / 2)
         # The branch cut maps -pi to +pi so the result is unique.
         assert normalize_heading(-math.pi) == pytest.approx(math.pi)
-
-    def test_agent_state_rejects_nonpositive_extent(self):
-        with pytest.raises(ValueError):
-            AgentState(id=1, kind=AgentKind.VEHICLE,
-                       position=np.zeros(2), velocity=np.zeros(2),
-                       heading=0.0, half_extent=np.array([2.0, 0.0]))
 
     def test_conflict_zone_distance(self):
         zone = ConflictZone(-10, 10, -10, 10)
