@@ -165,12 +165,20 @@ def run_campaign(plan: CampaignPlan,
                  out_dir: Optional[str] = None) -> CampaignResult:
     """Execute the whole plan; output is independent of parallelism.
 
-    Every spec is validated before any run starts. Seeds derive from the
-    scenario id, so two specs with one id would share seeds and overwrite
-    each other's traces: that is a ``ValidationError`` too. So is an
-    ``out_dir`` that holds anything, since ``reaggregate_from_traces``
-    would count an earlier campaign's runs as this one's.
+    Every spec is validated before any run starts. A plan that runs
+    nothing (no spec, or ``runs_per_spec`` below 1) or a ``parallelism``
+    below 1 is a ``ValidationError``. Seeds derive from the scenario id,
+    so two specs with one id would share seeds and overwrite each other's
+    traces: that is a ``ValidationError`` too. So is an ``out_dir`` that
+    holds anything, since ``reaggregate_from_traces`` would count an
+    earlier campaign's runs as this one's.
     """
+    if not plan.specs:
+        raise ValidationError("a campaign needs at least one scenario spec")
+    if plan.runs_per_spec < 1 or plan.parallelism < 1:
+        raise ValidationError(
+            f"runs_per_spec and parallelism must be >= 1, not "
+            f"{plan.runs_per_spec} and {plan.parallelism}")
     seen: set[str] = set()
     for spec in plan.specs:
         validate_spec(spec)
@@ -255,7 +263,8 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
     and any byte that differs from the canonical form (re-spaced JSON, a
     carriage return) fails the check. A damaged sidecar, a trace with no
     sidecar, or a trace whose line count or hash disagrees with its
-    sidecar, raises ``MalformedTrace``.
+    sidecar, raises ``MalformedTrace``. So does a directory that holds
+    no sidecar at all, since a report of no runs shows nothing.
     """
     keyed: list[tuple[int, int, RunSummary]] = []
     for scenario_id in sorted(os.listdir(traces_dir)):
@@ -297,6 +306,10 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
             keyed.append((*order, metrics.summarize_run(
                 records, termination, thresholds, meta["dt"],
                 scenario_id=meta["scenario_id"], seed=meta["seed"])))
+    if not keyed:
+        raise metrics.MalformedTrace(
+            None, f"{traces_dir}: no run found; a campaign's traces are laid "
+                  f"out as <scenario_id>/<seed>.run.json")
     keyed.sort(key=lambda item: (item[0], item[1]))
     return metrics.summarize_campaign([summary for _, _, summary in keyed])
 

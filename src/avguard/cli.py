@@ -78,9 +78,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     files = sorted(f for f in os.listdir(args.scenario_dir)
                    if f.endswith((".ini", ".cfg", ".scenario", ".conf")))
-    if not files:
-        print(f"no scenario files in {args.scenario_dir}", file=sys.stderr)
-        return EXIT_INVALID
     specs = [load_scenario_file(os.path.join(args.scenario_dir, f))
              for f in files]
     plan = CampaignPlan(specs=specs, runs_per_spec=args.runs,

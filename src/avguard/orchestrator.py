@@ -22,7 +22,7 @@ from .attacks import FaultInjector
 from .metrics import IterationRecord, RunSummary, TerminationStatus
 from .monitor import recovery_decide, safety_check
 from .performance import performance_check
-from .scenario import InvalidSpec, ScenarioSpec
+from .scenario import ScenarioSpec
 from .seeding import stream_for
 from .state import (
     GroundTruthWorld,
@@ -103,7 +103,7 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
     ``ctx.role_timings_ns``."""
     world, spec, options = ctx.world, ctx.spec, ctx.options
     if world.collision is not None:
-        raise InvalidSpec("cannot tick a collided world")
+        raise ValueError("cannot tick a collided world")
     tick = world.clock.tick
     timings: dict[str, int] = {}
     zone = world.intersection.conflict_zone

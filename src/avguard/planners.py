@@ -8,15 +8,15 @@ law with caution multiplied up or down, reproducing hesitation/gridlock
 and stress-case behavior respectively.
 
 Planners see only what the perception pipeline exposes: they never read
-provenance tags or ground truth. An optional external-planner adapter
-speaks a line-delimited JSON protocol over a subprocess's standard
-streams so a real model can fill the generator slot later.
+provenance tags or ground truth. The external-planner adapter speaks a
+line-delimited JSON protocol over a subprocess's standard streams so a
+real model can fill the generator slot; it fails a run as every other
+generator does.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 import queue
 import subprocess
@@ -33,8 +33,6 @@ from .state import (
     RouteGoal,
 )
 from . import geometry
-
-log = logging.getLogger(__name__)
 
 STATIONARY_SPEED = 0.3        # m/s; below this an object is a static blocker
 BLOCK_LOOKAHEAD = 25.0        # m of route ahead scanned for static blockers
@@ -213,11 +211,8 @@ def perceived_to_request(perceived: PerceivedState) -> dict:
 
 
 def _pump_lines(stream, replies: queue.Queue) -> None:
-    """Forward each line a child writes to ``replies``; None at its EOF.
-
-    One pump runs per child process and owns its stdout, so it ends, and
-    closes the stream, when the child exits.
-    """
+    """Forward each line the child writes to ``replies``; None at its
+    EOF. The pump owns the child's stdout and closes it at the end."""
     try:
         for line in stream:
             replies.put(line)
@@ -231,57 +226,45 @@ def _pump_lines(stream, replies: queue.Queue) -> None:
 class ExternalPlanner:
     """Line-delimited JSON request/response planner over a subprocess.
 
-    One request line per tick, one response line with
-    ``{"maneuver": ..., "rationale": ...}``. A response that times out is
-    treated as Wait with a "planner timeout" rationale and counted as a
-    planner fault; unmapped maneuver text also degrades to Wait.
-
-    Each child gets one reader thread and its own reply queue. A child
-    that misses the deadline is stopped and a fresh one starts on the
-    next tick, so a late reply can never answer a later request, and a
-    hung child costs no thread per tick.
+    One request line per tick, one ``{"maneuver": ..., "rationale": ...}``
+    line back; a reader thread lets ``plan`` keep a deadline. It fails as
+    every generator does: a missed deadline (``TimeoutError``, after the
+    child is stopped), an exited child (``EOFError``) or a broken pipe
+    (``OSError``) raises, so the run fails with a generator ``RolePanic``,
+    and every later ``plan`` raises too. An unmapped answer is what the
+    child said: a Wait, counted in ``fault_count``. Callers ``close()`` it.
     """
 
     def __init__(self, command: list[str], timeout: float = 2.0):
-        self.command = command
         self.timeout = timeout
         self.fault_count = 0
-        self._proc: Optional[subprocess.Popen] = None
-        self._replies: Optional[queue.Queue] = None
-        self._reader: Optional[threading.Thread] = None
-
-    def _ensure_started(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
-            self.close()
-            self._proc = subprocess.Popen(
-                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                text=True, bufsize=1)
-            self._replies = queue.Queue()
-            self._reader = threading.Thread(
-                target=_pump_lines, args=(self._proc.stdout, self._replies),
-                daemon=True)
-            self._reader.start()
-        return self._proc
+        self._proc: Optional[subprocess.Popen] = subprocess.Popen(
+            command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            text=True, bufsize=1)
+        self._replies: queue.Queue = queue.Queue()
+        self._reader = threading.Thread(
+            target=_pump_lines, args=(self._proc.stdout, self._replies),
+            daemon=True)
+        self._reader.start()
 
     def plan(self, perceived: PerceivedState, goal: RouteGoal) -> tuple[Maneuver, str]:
-        proc = self._ensure_started()
-        request = json.dumps(perceived_to_request(perceived))
+        if self._proc is None:
+            raise RuntimeError("external planner is closed")
+        tick = perceived.clock.tick
         try:
-            proc.stdin.write(request + "\n")
-            proc.stdin.flush()
-        except (BrokenPipeError, OSError):
-            self.fault_count += 1
-            self.close()
-            return Maneuver.WAIT, "planner unavailable"
-        try:
+            self._proc.stdin.write(
+                json.dumps(perceived_to_request(perceived)) + "\n")
+            self._proc.stdin.flush()
             line = self._replies.get(timeout=self.timeout)
+            if line is None:
+                raise EOFError(f"external planner exited at tick {tick}")
         except queue.Empty:
-            line = None
-        if not line:
-            self.fault_count += 1
-            log.warning("external planner timeout at tick %d", perceived.clock.tick)
             self.close()
-            return Maneuver.WAIT, "planner timeout"
+            raise TimeoutError(f"external planner missed the {self.timeout} s "
+                               f"deadline at tick {tick}") from None
+        except (OSError, EOFError):
+            self.close()
+            raise
         try:
             response = json.loads(line)
             maneuver = map_maneuver_text(str(response.get("maneuver", "")))
@@ -290,14 +273,12 @@ class ExternalPlanner:
             maneuver, rationale = None, "unparseable planner response"
         if maneuver is None:
             self.fault_count += 1
-            log.warning("unmapped planner maneuver at tick %d", perceived.clock.tick)
             return Maneuver.WAIT, f"unmapped maneuver; {rationale}"
         return maneuver, rationale
 
     def close(self) -> None:
-        """Stop the child, if any, and wait for its reader to finish."""
-        proc, reader = self._proc, self._reader
-        self._proc = self._replies = self._reader = None
+        """Stop the child and wait for its reader; idempotent."""
+        proc, self._proc = self._proc, None
         if proc is None:
             return
         if proc.poll() is None:
@@ -311,8 +292,7 @@ class ExternalPlanner:
             proc.stdin.close()
         except OSError:
             pass
-        if reader is not None:
-            reader.join(timeout=1.0)
+        self._reader.join(timeout=1.0)
 
 
 __all__ = [

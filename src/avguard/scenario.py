@@ -54,10 +54,6 @@ class ValidationError(Exception):
     """A scenario file violates a documented invariant."""
 
 
-class InvalidSpec(ValidationError):
-    """A spec failed validation at run time (validation was bypassed)."""
-
-
 def default_ghost_attack() -> AttackConfig:
     return AttackConfig(kind=FaultKind.GHOST_OBSTACLE,
                         trigger=TriggerKind.EGO_WITHIN_DISTANCE,
@@ -378,7 +374,6 @@ def reference_specs() -> list[ScenarioSpec]:
 
 
 __all__ = [
-    "InvalidSpec",
     "ParseError",
     "ScenarioSpec",
     "ValidationError",

@@ -1,4 +1,5 @@
-"""Shared fixtures: reference campaigns reused across test modules.
+"""Shared fixtures: reference campaigns reused across test modules, and
+a writer for the external planner scripts the adapter tests start.
 
 The full 6-scenario x 15-run campaigns are the most expensive artifacts
 in the suite, so they are built once per session and shared by the
@@ -7,6 +8,8 @@ campaign, CLI, and acceptance tests.
 
 from __future__ import annotations
 
+import sys
+import textwrap
 import time
 
 import pytest
@@ -34,3 +37,13 @@ def no_recovery_campaign(tmp_path_factory):
                         base_seed=0, recovery_enabled=False, parallelism=1)
     result = run_campaign(plan, out_dir=str(out))
     return result, str(out)
+
+
+@pytest.fixture
+def planner_script(tmp_path):
+    """Write a Python planner body to a file; return the command that runs it."""
+    def write(body: str) -> list[str]:
+        path = tmp_path / "planner.py"
+        path.write_text(textwrap.dedent(body))
+        return [sys.executable, str(path)]
+    return write

@@ -109,6 +109,20 @@ class TestRunCampaign:
         assert render_report(reaggregate_from_traces(str(tmp_path)),
                              "csv") == report
 
+    @pytest.mark.parametrize("overrides", [
+        dict(specs=[]),
+        dict(runs_per_spec=0),
+        dict(runs_per_spec=-2),
+        dict(parallelism=0),
+        dict(parallelism=-3),
+    ])
+    def test_plan_that_runs_nothing_rejected_before_any_run(self, tmp_path,
+                                                            overrides):
+        from avguard.scenario import ValidationError
+        with pytest.raises(ValidationError):
+            run_campaign(small_plan(**overrides), out_dir=str(tmp_path))
+        assert not os.listdir(tmp_path)
+
     def test_failed_run_reported_not_hidden(self, tmp_path, monkeypatch):
         """A role fault in one run becomes a failed-run entry; the
         campaign completes and the failure survives re-aggregation."""
@@ -193,6 +207,19 @@ class TestReaggregation:
     def test_reaggregation_rejects_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             reaggregate_from_traces(str(tmp_path / "nope"))
+
+    def test_reaggregation_rejects_a_scenario_subdirectory(self, tmp_path):
+        """One level too deep holds traces but no <scenario_id>/ layout."""
+        run_campaign(small_plan(runs_per_spec=1), out_dir=str(tmp_path))
+        with pytest.raises(MalformedTrace) as err:
+            reaggregate_from_traces(str(tmp_path / "nominal"))
+        assert "<scenario_id>/<seed>.run.json" in str(err.value)
+        assert err.value.line_number is None
+
+    def test_reaggregation_rejects_an_empty_directory(self, tmp_path):
+        with pytest.raises(MalformedTrace) as err:
+            reaggregate_from_traces(str(tmp_path))
+        assert str(tmp_path) in str(err.value)
 
 
 def spec_named(scenario_id):

@@ -238,6 +238,32 @@ class TestCampaignAndReport:
                      "--report", str(tmp_path / "r.csv")])
         assert code == EXIT_INVALID
 
+    def test_report_on_a_directory_with_no_run_is_invalid(self, scenario_file,
+                                                          tmp_path, capsys):
+        out = tmp_path / "traces"
+        assert main(["run", "--scenario", scenario_file, "--seed", "5",
+                     "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        report = tmp_path / "r.csv"
+        code = main(["report", "--traces", str(out / "nominal"),
+                     "--report", str(report)])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no run found" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("flags", [["--runs", "0"], ["--runs", "-2"],
+                                       ["--parallel", "0"],
+                                       ["--parallel", "-3"]])
+    def test_campaign_that_runs_nothing_is_invalid(self, scenario_dir,
+                                                   tmp_path, capsys, flags):
+        out, report = tmp_path / "o", tmp_path / "r.csv"
+        code = main(["campaign", "--scenario-dir", scenario_dir,
+                     "--out", str(out), "--report", str(report), *flags])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists() and not report.exists()
+
     def test_report_on_a_cut_trace_is_invalid(self, scenario_dir, tmp_path,
                                               capsys):
         out = tmp_path / "traces"

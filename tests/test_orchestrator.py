@@ -18,8 +18,8 @@ from avguard.orchestrator import (
 )
 from avguard.metrics import TerminationStatus, finalize_tick, trace_hash
 from avguard.performance import PerfFlags
+from avguard.planners import ExternalPlanner
 from avguard.scenario import (
-    InvalidSpec,
     ScenarioSpec,
     default_ghost_attack,
     spawn_scenario,
@@ -134,7 +134,7 @@ class TestRunTick:
         ctx = fresh_context(NOMINAL, seed=0)
         ctx.world.collision = CollisionEvent(tick=0, agent_a=0, agent_b=1,
                                              overlap_depth=0.2)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ValueError):
             run_tick(ctx)
 
 
@@ -332,3 +332,41 @@ class TestFinalizeTickContract:
         assert record.proposed_maneuver == "proceed"
         assert record.recovery_active
 
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+class TestExternalPlanner:
+    """The external adapter fails a run the way every generator does."""
+
+    def test_hung_child_is_a_generator_panic(self, planner_script):
+        planner = ExternalPlanner(planner_script("""
+            import sys, time
+            for line in sys.stdin:
+                time.sleep(60)
+        """), timeout=0.5)
+        try:
+            with pytest.raises(RolePanic) as err:
+                run_scenario(NOMINAL, seed=1, plan_fn=planner.plan)
+        finally:
+            planner.close()
+        assert err.value.role_id == "generator"
+        assert err.value.tick == 0
+        assert isinstance(err.value.cause, TimeoutError)
+
+    def test_answering_child_gives_a_reproducible_run(self, planner_script):
+        hashes = []
+        for _ in range(2):
+            planner = ExternalPlanner(planner_script("""
+                import json, sys
+                for line in sys.stdin:
+                    print(json.dumps({"maneuver": "proceed",
+                                      "rationale": "clear"}), flush=True)
+            """), timeout=2.0)
+            try:
+                result = run_scenario(NOMINAL, seed=1, plan_fn=planner.plan)
+            finally:
+                planner.close()
+            assert result.termination == TerminationStatus.CLEARED
+            assert planner.fault_count == 0
+            hashes.append(trace_hash(result.records))
+        assert hashes[0] == hashes[1]

@@ -2,9 +2,8 @@
 fidelity, and the external-planner wire protocol."""
 
 import math
-import sys
-import textwrap
 import threading
+import time
 
 import pytest
 
@@ -216,14 +215,13 @@ class TestManeuverTextMapping:
         assert map_maneuver_text("do a barrel roll") is None
 
 
+@pytest.mark.filterwarnings("error::ResourceWarning")
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 class TestExternalPlanner:
-    def _planner_script(self, tmp_path, body):
-        path = tmp_path / "planner.py"
-        path.write_text(textwrap.dedent(body))
-        return [sys.executable, str(path)]
+    """A failed reply leaves no child process, open pipe or reader thread."""
 
-    def test_round_trip(self, tmp_path):
-        cmd = self._planner_script(tmp_path, """
+    def test_round_trip(self, planner_script):
+        cmd = planner_script("""
             import json, sys
             for line in sys.stdin:
                 req = json.loads(line)
@@ -242,8 +240,8 @@ class TestExternalPlanner:
         finally:
             planner.close()
 
-    def test_unmapped_response_becomes_wait(self, tmp_path):
-        cmd = self._planner_script(tmp_path, """
+    def test_unmapped_response_becomes_wait(self, planner_script):
+        cmd = planner_script("""
             import json, sys
             for line in sys.stdin:
                 print(json.dumps({"maneuver": "teleport", "rationale": "x"}),
@@ -257,55 +255,48 @@ class TestExternalPlanner:
         finally:
             planner.close()
 
-    def test_timeout_becomes_wait(self, tmp_path):
-        cmd = self._planner_script(tmp_path, """
+    def _assert_fails_without_leaks(self, cmd, error, child_gone_first=False):
+        """``plan`` raises ``error`` within 1.5 s and every later
+        call raises too; after ``close()`` the child has exited and no
+        reader thread is left."""
+        threads_before = threading.active_count()
+        planner = ExternalPlanner(cmd, timeout=0.5)
+        child = planner._proc
+        if child_gone_first:
+            child.wait()
+        perceived = make_perceived([2.5, -30.0], [0.0, 8.0], [])
+        try:
+            start = time.monotonic()
+            with pytest.raises(error):
+                planner.plan(perceived, RouteGoal.STRAIGHT)
+            assert time.monotonic() - start < 1.5
+            with pytest.raises(RuntimeError, match="closed"):
+                planner.plan(perceived, RouteGoal.STRAIGHT)
+        finally:
+            planner.close()
+        planner.close()
+        assert child.poll() is not None
+        assert threading.active_count() <= threads_before
+
+    def test_missed_deadline_raises(self, planner_script):
+        cmd = planner_script("""
             import sys, time
             for line in sys.stdin:
                 time.sleep(60)
         """)
-        planner = ExternalPlanner(cmd, timeout=0.5)
-        try:
-            perceived = make_perceived([2.5, -30.0], [0.0, 8.0], [])
-            maneuver, rationale = planner.plan(perceived, RouteGoal.STRAIGHT)
-            assert maneuver == Maneuver.WAIT
-            assert "timeout" in rationale
-        finally:
-            planner.close()
+        self._assert_fails_without_leaks(cmd, TimeoutError)
 
-    def test_hung_child_is_restarted_without_leaking_threads(self, tmp_path):
-        """A child that sleeps past the deadline for 20 ticks costs no
-        thread per tick, and once it answers in time, every reply belongs
-        to its own request (a late reply never answers a later one)."""
-        cmd = self._planner_script(tmp_path, """
-            import json, sys, time
-            for line in sys.stdin:
-                tick = json.loads(line)["tick"]
-                if tick < 20:
-                    time.sleep(1.0)
-                print(json.dumps({"maneuver": "proceed",
-                                  "rationale": f"tick {tick}"}), flush=True)
+    def test_child_that_exits_raises(self, planner_script):
+        cmd = planner_script("""
+            import sys
+            sys.stdin.readline()
         """)
-        planner = ExternalPlanner(cmd, timeout=0.3)
-        threads_before = threading.active_count()
-        most_threads = 0
-        try:
-            for tick in range(30):
-                perceived = make_perceived([2.5, -30.0], [0.0, 8.0], [])
-                perceived.clock = SimClock(tick=tick, dt=0.1)
-                maneuver, rationale = planner.plan(perceived,
-                                                   RouteGoal.STRAIGHT)
-                most_threads = max(most_threads, threading.active_count())
-                if tick < 20:
-                    assert (maneuver, rationale) == (Maneuver.WAIT,
-                                                     "planner timeout")
-                else:
-                    assert (maneuver, rationale) == (Maneuver.PROCEED,
-                                                     f"tick {tick}")
-        finally:
-            planner.close()
-        assert planner.fault_count == 20
-        assert most_threads <= threads_before + 1
-        assert threading.active_count() <= threads_before
+        self._assert_fails_without_leaks(cmd, EOFError)
+
+    def test_write_to_an_exited_child_raises(self, planner_script):
+        cmd = planner_script("")
+        self._assert_fails_without_leaks(cmd, BrokenPipeError,
+                                         child_gone_first=True)
 
     def test_request_schema(self):
         perceived = make_perceived([2.5, -30.0], [0.0, 8.0],
