@@ -9,7 +9,6 @@ through its window end, never the tick that triggered it.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,8 +16,6 @@ from typing import Optional
 
 from .sim import APPROACH_REACH, default_ghost_position
 from .state import AgentKind, FaultKind, PerceivedState, Vec2
-
-log = logging.getLogger(__name__)
 
 MAX_VELOCITY_SCALE = 100.0  # keeps a spoofed velocity and the monitor finite
 
@@ -137,7 +134,10 @@ class FaultInjector:
             if target is None:
                 target = nearest_closing_vehicle(perceived)
             if target is None:
-                log.debug("no spoof target available at tick %d", tick)
+                import logging  # only a spoof with no target logs
+
+                logging.getLogger(__name__).debug(
+                    "no spoof target available at tick %d", tick)
                 return None
             directive = FaultDirective(attack, start, end, spoof_target=target)
         self.activations += 1

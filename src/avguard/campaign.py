@@ -12,9 +12,6 @@ import hashlib
 import io
 import json
 import os
-import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -93,6 +90,8 @@ def _failed_run(spec: ScenarioSpec, seed: int, exc: BaseException,
                 run_index: int) -> Outcome:
     """A run that raised or lost its worker: a failed summary, and its
     failed sidecar when there is an ``out_dir``."""
+    import traceback  # only a failed run pays for it
+
     summary = RunSummary.failed_run(
         spec.id, seed,
         "".join(traceback.format_exception_only(type(exc), exc)).strip())
@@ -124,6 +123,10 @@ def _run_pool(tasks: list[Task], options: RunOptions, out_dir: Optional[str],
               workers: int) -> list[Optional[Outcome]]:
     """Each task's outcome, or None where a worker died and broke the pool
     before the task finished."""
+    # Only a parallel campaign pays for the pool's imports.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     outcomes: list[Optional[Outcome]] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_execute_run, spec, seed, options, out_dir, si, i)
@@ -147,6 +150,8 @@ def _run_parallel(tasks: list[Task], options: RunOptions,
     failed sidecar. A rerun rewrites any partial trace the broken pool
     left behind.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     outcomes = _run_pool(tasks, options, out_dir, workers)
     for index, (outcome, task) in enumerate(zip(outcomes, tasks)):
         if outcome is not None:

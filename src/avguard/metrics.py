@@ -14,6 +14,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _string
 from typing import IO, Optional, Union
 
 from .performance import PerfFlags, PerfThresholds
@@ -47,7 +48,7 @@ class MalformedTrace(Exception):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
+@dataclass
 class IterationRecord:
     tick: int
     sim_time_s: float
@@ -101,24 +102,71 @@ def finalize_tick(tick: int, world: GroundTruthWorld,
 
 # --- trace codec ----------------------------------------------------------
 
-# The one encoder of a trace line: sorted keys, no NaN on the wire. Its
-# output, newlines aside, is exactly what trace_hash digests. Built once:
-# json.dumps with any non-default option builds a new encoder per call.
-_ENCODER = json.JSONEncoder(allow_nan=False, sort_keys=True)
+_INF = '"inf"'  # the separation of a tick with no perceived object
+_float_repr = float.__repr__  # bound once: a record holds nine floats
 
 
-def record_to_json_dict(record: IterationRecord) -> dict:
-    """The record's fields, ready for the encoder.
+def _number(x: float) -> str:
+    """A finite float as JSON: its repr. ``TypeError`` for a non-float,
+    ``ValueError`` for NaN or an infinity."""
+    text = _float_repr(x)
+    if text[-1] in "nf":  # nan, inf, -inf; a finite repr ends in a digit
+        raise ValueError(f"out of range float value in a record: {text}")
+    return text
 
-    Every field is an immutable scalar or a tuple of floats, so a
-    shallow copy is as safe as a deep one.
+
+def _flag(value: bool) -> str:
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"expected a bool, not {type(value).__name__}")
+
+
+def _integer(value: int) -> str:
+    if value.__class__ is bool:
+        raise TypeError("expected an int, not bool")
+    return int.__repr__(value)  # TypeError for a non-int
+
+
+def encode_record(record: IterationRecord) -> str:
+    """The record's trace line, without its newline.
+
+    The bytes are those of ``json`` with sorted keys, ``", "`` and
+    ``": "`` separators and ASCII escapes, built in one pass over the
+    fields. A ``+inf`` separation (no object perceived) is written as
+    the string ``"inf"``. Any other NaN or infinity raises
+    ``ValueError``, and a field of the wrong type raises ``TypeError``.
+    The line is both what ``write_trace`` writes and what ``trace_hash``
+    digests.
     """
-    d = dict(vars(record))
-    if math.isinf(d["min_predicted_separation"]):
-        d["min_predicted_separation"] = "inf"
-    d["ego_position"] = list(d["ego_position"])
-    d["ego_velocity"] = list(d["ego_velocity"])
-    return d
+    r = record
+    px, py = r.ego_position
+    vx, vy = r.ego_velocity
+    separation = r.min_predicted_separation
+    obj = r.offending_object
+    fault = r.active_fault
+    return (
+        f'{{"accel_violation": {_flag(r.accel_violation)}, '
+        f'"active_fault": {"null" if fault is None else _string(fault)}, '
+        f'"clearance_exceeded": {_flag(r.clearance_exceeded)}, '
+        f'"collision": {_flag(r.collision)}, '
+        f'"ego_accel_mps2": {_number(r.ego_accel_mps2)}, '
+        f'"ego_position": [{_number(px)}, {_number(py)}], '
+        f'"ego_velocity": [{_number(vx)}, {_number(vy)}], '
+        f'"final_maneuver": {_string(r.final_maneuver)}, '
+        f'"jerk_violation": {_flag(r.jerk_violation)}, '
+        f'"min_predicted_separation": '
+        f'{_INF if separation == math.inf else _number(separation)}, '
+        f'"offending_object": {"null" if obj is None else _integer(obj)}, '
+        f'"proposed_maneuver": {_string(r.proposed_maneuver)}, '
+        f'"rationale": {_string(r.rationale)}, '
+        f'"recovery_active": {_flag(r.recovery_active)}, '
+        f'"sim_time_s": {_number(r.sim_time_s)}, '
+        f'"tick": {_integer(r.tick)}, '
+        f'"time_of_min_s": {_number(r.time_of_min_s)}, '
+        f'"verdict_level": {_string(r.verdict_level)}}}'
+    )
 
 
 def record_from_json_dict(d: dict) -> IterationRecord:
@@ -141,7 +189,7 @@ def write_trace(records: list[IterationRecord],
 
     def dump(fh: IO[str]) -> None:
         for record in records:
-            line = _ENCODER.encode(record_to_json_dict(record))
+            line = encode_record(record)
             h.update(line.encode("utf-8"))
             fh.write(line + "\n")
 
@@ -177,7 +225,7 @@ def trace_hash(records: list[IterationRecord]) -> str:
     digest ``write_trace`` returns for the same records."""
     h = hashlib.sha256()
     for record in records:
-        h.update(_ENCODER.encode(record_to_json_dict(record)).encode("utf-8"))
+        h.update(encode_record(record).encode("utf-8"))
     return h.hexdigest()
 
 
@@ -401,11 +449,11 @@ __all__ = [
     "RunSummary",
     "ScenarioRow",
     "TerminationStatus",
+    "encode_record",
     "finalize_tick",
     "pct",
     "read_trace",
     "record_from_json_dict",
-    "record_to_json_dict",
     "render_report",
     "summarize_campaign",
     "summarize_run",

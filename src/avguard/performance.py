@@ -16,7 +16,7 @@ class PerfThresholds:
             raise ValueError("thresholds must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass
 class PerfFlags:
     accel_violation: bool = False
     jerk_violation: bool = False

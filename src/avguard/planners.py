@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-import queue
-import subprocess
-import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .sim import build_intersection, ego_route_for
 from .state import (
@@ -33,6 +30,10 @@ from .state import (
     RouteGoal,
 )
 from . import geometry
+
+if TYPE_CHECKING:
+    import queue
+    import subprocess
 
 STATIONARY_SPEED = 0.3        # m/s; below this an object is a static blocker
 BLOCK_LOOKAHEAD = 25.0        # m of route ahead scanned for static blockers
@@ -80,7 +81,7 @@ def required_gap(ego_speed: float, crossing_distance: float,
             + cfg.reaction_time)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Conflict:
     object_id: int
     time_gap: float          # s until the object reaches the crossing point
@@ -236,6 +237,12 @@ class ExternalPlanner:
     """
 
     def __init__(self, command: list[str], timeout: float = 2.0):
+        # Imported here: only a campaign with an external planner pays
+        # for them.
+        import queue
+        import subprocess
+        import threading
+
         self.timeout = timeout
         self.fault_count = 0
         self._proc: Optional[subprocess.Popen] = subprocess.Popen(
@@ -248,6 +255,8 @@ class ExternalPlanner:
         self._reader.start()
 
     def plan(self, perceived: PerceivedState, goal: RouteGoal) -> tuple[Maneuver, str]:
+        import queue
+
         if self._proc is None:
             raise RuntimeError("external planner is closed")
         tick = perceived.clock.tick
@@ -278,6 +287,8 @@ class ExternalPlanner:
 
     def close(self) -> None:
         """Stop the child and wait for its reader; idempotent."""
+        import subprocess
+
         proc, self._proc = self._proc, None
         if proc is None:
             return

@@ -9,7 +9,6 @@ list built from ground truth, corrupted only by active fault directives.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
 from dataclasses import dataclass
@@ -39,8 +38,6 @@ from .seeding import stream_for
 
 if TYPE_CHECKING:
     from .attacks import FaultDirective
-
-log = logging.getLogger(__name__)
 
 # Intersection layout (meters). The conflict zone is centered on the
 # origin; each approach lane runs on the right-hand side of its road.
@@ -322,7 +319,8 @@ def build_perceived_state(world: GroundTruthWorld,
                           stream: Optional[random.Random] = None) -> PerceivedState:
     """Object-list perception: ground truth in range, plus fault effects.
 
-    Spoof directives rescale/rotate a real object's perceived velocity;
+    Spoof directives rescale/rotate a real object's perceived velocity (a
+    zero heading bias only rescales, with no sin/cos call);
     ghost directives append a stationary vehicle with no ground-truth
     counterpart. A spoof whose target is not currently perceived is
     logged and skipped for the tick. Ground truth is never modified.
@@ -347,15 +345,20 @@ def build_perceived_state(world: GroundTruthWorld,
         if attack.kind == FaultKind.TRAJECTORY_SPOOF:
             target = directive.spoof_target
             if target is None or target not in perceived_ids:
-                log.warning("spoof target %s not perceived at tick %d; skipped",
-                            target, world.clock.tick)
+                import logging  # only a skipped spoof logs
+
+                logging.getLogger(__name__).warning(
+                    "spoof target %s not perceived at tick %d; skipped",
+                    target, world.clock.tick)
                 continue
             for obj in objects:
                 if obj.id == target:
                     vx, vy = obj.velocity
                     scale = attack.velocity_scale
-                    obj.velocity = Vec2(_rotate(vx * scale, vy * scale,
-                                                attack.heading_bias))
+                    vx, vy = vx * scale, vy * scale
+                    if attack.heading_bias != 0.0:
+                        vx, vy = _rotate(vx, vy, attack.heading_bias)
+                    obj.velocity = Vec2((vx, vy))
                     obj.provenance = Provenance.SPOOFED
         elif attack.kind == FaultKind.GHOST_OBSTACLE:
             objects.append(PerceivedObject(

@@ -59,7 +59,11 @@ class FaultKind(str, Enum):
 
 @dataclass(frozen=True)
 class SimClock:
-    """Discrete simulation clock; sim_time is always tick * dt."""
+    """Discrete simulation clock; sim_time is always tick * dt.
+
+    Frozen because ``build_perceived_state`` hands the world's own clock
+    to the generator: a ``plan_fn`` cannot move ground-truth time.
+    """
 
     tick: int = 0
     dt: float = 0.1
@@ -192,7 +196,7 @@ class PerceivedState:
     goal: RouteGoal
 
 
-@dataclass(frozen=True)
+@dataclass
 class Verdict:
     level: VerdictLevel
     min_predicted_separation: float  # m, may be +inf

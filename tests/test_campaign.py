@@ -261,14 +261,14 @@ class TestPersistence:
     def test_each_record_encoded_once_when_persisting(self, tmp_path,
                                                       monkeypatch):
         import avguard.metrics as metrics_mod
-        real = metrics_mod.record_to_json_dict
+        real = metrics_mod.encode_record
         calls = []
 
         def counting(record):
             calls.append(record.tick)
             return real(record)
 
-        monkeypatch.setattr(metrics_mod, "record_to_json_dict", counting)
+        monkeypatch.setattr(metrics_mod, "encode_record", counting)
         result = run_campaign(small_plan(), out_dir=str(tmp_path))
         ticks = sum(
             json.loads((tmp_path / scenario_id / f"{seed}.run.json")
@@ -344,14 +344,14 @@ class TestSidecarCheck:
     def test_reaggregation_encodes_no_record(self, tmp_path, monkeypatch):
         import avguard.metrics as metrics_mod
         result = run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
-        real = metrics_mod.record_to_json_dict
+        real = metrics_mod.encode_record
         calls = []
 
         def counting(record):
             calls.append(record.tick)
             return real(record)
 
-        monkeypatch.setattr(metrics_mod, "record_to_json_dict", counting)
+        monkeypatch.setattr(metrics_mod, "encode_record", counting)
         assert reaggregate_from_traces(str(tmp_path)) == result.summary
         assert calls == []
 

@@ -5,9 +5,12 @@ import hashlib
 import io
 import json
 import math
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avguard.metrics import (
     EmptyTrace,
@@ -15,15 +18,37 @@ from avguard.metrics import (
     MalformedTrace,
     RunSummary,
     TerminationStatus,
+    encode_record,
     pct,
     read_trace,
-    record_to_json_dict,
+    record_from_json_dict,
     render_report,
     summarize_campaign,
     summarize_run,
     trace_hash,
     write_trace,
 )
+
+# The reference form of a trace line: the C JSONEncoder, sorted keys and
+# no NaN, over the record's fields. It is how the codec encoded a record
+# before encode_record, which must give its bytes on every record it
+# accepts.
+REFERENCE_ENCODER = json.JSONEncoder(allow_nan=False, sort_keys=True)
+
+
+def record_to_json_dict(record):
+    """The record's fields, ready for the reference encoder."""
+    d = dict(vars(record))
+    if math.isinf(d["min_predicted_separation"]):
+        d["min_predicted_separation"] = "inf"
+    d["ego_position"] = list(d["ego_position"])
+    d["ego_velocity"] = list(d["ego_velocity"])
+    return d
+
+
+def reference_line(record):
+    return REFERENCE_ENCODER.encode(record_to_json_dict(record))
+
 
 MANEUVERS = ["wait", "yield", "proceed_cautiously", "proceed", "accelerate",
              "emergency_brake"]
@@ -181,6 +206,140 @@ class TestRecordToJsonDict:
         d["ego_velocity"][1] = 0.0
         assert record.ego_position == (2.5, -30.0)
         assert record.ego_velocity == (0.0, 8.0)
+
+
+# Every finite float, with the edges pinned: signed zero, subnormals,
+# and magnitudes from 1e16 up, where repr switches to exponent form.
+FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                             1e16, -1e16, 1.2345678901234567e17, 1e22,
+                             1.7976931348623157e308, 0.1, 1e-7]))
+# Any text, lone surrogates included, with JSON's escapes pinned.
+TEXT = (st.text(st.characters(exclude_categories=()))
+        | st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\n\r\t\b\f",
+                           "\u2028\u2029", "\ud800", "\udfff x", "é — ☃",
+                           "\U0001f697", ""]))
+RECORDS = st.builds(
+    IterationRecord,
+    tick=st.integers(min_value=0),
+    sim_time_s=FINITE,
+    ego_position=st.tuples(FINITE, FINITE),
+    ego_velocity=st.tuples(FINITE, FINITE),
+    ego_accel_mps2=FINITE,
+    proposed_maneuver=TEXT,
+    rationale=TEXT,
+    verdict_level=TEXT,
+    min_predicted_separation=FINITE | st.just(math.inf),
+    time_of_min_s=FINITE,
+    offending_object=st.none() | st.integers(),
+    active_fault=st.none() | TEXT,
+    accel_violation=st.booleans(),
+    jerk_violation=st.booleans(),
+    clearance_exceeded=st.booleans(),
+    final_maneuver=TEXT,
+    recovery_active=st.booleans(),
+    collision=st.booleans(),
+)
+
+# Each float a record holds: (field, index into a 2-tuple field or None).
+FLOAT_SLOTS = [("sim_time_s", None), ("ego_accel_mps2", None),
+               ("min_predicted_separation", None), ("time_of_min_s", None),
+               ("ego_position", 0), ("ego_position", 1),
+               ("ego_velocity", 0), ("ego_velocity", 1)]
+NON_FINITE = [(field, index, value) for field, index in FLOAT_SLOTS
+              for value in (math.nan, math.inf, -math.inf)
+              if (field, value) != ("min_predicted_separation", math.inf)]
+
+
+def with_float(field, index, value):
+    """make_record with ``value`` in a float field, or in one item of a
+    2-tuple field."""
+    if index is not None:
+        pair = list(getattr(make_record(), field))
+        pair[index] = value
+        value = tuple(pair)
+    return make_record(**{field: value})
+
+
+class TestEncodeRecord:
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(record=RECORDS)
+    def test_matches_the_reference_encoder(self, record):
+        assert encode_record(record) == reference_line(record)
+
+    def test_matches_the_reference_on_random_records(self):
+        rng = random.Random(11)
+        for tick in range(2000):
+            record = random_record(rng, tick)
+            assert encode_record(record) == reference_line(record)
+
+    @pytest.mark.parametrize("fixture", ["reference_campaign",
+                                         "no_recovery_campaign"])
+    def test_reencodes_every_reference_trace_line(self, fixture, request):
+        # Every line of the base-seed-0 reference campaign, recovery on
+        # and off: decoded, then encoded again, it is the same bytes.
+        out_dir = request.getfixturevalue(fixture)[1]
+        count = ticks = 0
+        for path in sorted(pathlib.Path(out_dir).glob("*/*.jsonl")):
+            for line in path.read_text(encoding="utf-8").splitlines():
+                record = record_from_json_dict(json.loads(line))
+                assert encode_record(record) == line == reference_line(record)
+                count += 1
+            ticks += json.loads(path.with_suffix(".run.json").read_text())["ticks"]
+        assert count == ticks > 0
+
+    @pytest.mark.parametrize("field, index, value", NON_FINITE)
+    def test_nan_and_infinity_are_rejected(self, field, index, value):
+        with pytest.raises(ValueError):
+            encode_record(with_float(field, index, value))
+
+    def test_infinite_separation_is_the_string_inf(self):
+        line = encode_record(make_record(min_predicted_separation=math.inf))
+        assert '"min_predicted_separation": "inf"' in line
+        assert json.loads(line)["min_predicted_separation"] == "inf"
+
+    def test_negative_infinite_separation_is_rejected(self):
+        # A separation is |r| - radius; -inf would read back as +inf.
+        with pytest.raises(ValueError):
+            encode_record(make_record(min_predicted_separation=-math.inf))
+        with pytest.raises(ValueError):
+            write_trace([make_record(min_predicted_separation=-math.inf)],
+                        io.StringIO())
+
+    @pytest.mark.parametrize("field, value", [
+        ("sim_time_s", 3),
+        ("ego_accel_mps2", "1.0"),
+        ("min_predicted_separation", 10),
+        ("min_predicted_separation", None),
+        ("time_of_min_s", True),
+        ("ego_position", (2, -30.0)),
+        ("ego_velocity", (0.0, "8")),
+        ("tick", True),
+        ("tick", 1.0),
+        ("offending_object", 2.0),
+        ("offending_object", False),
+        ("accel_violation", 1),
+        ("collision", None),
+        ("recovery_active", "false"),
+        ("proposed_maneuver", None),
+        ("rationale", 7),
+        ("active_fault", 0),
+        ("verdict_level", b"safe"),
+    ])
+    def test_wrong_type_is_rejected(self, field, value):
+        with pytest.raises(TypeError):
+            encode_record(make_record(**{field: value}))
+
+    def test_round_trip(self):
+        rng = random.Random(13)
+        for tick in range(500):
+            record = random_record(rng, tick)
+            assert record_from_json_dict(
+                json.loads(encode_record(record))) == record
+
+    def test_every_field_is_encoded(self):
+        names = {f.name for f in dataclasses.fields(IterationRecord)}
+        assert set(json.loads(encode_record(make_record()))) == names
 
 
 class TestTraceHash:

@@ -10,9 +10,14 @@ import struct
 import numpy as np
 import pytest
 
+from avguard import sim
 from avguard.attacks import AttackConfig, FaultDirective, TriggerKind
+from avguard.metrics import trace_hash
 from avguard.monitor import SafetyParams, safety_check
+from avguard.orchestrator import run_scenario
 from avguard.planners import PlannerConfig, plan
+from avguard.scenario import reference_specs
+from avguard.seeding import stable_mix
 from avguard.sim import (
     EGO_INITIAL_SPEED,
     GHOST_ID_BASE,
@@ -227,6 +232,54 @@ class TestPerception:
         perceived = build_perceived_state(world, [directive], PARAMS)
         assert len(perceived.objects) == len(baseline.objects)
         assert all(o.provenance == Provenance.REAL for o in perceived.objects)
+
+
+class TestSpoofRotation:
+    """A spoof with no heading bias only rescales: it calls no sin/cos."""
+
+    def _spoof_run(self, monkeypatch, heading_bias):
+        """The reference spoof_attack run 0 with ``heading_bias``; returns
+        (trace_hash, number of spoofed perceived objects)."""
+        spec = next(s for s in reference_specs() if s.id == "spoof_attack")
+        spec = dataclasses.replace(spec, attack=dataclasses.replace(
+            spec.attack, heading_bias=heading_bias))
+        perceive = sim.build_perceived_state
+        spoofed = []
+
+        def counting(*args):
+            perceived = perceive(*args)
+            spoofed.extend(o for o in perceived.objects
+                           if o.provenance == Provenance.SPOOFED)
+            return perceived
+
+        monkeypatch.setattr(sim, "build_perceived_state", counting)
+        result = run_scenario(spec, stable_mix(0, spec.id, 0))
+        return trace_hash(result.records), len(spoofed)
+
+    def test_zero_bias_spoof_never_rotates(self, monkeypatch):
+        expected, _ = self._spoof_run(monkeypatch, 0.0)
+
+        def unreachable(*args):
+            raise AssertionError("a zero-bias spoof rotated a velocity")
+
+        monkeypatch.setattr(sim, "_rotate", unreachable)
+        digest, spoofed = self._spoof_run(monkeypatch, 0.0)
+        assert spoofed > 0
+        assert digest == expected
+
+    def test_biased_spoof_rotates(self, monkeypatch):
+        rotate = sim._rotate
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return rotate(*args)
+
+        monkeypatch.setattr(sim, "_rotate", counting)
+        _, spoofed = self._spoof_run(monkeypatch, 0.3)
+        assert spoofed > 0
+        assert len(calls) == spoofed
+        assert all(theta == 0.3 for _, _, theta in calls)
 
 
 class TestSpawnWorld:
