@@ -145,6 +145,8 @@ class FaultInjector:
         return directive
 
     def active_directives(self, tick: int) -> list[FaultDirective]:
+        if not self.active:
+            return []
         self.active = [d for d in self.active if d.end_tick >= tick]
         return [d for d in self.active if d.active_at(tick)]
 

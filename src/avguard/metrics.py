@@ -78,26 +78,14 @@ def finalize_tick(tick: int, world: GroundTruthWorld,
     """Assemble tick ``tick``'s record from the role outputs and the world
     the action phase stepped to."""
     ego = world.ego
+    # An enum's _value_ is its value without the .value descriptor.
     return IterationRecord(
-        tick=tick,
-        sim_time_s=round(tick * world.clock.dt, 9),
-        ego_position=ego.position,
-        ego_velocity=ego.velocity,
-        ego_accel_mps2=float(accel),
-        proposed_maneuver=proposal.value,
-        rationale=rationale,
-        verdict_level=verdict.level.value,
-        min_predicted_separation=verdict.min_predicted_separation,
-        time_of_min_s=verdict.time_of_min,
-        offending_object=verdict.offending_object,
-        active_fault=active_fault,
-        accel_violation=flags.accel_violation,
-        jerk_violation=flags.jerk_violation,
-        clearance_exceeded=flags.clearance_exceeded,
-        final_maneuver=final.value,
-        recovery_active=final == Maneuver.EMERGENCY_BRAKE,
-        collision=world.collision is not None,
-    )
+        tick, round(tick * world.clock.dt, 9), ego.position, ego.velocity,
+        float(accel), proposal._value_, rationale, verdict.level._value_,
+        verdict.min_predicted_separation, verdict.time_of_min,
+        verdict.offending_object, active_fault, flags.accel_violation,
+        flags.jerk_violation, flags.clearance_exceeded, final._value_,
+        final == Maneuver.EMERGENCY_BRAKE, world.collision is not None)
 
 
 # --- trace codec ----------------------------------------------------------

@@ -109,20 +109,17 @@ def _stop(speed: float, accel: float,
     return len(times), math.inf, 0.0
 
 
-def _arc(speed: float, half_a: float, k_stop: int, s_stop: float, k: int,
-         t: float) -> float:
-    """The ego's arc at sample k, time t: speed * t + half_a * t * t while
-    it moves, s_stop from its first stopped sample k_stop on."""
-    return s_stop if k >= k_stop else speed * t + half_a * t * t
-
-
 def displacement_along(speed: float, accel: float,
                        times: Sequence[float]) -> tuple[float, ...]:
     """Arc displacement at each time under constant accel, clamped at zero
-    speed: the ego arc the search evaluates one sample at a time."""
+    speed: the ego arc the search evaluates one sample at a time.
+
+    At sample k, time t, that is speed * t + accel / 2 * t * t while the
+    ego moves, and its stopping arc from its first stopped sample on.
+    """
     k_stop, _, s_stop = _stop(speed, accel, times)
     half_a = 0.5 * accel
-    return tuple(_arc(speed, half_a, k_stop, s_stop, k, t)
+    return tuple(s_stop if k >= k_stop else speed * t + half_a * t * t
                  for k, t in enumerate(times))
 
 
@@ -159,7 +156,7 @@ def _closest_sample(times: tuple[float, ...], ego: tuple,
 
     def separation(k: int) -> float:
         t = times[k]
-        d = _arc(speed, half_a, k_stop, s_stop, k, t)
+        d = s_stop if k >= k_stop else speed * t + half_a * t * t
         return abs(complex((ex0 + d * c) - (x + t * vx),
                            (ey0 + d * s) - (y + t * vy))) - radius
 
@@ -247,10 +244,13 @@ def _closest_sample(times: tuple[float, ...], ego: tuple,
                 if sep < best:
                     best, bound = sep, sep + SEARCH_SLACK
                 j += step
-    # The first sample that holds the minimum, as argmin takes it.
-    for k in sorted(seps):
-        if seps[k] == best:
-            return seps[k], k
+    # The first sample that holds the minimum, as argmin takes it, and
+    # that sample's own value: a -0.0 keeps its sign.
+    first = last + 1
+    for k, sep in seps.items():
+        if sep == best and k < first:
+            first, best = k, sep
+    return best, first
 
 
 def safety_check(perceived: PerceivedState, proposed: Maneuver,
@@ -264,9 +264,9 @@ def safety_check(perceived: PerceivedState, proposed: Maneuver,
     """
     sim_params = sim_params or SimParams()
     odom = perceived.ego_odometry
-    if not perceived.objects:
-        return Verdict(level=VerdictLevel.SAFE,
-                       min_predicted_separation=math.inf, time_of_min=0.0)
+    objects = perceived.objects
+    if not objects:
+        return Verdict(VerdictLevel.SAFE, math.inf, 0.0)
 
     accel = proposed_ego_accel(perceived, proposed, world_geometry, sim_params)
     times = sample_times(params.horizon, params.sample_dt)
@@ -274,13 +274,12 @@ def safety_check(perceived: PerceivedState, proposed: Maneuver,
     ego = (*odom.position, speed, 0.5 * accel, math.cos(odom.heading),
            math.sin(odom.heading), *_stop(speed, accel, times))
 
-    best_sep, best_t, best_obj = math.inf, 0.0, None
-    for obj in perceived.objects:
+    best_sep, best_t, offender = math.inf, 0.0, None
+    for obj in objects:
         sep, i = _closest_sample(times, ego, obj)
         if sep < best_sep:
-            best_sep, best_t, best_obj = sep, times[i], obj.id
+            best_sep, best_t, offender = sep, times[i], obj
 
-    offender = next(o for o in perceived.objects if o.id == best_obj)
     closing = closing_speed(odom.position, odom.velocity,
                             offender.position, offender.velocity)
     d_unsafe_eff = params.d_unsafe + params.margin_speed_gain * closing
@@ -290,15 +289,18 @@ def safety_check(perceived: PerceivedState, proposed: Maneuver,
         level = VerdictLevel.WARNING
     else:
         level = VerdictLevel.SAFE
-    return Verdict(level=level, min_predicted_separation=best_sep,
-                   time_of_min=best_t, offending_object=best_obj)
+    return Verdict(level, best_sep, best_t, offender.id)
 
 
 def closing_speed(ego_pos: Vec2, ego_vel: Vec2, obj_pos: Vec2,
                   obj_vel: Vec2) -> float:
     """Rate of approach along the line of sight at t=0; 0 if separating."""
-    lx, ly = ego_pos - obj_pos
-    rx, ry = obj_vel - ego_vel
+    ex, ey = ego_pos
+    ox, oy = obj_pos
+    evx, evy = ego_vel
+    ovx, ovy = obj_vel
+    lx, ly = ex - ox, ey - oy
+    rx, ry = ovx - evx, ovy - evy
     norm = math.hypot(lx, ly)
     if norm < 1e-9:
         return math.hypot(rx, ry)

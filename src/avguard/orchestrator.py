@@ -3,12 +3,21 @@ rule, termination checking, and whole-run execution.
 
 Every tick executes exactly eight phases, in order: environment update,
 generator, safety monitor, security assessor, fault injector
-(conditional), performance oracle, decision, action execution. The final
-maneuver is the recovery planner's emergency brake when the safety
-verdict is unsafe (and recovery is enabled), otherwise the generator's
-proposal passes through unmodified. Each phase's output is a local of
-``run_tick`` that the later phases read directly; the tick's record is
-assembled from those locals once the action phase has stepped the world.
+(conditional), performance oracle, decision, action execution. The
+environment phase only derives perception from the current ground
+truth; the action phase is the one that advances it, through
+``sim.step_dynamics``. The final maneuver is the recovery planner's
+emergency brake when the safety verdict is unsafe (and recovery is
+enabled), otherwise the generator's proposal passes through unmodified.
+Each phase's output is a local of ``run_tick`` that the later phases
+read directly; the tick's record is assembled from those locals once
+the action phase has stepped the world.
+
+Each tick's ``role_timings_ns`` entry holds the wall-clock nanoseconds
+of each timed phase call: ``environment``, ``generator``,
+``safety_monitor``, ``security_assessor``, ``performance_oracle`` and
+``action_execution`` on every tick, ``fault_injector`` only on ticks
+where it runs. The decision phase is not timed.
 """
 
 from __future__ import annotations
@@ -81,16 +90,6 @@ class RunContext:
         self.injector = FaultInjector(self.spec.attack)
 
 
-def _timed(timings: dict[str, int], role_id: str, tick: int, fn, *args):
-    start = time.perf_counter_ns()
-    try:
-        result = fn(*args)
-    except Exception as exc:  # noqa: BLE001 - wrapped into the run diagnostic
-        raise RolePanic(role_id, tick, exc) from exc
-    timings[role_id] = time.perf_counter_ns() - start
-    return result
-
-
 def ego_cleared_now(world: GroundTruthWorld) -> bool:
     """Ego fully past the conflict zone along its route."""
     _, s_exit = world.ego_route.zone_entry_exit(world.intersection.conflict_zone)
@@ -100,73 +99,101 @@ def ego_cleared_now(world: GroundTruthWorld) -> bool:
 def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
     """Execute the eight phases for one tick, finalize its record and
     append it to ``ctx.records``, and its phase timings to
-    ``ctx.role_timings_ns``."""
+    ``ctx.role_timings_ns``.
+
+    A phase call that raises becomes a ``RolePanic`` naming its role;
+    ``role`` is None between phase calls, where a failure raises as is.
+    Nothing of the tick is kept then.
+    """
     world, spec, options = ctx.world, ctx.spec, ctx.options
     if world.collision is not None:
         raise ValueError("cannot tick a collided world")
     tick = world.clock.tick
+    injector = ctx.injector
+    clock = time.perf_counter_ns
     timings: dict[str, int] = {}
-    zone = world.intersection.conflict_zone
 
     # 1. Environment update: perception with currently-active faults.
-    active = ctx.injector.active_directives(tick)
+    active = injector.active_directives(tick)
     noise_stream = (stream_for(ctx.seed, "perception", tick)
                     if spec.sim_params.perception_noise_std > 0 else None)
-    perceived = _timed(timings, "environment", tick, sim.build_perceived_state,
-                       world, active, spec.sim_params, noise_stream)
-    active_fault = ("+".join(sorted({d.kind.value for d in active}))
-                    if active else None)
+    try:
+        role, start = "environment", clock()
+        perceived = sim.build_perceived_state(world, active, spec.sim_params,
+                                              noise_stream)
+        timings[role] = clock() - start
+        role = None
+        active_fault = ("+".join(sorted({d.kind.value for d in active}))
+                        if active else None)
 
-    # 2. Generator (the AUT). Any answer but a (Maneuver, str) pair is
-    # the generator's fault, caught here before a later phase reads it.
-    if ctx.plan_fn is None:
-        answer = _timed(timings, "generator", tick, planners.plan, perceived,
-                        world.ego_goal, spec.planner_config, world.intersection)
-    else:
-        answer = _timed(timings, "generator", tick, ctx.plan_fn, perceived,
-                        world.ego_goal)
-    if not (isinstance(answer, tuple) and len(answer) == 2
-            and isinstance(answer[0], Maneuver)
-            and isinstance(answer[1], str)):
-        raise RolePanic("generator", tick, TypeError(
-            f"answer must be a (Maneuver, str) pair, not {answer!r:.100}"))
-    proposal, rationale = answer
-    if proposal == Maneuver.EMERGENCY_BRAKE:
-        # Only the recovery planner may emergency-brake; demote to Wait.
-        proposal, rationale = Maneuver.WAIT, f"demoted emergency_brake; {rationale}"
-    # Whichever generator ran, its rationale enters the record capped.
-    rationale = truncate_rationale(rationale)
+        # 2. Generator (the AUT). Any answer but a (Maneuver, str) pair is
+        # the generator's fault, caught here before a later phase reads it.
+        role, start = "generator", clock()
+        if ctx.plan_fn is None:
+            answer = planners.plan(perceived, world.ego_goal,
+                                   spec.planner_config, world.intersection)
+        else:
+            answer = ctx.plan_fn(perceived, world.ego_goal)
+        timings[role] = clock() - start
+        role = None
+        if not (isinstance(answer, tuple) and len(answer) == 2
+                and isinstance(answer[0], Maneuver)
+                and isinstance(answer[1], str)):
+            raise RolePanic("generator", tick, TypeError(
+                f"answer must be a (Maneuver, str) pair, not {answer!r:.100}"))
+        proposal, rationale = answer
+        if proposal == Maneuver.EMERGENCY_BRAKE:
+            # Only the recovery planner may emergency-brake; demote to Wait.
+            proposal, rationale = (Maneuver.WAIT,
+                                   f"demoted emergency_brake; {rationale}")
+        # Whichever generator ran, its rationale enters the record capped.
+        rationale = truncate_rationale(rationale)
 
-    # 3. Safety monitor.
-    verdict: Verdict = _timed(timings, "safety_monitor", tick, safety_check,
-                              perceived, proposal, spec.safety_params,
-                              world.intersection, spec.sim_params)
+        # 3. Safety monitor.
+        role, start = "safety_monitor", clock()
+        verdict = safety_check(perceived, proposal, spec.safety_params,
+                               world.intersection, spec.sim_params)
+        timings[role] = clock() - start
+        role = None
 
-    # 4. Security assessor.
-    zone_distance = zone.distance_to(world.ego.position)
-    attack = _timed(timings, "security_assessor", tick, ctx.injector.plan,
-                    tick, zone_distance)
+        # 4. Security assessor.
+        zone_distance = world.intersection.conflict_zone.distance_to(
+            world.ego.position)
+        role, start = "security_assessor", clock()
+        attack = injector.plan(tick, zone_distance)
+        timings[role] = clock() - start
 
-    # 5. Fault injector (conditional on an assessor directive).
-    if attack is not None:
-        _timed(timings, "fault_injector", tick, ctx.injector.activate,
-               attack, tick, perceived, world.ego_goal)
+        # 5. Fault injector (conditional on an assessor directive).
+        if attack is not None:
+            role, start = "fault_injector", clock()
+            injector.activate(attack, tick, perceived, world.ego_goal)
+            timings[role] = clock() - start
+        role = None
 
-    # 6. Performance oracle.
-    flags = _timed(timings, "performance_oracle", tick, performance_check,
-                   ctx.records, world.clock.sim_time, ego_cleared_now(world),
-                   spec.sim_params.dt, spec.perf_thresholds)
+        # 6. Performance oracle.
+        sim_time, cleared = world.clock.sim_time, ego_cleared_now(world)
+        role, start = "performance_oracle", clock()
+        flags = performance_check(ctx.records, sim_time, cleared,
+                                  spec.sim_params.dt, spec.perf_thresholds)
+        timings[role] = clock() - start
+        role = None
 
-    # 7. Decision: activate the recovery planner on an unsafe verdict.
-    if options.recovery_enabled:
-        final = recovery_decide(verdict, proposal)
-    else:
-        final = proposal
+        # 7. Decision: activate the recovery planner on an unsafe verdict.
+        if options.recovery_enabled:
+            final = recovery_decide(verdict, proposal)
+        else:
+            final = proposal
 
-    # 8. Action execution.
-    accel = sim.maneuver_to_command(final, world.ego, world, spec.sim_params)
-    new_world = _timed(timings, "action_execution", tick, sim.step_dynamics,
-                       world, accel)
+        # 8. Action execution: the one phase that advances ground truth.
+        accel = sim.maneuver_to_command(final, world.ego, world,
+                                        spec.sim_params)
+        role, start = "action_execution", clock()
+        new_world = sim.step_dynamics(world, accel)
+        timings[role] = clock() - start
+    except Exception as exc:  # noqa: BLE001 - wrapped into the run diagnostic
+        if role is None:
+            raise
+        raise RolePanic(role, tick, exc) from exc
 
     record = metrics.finalize_tick(tick, new_world, proposal, rationale,
                                    verdict, flags, final, active_fault, accel)
@@ -183,7 +210,7 @@ def check_termination(world: GroundTruthWorld, spec: ScenarioSpec,
     """Priority order: collision > cleared > halt-on-violation > timeout."""
     if world.collision is not None:
         return TerminationStatus.COLLISION
-    if ego_cleared_now(world) and world.clear_streak >= spec.grace_ticks:
+    if world.clear_streak >= spec.grace_ticks and ego_cleared_now(world):
         return TerminationStatus.CLEARED
     if (options is not None and options.halt_on_violation
             and last_verdict is not None

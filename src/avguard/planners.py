@@ -148,23 +148,23 @@ def plan(perceived: PerceivedState, goal: RouteGoal, cfg: PlannerConfig,
     if blocker is not None:
         return Maneuver.WAIT, f"path blocked by stationary object {blocker}"
 
-    def go() -> tuple[Maneuver, str]:
-        if odom.speed < ACCELERATE_BELOW_FRACTION * limit:
-            return Maneuver.ACCELERATE, "no conflicts; below cruise speed"
-        return Maneuver.PROCEED, "no conflicts"
-
+    # What the ego does when no conflict holds it back.
+    speed = odom.speed
+    if speed < ACCELERATE_BELOW_FRACTION * limit:
+        go, why = Maneuver.ACCELERATE, "no conflicts; below cruise speed"
+    else:
+        go, why = Maneuver.PROCEED, "no conflicts"
     if not conflicts:
-        return go()
+        return go, why
 
     binding = min(conflicts, key=lambda c: (c.time_gap, c.object_id))
-    req = required_gap(odom.speed, binding.crossing_distance, cfg)
+    req = required_gap(speed, binding.crossing_distance, cfg)
     detail = (f"object {binding.object_id}: gap {binding.time_gap:.2f}s, "
               f"required {req:.2f}s at {binding.crossing_distance:.1f}m")
     if binding.time_gap < cfg.reaction_time:
         return Maneuver.WAIT, f"imminent conflict; {detail}"
     if binding.time_gap >= req:
-        maneuver, why = go()
-        return maneuver, f"{why}; accepted {detail}"
+        return go, f"{why}; accepted {detail}"
     if binding.time_gap >= 0.5 * req:
         return Maneuver.PROCEED_CAUTIOUSLY, f"tight {detail}"
     return Maneuver.YIELD, f"rejected {detail}"

@@ -157,36 +157,34 @@ def command_accel(maneuver: Maneuver, speed: float, dist_to_entry: float,
     the yield envelope.
     """
 
-    def stop_before_entry() -> float:
-        if speed <= 0.0:
-            return 0.0
-        margin = max(dist_to_entry - 0.5, 0.1)
-        needed = speed * speed / (2.0 * margin) if dist_to_entry > 0.5 else COMFORT_DECEL
-        return -min(params.a_brake_max, max(COMFORT_DECEL, needed))
-
-    def track(v_target: float) -> float:
-        return min(max((v_target - speed) / params.dt, -COMFORT_DECEL),
-                   params.a_accel_max)
-
     if maneuver == Maneuver.EMERGENCY_BRAKE:
         accel = -params.a_brake_max if speed > 0.0 else 0.0
     elif maneuver == Maneuver.WAIT:
-        accel = stop_before_entry()
-    elif maneuver == Maneuver.YIELD:
-        target = YIELD_SPEED_FRACTION * speed_limit
-        if crossing_traffic_near and dist_to_entry > 0.0:
-            # Creep toward the line, never faster than what still allows
-            # a comfortable stop one meter short of it.
-            allowed = math.sqrt(2.0 * COMFORT_DECEL
-                                * max(dist_to_entry - 1.0, 0.0))
-            target = min(target, allowed)
-        accel = track(target)
-    elif maneuver == Maneuver.PROCEED_CAUTIOUSLY:
-        accel = track(CAUTIOUS_SPEED_FRACTION * speed_limit)
-    elif maneuver == Maneuver.PROCEED:
-        accel = track(speed_limit)
-    else:  # ACCELERATE
+        # Stop before the entry line.
+        if speed <= 0.0:
+            accel = 0.0
+        else:
+            needed = (speed * speed / (2.0 * max(dist_to_entry - 0.5, 0.1))
+                      if dist_to_entry > 0.5 else COMFORT_DECEL)
+            accel = -min(params.a_brake_max, max(COMFORT_DECEL, needed))
+    elif maneuver == Maneuver.ACCELERATE:
         accel = params.a_accel_max if speed < speed_limit else 0.0
+    else:
+        # Yield, proceed cautiously and proceed track a target speed.
+        if maneuver == Maneuver.YIELD:
+            target = YIELD_SPEED_FRACTION * speed_limit
+            if crossing_traffic_near and dist_to_entry > 0.0:
+                # Creep toward the line, never faster than what still
+                # allows a comfortable stop one meter short of it.
+                allowed = math.sqrt(2.0 * COMFORT_DECEL
+                                    * max(dist_to_entry - 1.0, 0.0))
+                target = min(target, allowed)
+        elif maneuver == Maneuver.PROCEED_CAUTIOUSLY:
+            target = CAUTIOUS_SPEED_FRACTION * speed_limit
+        else:
+            target = speed_limit
+        accel = min(max((target - speed) / params.dt, -COMFORT_DECEL),
+                    params.a_accel_max)
     return float(min(max(accel, -params.a_brake_max), params.a_accel_max))
 
 
@@ -298,12 +296,9 @@ def step_dynamics(world: GroundTruthWorld, accel: float) -> GroundTruthWorld:
         agents.append(_on_route(old.id, old.kind, script.route,
                                 script.arc_length_at(sim_time), script.speed,
                                 old.half_extent))
-    new_world = GroundTruthWorld(
-        clock=new_clock, ego=ego, agents=agents,
-        intersection=world.intersection, collision=None,
-        ego_route=route, ego_s=new_s, ego_goal=world.ego_goal,
-        agent_scripts=world.agent_scripts, clear_streak=world.clear_streak,
-    )
+    new_world = GroundTruthWorld(new_clock, ego, agents, world.intersection,
+                                 None, route, new_s, world.ego_goal,
+                                 world.agent_scripts, world.clear_streak)
     new_world.collision = detect_collision(new_world)
     return new_world
 
@@ -332,25 +327,16 @@ def build_perceived_state(world: GroundTruthWorld,
         x, y = agent.position
         if math.hypot(x - ego_x, y - ego_y) > params.sensing_range:
             continue
-        objects.append(PerceivedObject(
-            id=agent.id, kind=agent.kind,
-            position=agent.position, velocity=agent.velocity,
-            half_extent=agent.half_extent, provenance=Provenance.REAL,
-        ))
+        objects.append(PerceivedObject(agent.id, agent.kind, agent.position,
+                                       agent.velocity, agent.half_extent,
+                                       Provenance.REAL))
 
-    perceived_ids = {o.id for o in objects}
     ghost_seq = 0
     for directive in active_faults:
         attack = directive.attack
         if attack.kind == FaultKind.TRAJECTORY_SPOOF:
             target = directive.spoof_target
-            if target is None or target not in perceived_ids:
-                import logging  # only a skipped spoof logs
-
-                logging.getLogger(__name__).warning(
-                    "spoof target %s not perceived at tick %d; skipped",
-                    target, world.clock.tick)
-                continue
+            spoofed = False
             for obj in objects:
                 if obj.id == target:
                     vx, vy = obj.velocity
@@ -360,12 +346,18 @@ def build_perceived_state(world: GroundTruthWorld,
                         vx, vy = _rotate(vx, vy, attack.heading_bias)
                     obj.velocity = Vec2((vx, vy))
                     obj.provenance = Provenance.SPOOFED
+                    spoofed = True
+            if not spoofed:
+                import logging  # only a skipped spoof logs
+
+                logging.getLogger(__name__).warning(
+                    "spoof target %s not perceived at tick %d; skipped",
+                    target, world.clock.tick)
         elif attack.kind == FaultKind.GHOST_OBSTACLE:
             objects.append(PerceivedObject(
-                id=GHOST_ID_BASE + ghost_seq, kind=AgentKind.VEHICLE,
-                position=directive.ghost_position, velocity=_ZERO,
-                half_extent=VEHICLE_HALF_EXTENT, provenance=Provenance.GHOST,
-            ))
+                GHOST_ID_BASE + ghost_seq, AgentKind.VEHICLE,
+                directive.ghost_position, _ZERO, VEHICLE_HALF_EXTENT,
+                Provenance.GHOST))
             ghost_seq += 1
 
     if params.perception_noise_std > 0.0 and stream is not None:
@@ -375,10 +367,9 @@ def build_perceived_state(world: GroundTruthWorld,
             y += stream.gauss(0.0, params.perception_noise_std)
             obj.position = Vec2((x, y))
 
-    odometry = EgoOdometry(position=ego.position, velocity=ego.velocity,
-                           heading=ego.heading)
-    return PerceivedState(clock=world.clock, ego_odometry=odometry,
-                          objects=objects, goal=world.ego_goal)
+    return PerceivedState(world.clock,
+                          EgoOdometry(ego.position, ego.velocity, ego.heading),
+                          objects, world.ego_goal)
 
 
 def _vehicle_script(approach: str, arrival_time: float, speed: float,

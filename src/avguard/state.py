@@ -73,7 +73,7 @@ class SimClock:
         return self.tick * self.dt
 
     def advanced(self) -> "SimClock":
-        return SimClock(tick=self.tick + 1, dt=self.dt)
+        return SimClock(self.tick + 1, self.dt)
 
 
 class Vec2(tuple):

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from avguard import metrics, orchestrator, planners, sim
+from avguard.attacks import FaultInjector
 from avguard.orchestrator import (
     RolePanic,
     RunContext,
@@ -136,6 +138,103 @@ class TestRunTick:
                                              overlap_depth=0.2)
         with pytest.raises(ValueError):
             run_tick(ctx)
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+def _ghost_activation_tick(seed=0):
+    """The tick at which the ghost attack's injector first runs: the
+    tick before the first record that carries the ghost."""
+    records = run_scenario(GHOST, seed).records
+    return next(r.tick for r in records
+                if r.active_fault == "ghost_obstacle") - 1
+
+
+class TestPhaseFailureIsARolePanic:
+    """A phase call that raises fails the tick with a ``RolePanic`` naming
+    its role and tick, and leaves the run's records, timings and world as
+    they were before the tick."""
+
+    @pytest.mark.parametrize("role, owner, name", [
+        ("environment", sim, "build_perceived_state"),
+        ("safety_monitor", orchestrator, "safety_check"),
+        ("security_assessor", FaultInjector, "plan"),
+        ("performance_oracle", orchestrator, "performance_check"),
+        ("action_execution", sim, "step_dynamics"),
+    ])
+    def test_phase_failure(self, monkeypatch, role, owner, name):
+        ctx = fresh_context(GHOST, seed=0)
+        for _ in range(3):
+            run_tick(ctx)
+        self._assert_panics(monkeypatch, ctx, role, owner, name, tick=3)
+
+    def test_fault_injector_failure_at_the_trigger_tick(self, monkeypatch):
+        trigger_tick = _ghost_activation_tick()
+        ctx = fresh_context(GHOST, seed=0)
+        for _ in range(trigger_tick):
+            run_tick(ctx)
+        assert ctx.injector.activations == 0
+        self._assert_panics(monkeypatch, ctx, "fault_injector", FaultInjector,
+                            "activate", tick=trigger_tick)
+
+    @staticmethod
+    def _assert_panics(monkeypatch, ctx, role, owner, name, tick):
+        records = list(ctx.records)
+        timings = [dict(t) for t in ctx.role_timings_ns]
+        world = ctx.world
+        monkeypatch.setattr(owner, name, _raise)
+        with pytest.raises(RolePanic) as err:
+            run_tick(ctx)
+        assert err.value.role_id == role
+        assert err.value.tick == tick
+        assert isinstance(err.value.cause, RuntimeError)
+        assert ctx.records == records
+        assert ctx.role_timings_ns == timings
+        assert ctx.world is world
+        assert ctx.world.clock.tick == tick
+
+
+# Functions perfbench/layers.py replaces in their modules to time the
+# tick (``--trace 1``). A call that is inlined, or a reference bound at
+# import, would silently drop its spans.
+WRAPPED_PER_TICK = [
+    (sim, "build_perceived_state"),
+    (planners, "plan"),
+    (orchestrator, "safety_check"),
+    (orchestrator, "performance_check"),
+    (sim, "maneuver_to_command"),
+    (sim, "step_dynamics"),
+    (sim, "detect_collision"),
+    (metrics, "finalize_tick"),
+    (FaultInjector, "plan"),
+    (FaultInjector, "active_directives"),
+]
+
+
+def test_tick_calls_each_function_perfbench_wraps(monkeypatch):
+    """One call per tick of each, and one ``activate`` per activation."""
+    activate = (FaultInjector, "activate")
+    calls = dict.fromkeys([*WRAPPED_PER_TICK, activate], 0)
+    planned = []
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            result = fn(*args, **kwargs)
+            if key == (FaultInjector, "plan"):
+                planned.append(result)
+            return result
+        return wrapper
+
+    for key in calls:
+        monkeypatch.setattr(*key, counting(key, getattr(*key)))
+    ticks = len(run_scenario(GHOST, seed=0).records)
+    activations = sum(attack is not None for attack in planned)
+    assert activations >= 1
+    assert calls.pop(activate) == activations
+    assert calls == dict.fromkeys(WRAPPED_PER_TICK, ticks)
 
 
 class TestHandDrivenTicks:

@@ -224,14 +224,17 @@ class TestPerception:
         # Ground truth untouched.
         assert np.allclose(target.velocity, [0.0, -4.0])
 
-    def test_spoof_missing_target_skipped(self):
+    @pytest.mark.parametrize("target", [424242, None])
+    def test_spoof_missing_target_skipped(self, caplog, target):
         world = spawn_world(ScenarioBase.NOMINAL, RouteGoal.STRAIGHT, 5, PARAMS)
         directive = FaultDirective(SPOOF_ATTACK, start_tick=0, end_tick=10,
-                                   spoof_target=424242)
+                                   spoof_target=target)
         baseline = build_perceived_state(world, [], PARAMS)
         perceived = build_perceived_state(world, [directive], PARAMS)
-        assert len(perceived.objects) == len(baseline.objects)
+        assert perceived.objects == baseline.objects
         assert all(o.provenance == Provenance.REAL for o in perceived.objects)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"spoof target {target} not perceived at tick 0; skipped"]
 
 
 class TestSpoofRotation:
