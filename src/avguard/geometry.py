@@ -52,7 +52,7 @@ class Route:
                                normalize_heading(math.atan2(dy, dx))))
             self.crossing_segments.append((ax, ay, rx, ry))
             self._cum.append(self._cum[-1] + length)
-        self._zone_cache: dict[tuple, tuple[float, float]] = {}
+        self._zone_cache: tuple = (None, None)  # (zone, entry_exit)
 
     @property
     def length(self) -> float:
@@ -99,12 +99,12 @@ class Route:
     def zone_entry_exit(self, zone: ConflictZone) -> tuple[float, float]:
         """Arc lengths at which the route first enters / last leaves the zone.
 
-        Computed analytically per segment (slab clipping) and cached per
-        zone, since the simulator asks every tick.
+        Computed analytically per segment (slab clipping) and cached for
+        the last zone asked for, recognised by identity: the simulator
+        asks several times a tick, always with the one shared zone.
         """
-        key = (zone.x_min, zone.x_max, zone.y_min, zone.y_max)
-        cached = self._zone_cache.get(key)
-        if cached is not None:
+        cached_zone, cached = self._zone_cache
+        if zone is cached_zone:
             return cached
         entry, exit_ = math.inf, -math.inf
         for ax, ay, dx, dy, length, cum, _ in self._segs:
@@ -125,7 +125,7 @@ class Route:
                 exit_ = max(exit_, cum + t_max)
         if not math.isfinite(entry):
             raise ValueError("route never crosses the conflict zone")
-        self._zone_cache[key] = (entry, exit_)
+        self._zone_cache = (zone, (entry, exit_))
         return entry, exit_
 
 

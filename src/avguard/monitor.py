@@ -135,30 +135,24 @@ def proposed_ego_accel(perceived: PerceivedState, proposed: Maneuver,
         dist = zone.distance_to(odom.position)
     else:
         dist = distance_to_entry(route, s_ego, zone)
-    near = crossing_traffic_within_envelope(
-        [(o.position, o.velocity) for o in perceived.objects], zone)
+    near = crossing_traffic_within_envelope(perceived.objects, zone)
     return command_accel(proposed, odom.speed, dist, near,
                          world_geometry.speed_limit, sim_params)
 
 
-def _closest_sample(times: tuple[float, ...], ego: tuple,
+def _closest_sample(times: tuple[float, ...], ex0: float, ey0: float,
+                    speed: float, half_a: float, c: float, s: float,
+                    k_stop: int, t_stop: float, s_stop: float,
                     obj: PerceivedObject) -> tuple[float, int]:
     """The minimum sampled separation from obj, and its first sample.
 
-    ego is (x0, y0, speed, accel / 2, cos, sin of heading) followed by
-    what _stop returns.
+    The ego starts at (ex0, ey0) with speed, half_a = accel / 2 and
+    heading (c, s) = (cos, sin); the rest is what _stop returns.
     """
-    ex0, ey0, speed, half_a, c, s, k_stop, t_stop, s_stop = ego
     x, y = obj.position
     vx, vy = obj.velocity
     radius = EGO_RADIUS + max(obj.half_extent)
     last = len(times) - 1
-
-    def separation(k: int) -> float:
-        t = times[k]
-        d = s_stop if k >= k_stop else speed * t + half_a * t * t
-        return abs(complex((ex0 + d * c) - (x + t * vx),
-                           (ey0 + d * s) - (y + t * vy))) - radius
 
     candidates = []
     limit = last
@@ -223,11 +217,18 @@ def _closest_sample(times: tuple[float, ...], ego: tuple,
             k = bisect_left(times, t_close, k_stop)
             candidates += (k - 1, k)
 
+    # The running minimum and the first sample that holds it, as argmin
+    # takes it, with that sample's own value: a -0.0 keeps its sign.
     seps = {}
+    best, first = math.inf, last + 1
     for k in candidates:
         if 0 <= k <= limit and k not in seps:
-            seps[k] = separation(k)
-    best = min(seps.values())
+            t = times[k]
+            d = s_stop if k >= k_stop else speed * t + half_a * t * t
+            sep = seps[k] = abs(complex((ex0 + d * c) - (x + t * vx),
+                                        (ey0 + d * s) - (y + t * vy))) - radius
+            if sep < best or (sep == best and k < first):
+                best, first = sep, k
     bound = best + SEARCH_SLACK
     for k in sorted(seps):
         if seps[k] > bound:
@@ -238,18 +239,16 @@ def _closest_sample(times: tuple[float, ...], ego: tuple,
             while 0 <= j <= limit:
                 sep = seps.get(j)
                 if sep is None:
-                    sep = seps[j] = separation(j)
+                    t = times[j]
+                    d = s_stop if j >= k_stop else speed * t + half_a * t * t
+                    sep = seps[j] = abs(complex(
+                        (ex0 + d * c) - (x + t * vx),
+                        (ey0 + d * s) - (y + t * vy))) - radius
+                    if sep < best or (sep == best and j < first):
+                        best, first, bound = sep, j, sep + SEARCH_SLACK
                 if sep > bound:
                     break
-                if sep < best:
-                    best, bound = sep, sep + SEARCH_SLACK
                 j += step
-    # The first sample that holds the minimum, as argmin takes it, and
-    # that sample's own value: a -0.0 keeps its sign.
-    first = last + 1
-    for k, sep in seps.items():
-        if sep == best and k < first:
-            first, best = k, sep
     return best, first
 
 
@@ -271,12 +270,15 @@ def safety_check(perceived: PerceivedState, proposed: Maneuver,
     accel = proposed_ego_accel(perceived, proposed, world_geometry, sim_params)
     times = sample_times(params.horizon, params.sample_dt)
     speed = odom.speed
-    ego = (*odom.position, speed, 0.5 * accel, math.cos(odom.heading),
-           math.sin(odom.heading), *_stop(speed, accel, times))
+    ex0, ey0 = odom.position
+    half_a = 0.5 * accel
+    c, s = math.cos(odom.heading), math.sin(odom.heading)
+    k_stop, t_stop, s_stop = _stop(speed, accel, times)
 
     best_sep, best_t, offender = math.inf, 0.0, None
     for obj in objects:
-        sep, i = _closest_sample(times, ego, obj)
+        sep, i = _closest_sample(times, ex0, ey0, speed, half_a, c, s,
+                                 k_stop, t_stop, s_stop, obj)
         if sep < best_sep:
             best_sep, best_t, offender = sep, times[i], obj
 

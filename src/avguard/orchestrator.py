@@ -74,7 +74,7 @@ PlanFn = Callable[..., tuple[Maneuver, str]]
 @dataclass
 class RunContext:
     """Everything one run owns: world, records and phase timings so far,
-    injector, configuration, and the last tick's safety verdict."""
+    injector, configuration, and the last tick's verdict and cleared flag."""
 
     spec: ScenarioSpec
     seed: int
@@ -85,6 +85,8 @@ class RunContext:
     injector: FaultInjector = field(init=False)
     plan_fn: Optional[PlanFn] = None  # defaults to the configured planner
     last_verdict: Optional[Verdict] = None
+    # (world, ego_cleared_now(world)) for the world the last tick produced.
+    cleared: tuple[Optional[GroundTruthWorld], bool] = (None, False)
 
     def __post_init__(self) -> None:
         self.injector = FaultInjector(self.spec.attack)
@@ -170,8 +172,9 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
             timings[role] = clock() - start
         role = None
 
-        # 6. Performance oracle.
-        sim_time, cleared = world.clock.sim_time, ego_cleared_now(world)
+        # 6. Performance oracle, on the last tick's flag if it is this world's.
+        sim_time, (seen, cleared) = world.clock.sim_time, ctx.cleared
+        cleared = cleared if seen is world else ego_cleared_now(world)
         role, start = "performance_oracle", clock()
         flags = performance_check(ctx.records, sim_time, cleared,
                                   spec.sim_params.dt, spec.perf_thresholds)
@@ -201,6 +204,7 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
     ctx.role_timings_ns.append(timings)
     ctx.last_verdict = verdict
     ctx.world = new_world
+    ctx.cleared = (new_world, ego_cleared_now(new_world))
     return new_world, record
 
 
@@ -233,7 +237,7 @@ def run_scenario(spec: ScenarioSpec, seed: int,
     termination = TerminationStatus.RUNNING
     while termination == TerminationStatus.RUNNING:
         new_world, _ = run_tick(ctx)
-        if ego_cleared_now(new_world):
+        if ctx.cleared[1]:
             new_world.clear_streak += 1
         else:
             new_world.clear_streak = 0

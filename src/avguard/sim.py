@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from . import geometry
 from .state import (
@@ -98,8 +98,8 @@ class AgentScript:
 
 
 # The layout and its routes never change, so they are built once and
-# shared. Route points are tuples, and each route keeps its
-# zone_entry_exit cache for the life of the process.
+# shared. Route points are tuples, and each route keeps the
+# zone_entry_exit of the one shared zone for the life of the process.
 _APPROACH_ROUTES = {
     "S": geometry.Route([[LANE_OFFSET, -APPROACH_REACH], [LANE_OFFSET, APPROACH_REACH]]),
     "N": geometry.Route([[-LANE_OFFSET, APPROACH_REACH], [-LANE_OFFSET, -APPROACH_REACH]]),
@@ -188,13 +188,17 @@ def command_accel(maneuver: Maneuver, speed: float, dist_to_entry: float,
     return float(min(max(accel, -params.a_brake_max), params.a_accel_max))
 
 
-def crossing_traffic_within_envelope(others: list[tuple[Vec2, Vec2]],
-                                     zone: ConflictZone) -> bool:
-    """Yield envelope: any moving agent inside or closing on the zone."""
-    cx = (zone.x_min + zone.x_max) / 2
-    cy = (zone.y_min + zone.y_max) / 2
-    for (x, y), (vx, vy) in others:
-        d = zone.distance_to((x, y))
+def crossing_traffic_within_envelope(
+        others: Iterable[AgentState | PerceivedObject],
+        zone: ConflictZone) -> bool:
+    """Yield envelope: any moving agent or perceived object inside or
+    closing on the zone, at ``zone.distance_to`` of its position."""
+    x_min, x_max, y_min, y_max = zone.x_min, zone.x_max, zone.y_min, zone.y_max
+    cx, cy = (x_min + x_max) / 2, (y_min + y_max) / 2
+    for other in others:
+        (x, y), (vx, vy) = other.position, other.velocity
+        d = math.hypot(max(x_min - x, 0.0, x - x_max),
+                       max(y_min - y, 0.0, y - y_max))
         if d > YIELD_ENVELOPE:
             continue
         if d == 0.0:
@@ -210,8 +214,7 @@ def maneuver_to_command(maneuver: Maneuver, ego: AgentState,
     along its route."""
     zone = world.intersection.conflict_zone
     dist = distance_to_entry(world.ego_route, world.ego_s, zone)
-    near = crossing_traffic_within_envelope(
-        [(a.position, a.velocity) for a in world.agents], zone)
+    near = crossing_traffic_within_envelope(world.agents, zone)
     return command_accel(maneuver, ego.speed, dist, near,
                          world.intersection.speed_limit, params)
 

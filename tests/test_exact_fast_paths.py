@@ -7,7 +7,9 @@ arithmetic on floats, a crossing search that runs numpy's operations in
 numpy's order, and a monitor that searches its sample grid for the
 minimum the point-array form finds over every sample. Every test here
 compares against the numpy form the fast path replaced, kept as the
-reference, bit for bit.
+reference, bit for bit; the yield envelope, which reads agents and
+perceived objects directly, is compared with the list of (position,
+velocity) pairs it read before.
 Scalar ``hypot``, ``atan2``, ``sin`` and ``cos`` go through ``math`` on
 both sides, as they do on the tick path; the first section pins the
 inputs on which ``math.hypot`` and ``math.sqrt`` must return numpy's
@@ -35,10 +37,12 @@ from avguard.monitor import (
     safety_check,
     sample_times,
 )
-from avguard.sim import SimParams, approach_route, build_intersection, \
-    ego_route_for
+from avguard.sim import YIELD_ENVELOPE, SimParams, approach_route, \
+    build_intersection, command_accel, crossing_traffic_within_envelope, \
+    distance_to_entry, ego_route_for
 from avguard.state import (
     AgentKind,
+    AgentState,
     EgoOdometry,
     Maneuver,
     PerceivedObject,
@@ -370,6 +374,129 @@ def test_safety_check_equals_the_point_array_form(perceived, maneuver):
                                   obj.velocity)) == bits(old_closing_speed(
                                       odom.position, odom.velocity,
                                       obj.position, obj.velocity))
+
+
+# --- yield envelope ----------------------------------------------------------
+
+
+def old_crossing_traffic_within_envelope(others, zone):
+    """crossing_traffic_within_envelope as it was, on a list of
+    (position, velocity) pairs."""
+    cx = (zone.x_min + zone.x_max) / 2
+    cy = (zone.y_min + zone.y_max) / 2
+    for (x, y), (vx, vy) in others:
+        d = zone.distance_to((x, y))
+        if d > YIELD_ENVELOPE:
+            continue
+        if d == 0.0:
+            return True
+        if math.hypot(vx, vy) > 0.5 and vx * (cx - x) + vy * (cy - y) > 0.0:
+            return True
+    return False
+
+
+def old_proposed_ego_accel(perceived, proposed, world_geometry, sim_params):
+    """proposed_ego_accel as it was, building the pairs for the envelope."""
+    odom = perceived.ego_odometry
+    route = ego_route_for(perceived.goal)
+    zone = world_geometry.conflict_zone
+    s_ego = route.arc_length_of(odom.position)
+    if s_ego is None:
+        dist = zone.distance_to(odom.position)
+    else:
+        dist = distance_to_entry(route, s_ego, zone)
+    near = old_crossing_traffic_within_envelope(
+        [(o.position, o.velocity) for o in perceived.objects], zone)
+    return command_accel(proposed, odom.speed, dist, near,
+                         world_geometry.speed_limit, sim_params)
+
+
+ZONE = build_intersection().conflict_zone
+inside_x = st.floats(ZONE.x_min, ZONE.x_max)
+inside_y = st.floats(ZONE.y_min, ZONE.y_max)
+# Positions at the envelope's edges: on the zone's border (d == 0.0), at
+# exactly YIELD_ENVELOPE beside a side or off a corner (hypot(36, 48) is
+# 60.0), one ulp either side of that, on the zone's centre lines.
+envelope_position = st.one_of(
+    st.tuples(st.floats(-80.0, 80.0), st.floats(-80.0, 80.0)),
+    st.tuples(st.sampled_from([ZONE.x_min, ZONE.x_max]), inside_y),
+    st.tuples(inside_x, st.sampled_from([ZONE.y_min, ZONE.y_max])),
+    st.tuples(st.sampled_from([ZONE.x_max + YIELD_ENVELOPE,
+                               ZONE.x_min - YIELD_ENVELOPE,
+                               math.nextafter(ZONE.x_max + YIELD_ENVELOPE,
+                                              math.inf),
+                               math.nextafter(ZONE.x_max + YIELD_ENVELOPE,
+                                              0.0)]), inside_y),
+    st.tuples(inside_x, st.sampled_from([ZONE.y_max + YIELD_ENVELOPE,
+                                         ZONE.y_min - YIELD_ENVELOPE])),
+    st.sampled_from([(ZONE.x_max + 36.0, ZONE.y_max + 48.0),
+                     (ZONE.x_min - 48.0, ZONE.y_min - 36.0)]),
+    st.tuples(st.floats(-80.0, 80.0), st.sampled_from([0.0, -0.0])),
+    st.tuples(st.sampled_from([0.0, -0.0]), st.floats(-80.0, 80.0)))
+edge_component = st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                  2.2250738585072009e-308, -1e-310])
+envelope_velocity = st.one_of(
+    st.tuples(st.floats(-15.0, 15.0), st.floats(-15.0, 15.0)),
+    st.tuples(edge_component, edge_component),
+    st.tuples(st.floats(-15.0, 15.0), edge_component),
+    st.tuples(edge_component, st.floats(-15.0, 15.0)),
+    # A speed of exactly 0.5, and one ulp either side of it.
+    st.sampled_from([(0.5, 0.0), (-0.5, -0.0), (-0.0, 0.5), (0.0, -0.5),
+                     (0.3, 0.4), (-0.4, 0.3), (math.nextafter(0.5, 1.0), 0.0),
+                     (-math.nextafter(0.5, 0.0), -0.0)]))
+
+
+@st.composite
+def envelope_object(draw):
+    """An agent or a perceived object, as the simulator or the monitor
+    hands it to the envelope."""
+    position = Vec2(draw(envelope_position))
+    velocity = Vec2(draw(envelope_velocity))
+    if draw(st.booleans()):
+        return AgentState(1, AgentKind.VEHICLE, position, velocity, 0.0,
+                          Vec2((2.0, 1.0)))
+    return PerceivedObject(1, AgentKind.VEHICLE, position, velocity,
+                           Vec2((2.0, 1.0)))
+
+
+@given(objects=st.lists(envelope_object(), max_size=4))
+@settings(max_examples=2000, deadline=None)
+def test_envelope_on_objects_equals_the_pair_form(objects):
+    pairs = [(o.position, o.velocity) for o in objects]
+    assert crossing_traffic_within_envelope(objects, ZONE) is (
+        old_crossing_traffic_within_envelope(pairs, ZONE))
+
+
+@pytest.mark.parametrize("position, velocity, near", [
+    # Exactly YIELD_ENVELOPE out, closing at just over and exactly 0.5.
+    ((ZONE.x_max + YIELD_ENVELOPE, 0.0), (-math.nextafter(0.5, 1.0), 0.0),
+     True),
+    ((ZONE.x_max + YIELD_ENVELOPE, 0.0), (-0.5, 0.0), False),
+    ((ZONE.x_max + 36.0, ZONE.y_max + 48.0), (-3.0, -4.0), True),
+    # One ulp beyond the envelope.
+    ((math.nextafter(ZONE.x_max + YIELD_ENVELOPE, math.inf), 0.0),
+     (-5.0, 0.0), False),
+    # On the zone's edge, still.
+    ((ZONE.x_max, 3.0), (-0.0, 0.0), True),
+    # Inside the envelope with subnormal and signed-zero velocities.
+    ((30.0, 2.5), (-5e-324, -0.0), False),
+    ((30.0, 0.0), (-0.0, 5e-324), False),
+])
+def test_envelope_edge_cases(position, velocity, near):
+    obj = PerceivedObject(1, AgentKind.VEHICLE, Vec2(position),
+                          Vec2(velocity), Vec2((2.0, 1.0)))
+    assert crossing_traffic_within_envelope([obj], ZONE) is near
+    assert old_crossing_traffic_within_envelope(
+        [(obj.position, obj.velocity)], ZONE) is near
+
+
+@given(perceived=perceived_states(), maneuver=st.sampled_from(list(Maneuver)))
+@settings(max_examples=600, deadline=None)
+def test_proposed_ego_accel_equals_the_pair_form(perceived, maneuver):
+    geometry, sim_params = build_intersection(), SimParams()
+    assert proposed_ego_accel(perceived, maneuver, geometry,
+                              sim_params).hex() == old_proposed_ego_accel(
+        perceived, maneuver, geometry, sim_params).hex()
 
 
 def test_zero_velocity_shortcut_keeps_the_full_forms_bits():

@@ -19,7 +19,7 @@ from avguard.orchestrator import (
     run_tick,
 )
 from avguard.metrics import TerminationStatus, finalize_tick, trace_hash
-from avguard.performance import PerfFlags
+from avguard.performance import PerfFlags, PerfThresholds
 from avguard.planners import ExternalPlanner
 from avguard.scenario import (
     ScenarioSpec,
@@ -237,6 +237,38 @@ def test_tick_calls_each_function_perfbench_wraps(monkeypatch):
     assert calls == dict.fromkeys(WRAPPED_PER_TICK, ticks)
 
 
+@pytest.mark.parametrize("spec, seed", [(NOMINAL, 0), (GHOST, 3),
+                                        (NOMINAL, 11)])
+def test_ego_cleared_now_runs_once_per_world(monkeypatch, spec, seed):
+    """The oracle takes the flag the last tick computed for the world it
+    produced, so each world of a run is checked once: the spawned world
+    and one per tick. check_termination checks once more when the clear
+    streak reaches grace_ticks, which ends the run as cleared."""
+    checked, at_termination, in_termination = [], [], []
+    cleared_now = orchestrator.ego_cleared_now
+    terminate = orchestrator.check_termination
+
+    def counting_cleared(world):
+        (at_termination if in_termination else checked).append(world)
+        return cleared_now(world)
+
+    def counting_termination(*args, **kwargs):
+        in_termination.append(True)
+        try:
+            return terminate(*args, **kwargs)
+        finally:
+            in_termination.pop()
+
+    monkeypatch.setattr(orchestrator, "ego_cleared_now", counting_cleared)
+    monkeypatch.setattr(orchestrator, "check_termination",
+                        counting_termination)
+    result = run_scenario(spec, seed)
+    assert len(checked) <= len(result.records) + 1
+    assert len({id(world) for world in checked}) == len(checked)
+    assert len(at_termination) == (
+        result.termination == TerminationStatus.CLEARED)
+
+
 class TestHandDrivenTicks:
     def _drive_by_hand(self, spec, seed):
         """Tick the way acceptance criterion 03 does: the caller keeps the
@@ -265,6 +297,33 @@ class TestHandDrivenTicks:
             assert ctx.records == records
             assert records == result.records
             assert trace_hash(records) == trace_hash(result.records)
+
+    def test_oracle_follows_a_replaced_world(self):
+        """A caller that puts another world in ctx.world between ticks
+        gets the oracle's verdict on that world, not the flag the last
+        tick left for the world it produced."""
+        spec = dataclasses.replace(
+            NOMINAL, perf_thresholds=PerfThresholds(max_clearance=0.05))
+        ctx = fresh_context(spec, seed=0)
+        run_tick(ctx)
+        _, record = run_tick(ctx)
+        assert record.clearance_exceeded
+        before = ctx.world
+        _, s_exit = before.ego_route.zone_entry_exit(
+            before.intersection.conflict_zone)
+        s = s_exit + 20.0
+        ctx.world = dataclasses.replace(
+            before, ego_s=s, ego=dataclasses.replace(
+                before.ego, position=before.ego_route.pose_at(s)[0]))
+        assert ego_cleared_now(ctx.world)
+        _, record = run_tick(ctx)
+        assert not record.clearance_exceeded
+        _, record = run_tick(ctx)
+        assert not record.clearance_exceeded
+        # And back to a world whose ego has not reached the zone.
+        ctx.world = before
+        _, record = run_tick(ctx)
+        assert record.clearance_exceeded
 
     def test_cleared_flag_follows_a_moved_ego(self):
         world = spawn_scenario(NOMINAL, 0)

@@ -43,6 +43,7 @@ from avguard.state import (
     AgentKind,
     FaultKind,
     Maneuver,
+    PerceivedObject,
     Provenance,
     RouteGoal,
     Vec2,
@@ -345,25 +346,30 @@ class TestSpawnWorld:
 
 
 class TestTrafficEnvelope:
+    @staticmethod
+    def vehicle(position, velocity):
+        return PerceivedObject(1, AgentKind.VEHICLE, Vec2(position),
+                               Vec2(velocity), sim.VEHICLE_HALF_EXTENT)
+
     def test_agent_inside_zone_counts(self):
         zone = build_intersection().conflict_zone
         assert crossing_traffic_within_envelope(
-            [(np.array([0.0, 0.0]), np.array([0.0, 0.0]))], zone)
+            [self.vehicle((0.0, 0.0), (0.0, 0.0))], zone)
 
     def test_closing_agent_within_envelope_counts(self):
         zone = build_intersection().conflict_zone
         assert crossing_traffic_within_envelope(
-            [(np.array([40.0, 2.5]), np.array([-5.0, 0.0]))], zone)
+            [self.vehicle((40.0, 2.5), (-5.0, 0.0))], zone)
 
     def test_receding_agent_ignored(self):
         zone = build_intersection().conflict_zone
         assert not crossing_traffic_within_envelope(
-            [(np.array([40.0, 2.5]), np.array([5.0, 0.0]))], zone)
+            [self.vehicle((40.0, 2.5), (5.0, 0.0))], zone)
 
     def test_far_agent_ignored(self):
         zone = build_intersection().conflict_zone
         assert not crossing_traffic_within_envelope(
-            [(np.array([200.0, 2.5]), np.array([-5.0, 0.0]))], zone)
+            [self.vehicle((200.0, 2.5), (-5.0, 0.0))], zone)
 
 
 class TestRoutesAndGeometry:
