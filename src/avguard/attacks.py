@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Optional
 
 from .sim import APPROACH_REACH, default_ghost_position
-from .state import AgentKind, FaultKind, PerceivedState, Vec2
+from .state import GHOST_OBSTACLE, VEHICLE, FaultKind, PerceivedState, Vec2
 
 MAX_VELOCITY_SCALE = 100.0  # keeps a spoofed velocity and the monitor finite
 
@@ -24,6 +24,11 @@ class TriggerKind(str, Enum):
     EGO_WITHIN_DISTANCE = "ego_within"  # meters from the conflict zone
     AT_TICK = "at_tick"
     PERIODIC = "periodic"               # every N ticks
+
+
+# Members as globals for the tick: a class lookup runs EnumType.__getattr__,
+# about 110 ns on Python 3.10 and 3.11 (28 ns on 3.12) against 8 ns.
+EGO_WITHIN_DISTANCE, AT_TICK, PERIODIC = TriggerKind
 
 
 @dataclass(frozen=True)
@@ -91,9 +96,9 @@ class FaultDirective:
 
 
 def trigger_fires(attack: AttackConfig, tick: int, zone_distance: float) -> bool:
-    if attack.trigger == TriggerKind.EGO_WITHIN_DISTANCE:
+    if attack.trigger == EGO_WITHIN_DISTANCE:
         return zone_distance <= attack.trigger_value
-    if attack.trigger == TriggerKind.AT_TICK:
+    if attack.trigger == AT_TICK:
         return tick == int(attack.trigger_value)
     return tick % int(attack.trigger_value) == 0
 
@@ -125,7 +130,7 @@ class FaultInjector:
                  goal) -> Optional[FaultDirective]:
         """Resolve and schedule a directive; effective from tick + 1."""
         start, end = tick + 1, tick + attack.duration_ticks
-        if attack.kind == FaultKind.GHOST_OBSTACLE:
+        if attack.kind == GHOST_OBSTACLE:
             position = attack.ghost_position or default_ghost_position(goal)
             directive = FaultDirective(attack, start, end,
                                        ghost_position=Vec2(position))
@@ -156,7 +161,7 @@ def nearest_closing_vehicle(perceived: PerceivedState) -> Optional[int]:
     ego = perceived.ego_odometry
     best_id, best_dist = None, math.inf
     for obj in perceived.objects:
-        if obj.kind != AgentKind.VEHICLE:
+        if obj.kind != VEHICLE:
             continue
         lx, ly = ego.position - obj.position
         norm = math.hypot(lx, ly)

@@ -19,6 +19,7 @@ from typing import IO, Optional, Union
 
 from .performance import PerfFlags, PerfThresholds
 from .state import (
+    EMERGENCY_BRAKE,
     GroundTruthWorld,
     Maneuver,
     Verdict,
@@ -32,6 +33,11 @@ class TerminationStatus(str, Enum):
     COLLISION = "collision"
     TIMEOUT = "timeout"
     HALT_ON_VIOLATION = "halt_on_violation"
+
+
+# Members as globals for the tick: a class lookup runs EnumType.__getattr__,
+# about 110 ns on Python 3.10 and 3.11 (28 ns on 3.12) against 8 ns.
+RUNNING, CLEARED, COLLISION, TIMEOUT, HALT_ON_VIOLATION = TerminationStatus
 
 
 class EmptyTrace(Exception):
@@ -85,7 +91,7 @@ def finalize_tick(tick: int, world: GroundTruthWorld,
         verdict.min_predicted_separation, verdict.time_of_min,
         verdict.offending_object, active_fault, flags.accel_violation,
         flags.jerk_violation, flags.clearance_exceeded, final._value_,
-        final == Maneuver.EMERGENCY_BRAKE, world.collision is not None)
+        final == EMERGENCY_BRAKE, world.collision is not None)
 
 
 # --- trace codec ----------------------------------------------------------

@@ -37,8 +37,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .sim import SimParams, command_accel, crossing_traffic_within_envelope, \
-    distance_to_entry, ego_route_for
+from .sim import READS_DIST_TO_ENTRY, READS_TRAFFIC_NEAR, SimParams, command_accel, \
+    crossing_traffic_within_envelope, distance_to_entry, ego_route_for
+from .state import EMERGENCY_BRAKE, SAFE, UNSAFE, WARNING
 from .state import (
     IntersectionGeometry,
     Maneuver,
@@ -46,7 +47,6 @@ from .state import (
     PerceivedState,
     Vec2,
     Verdict,
-    VerdictLevel,
 )
 
 # Ego footprint radius for the disc approximation; matches the vehicle
@@ -128,14 +128,15 @@ def proposed_ego_accel(perceived: PerceivedState, proposed: Maneuver,
                        sim_params: SimParams) -> float:
     """The longitudinal command the proposal would actuate, from perception."""
     odom = perceived.ego_odometry
-    route = ego_route_for(perceived.goal)
     zone = world_geometry.conflict_zone
-    s_ego = route.arc_length_of(odom.position)
-    if s_ego is None:
-        dist = zone.distance_to(odom.position)
-    else:
-        dist = distance_to_entry(route, s_ego, zone)
-    near = crossing_traffic_within_envelope(perceived.objects, zone)
+    dist = 0.0
+    if proposed in READS_DIST_TO_ENTRY:
+        route = ego_route_for(perceived.goal)
+        s_ego = route.arc_length_of(odom.position)
+        dist = (zone.distance_to(odom.position) if s_ego is None
+                else distance_to_entry(route, s_ego, zone))
+    near = (proposed in READS_TRAFFIC_NEAR
+            and crossing_traffic_within_envelope(perceived.objects, zone))
     return command_accel(proposed, odom.speed, dist, near,
                          world_geometry.speed_limit, sim_params)
 
@@ -265,7 +266,7 @@ def safety_check(perceived: PerceivedState, proposed: Maneuver,
     odom = perceived.ego_odometry
     objects = perceived.objects
     if not objects:
-        return Verdict(VerdictLevel.SAFE, math.inf, 0.0)
+        return Verdict(SAFE, math.inf, 0.0)
 
     accel = proposed_ego_accel(perceived, proposed, world_geometry, sim_params)
     times = sample_times(params.horizon, params.sample_dt)
@@ -286,11 +287,11 @@ def safety_check(perceived: PerceivedState, proposed: Maneuver,
                             offender.position, offender.velocity)
     d_unsafe_eff = params.d_unsafe + params.margin_speed_gain * closing
     if best_sep < d_unsafe_eff:
-        level = VerdictLevel.UNSAFE
+        level = UNSAFE
     elif best_sep < max(params.d_warn, d_unsafe_eff):
-        level = VerdictLevel.WARNING
+        level = WARNING
     else:
-        level = VerdictLevel.SAFE
+        level = SAFE
     return Verdict(level, best_sep, best_t, offender.id)
 
 
@@ -311,8 +312,8 @@ def closing_speed(ego_pos: Vec2, ego_vel: Vec2, obj_pos: Vec2,
 
 def recovery_decide(verdict: Verdict, proposed: Maneuver) -> Maneuver:
     """Emergency-brake override on an unsafe verdict; pass-through otherwise."""
-    if verdict.level == VerdictLevel.UNSAFE:
-        return Maneuver.EMERGENCY_BRAKE
+    if verdict.level == UNSAFE:
+        return EMERGENCY_BRAKE
     return proposed
 
 

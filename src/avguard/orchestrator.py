@@ -14,10 +14,10 @@ read directly; the tick's record is assembled from those locals once
 the action phase has stepped the world.
 
 Each tick's ``role_timings_ns`` entry holds the wall-clock nanoseconds
-of each timed phase call: ``environment``, ``generator``,
-``safety_monitor``, ``security_assessor``, ``performance_oracle`` and
-``action_execution`` on every tick, ``fault_injector`` only on ticks
-where it runs. The decision phase is not timed.
+of each whole timed phase, the action phase's ``sim.maneuver_to_command``
+included: ``environment``, ``generator``, ``safety_monitor``,
+``security_assessor``, ``performance_oracle`` and ``action_execution``
+on every tick, ``fault_injector`` where it runs; the decision is untimed.
 """
 
 from __future__ import annotations
@@ -28,16 +28,17 @@ from typing import Callable, Optional
 
 from . import metrics, planners, sim
 from .attacks import FaultInjector
-from .metrics import IterationRecord, RunSummary, TerminationStatus
+from .metrics import CLEARED, COLLISION, HALT_ON_VIOLATION, RUNNING, \
+    TIMEOUT, IterationRecord, RunSummary, TerminationStatus
 from .monitor import recovery_decide, safety_check
 from .performance import performance_check
 from .scenario import ScenarioSpec
 from .seeding import stream_for
+from .state import EMERGENCY_BRAKE, UNSAFE, WAIT
 from .state import (
     GroundTruthWorld,
     Maneuver,
     Verdict,
-    VerdictLevel,
     truncate_rationale,
 )
 
@@ -103,8 +104,8 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
     append it to ``ctx.records``, and its phase timings to
     ``ctx.role_timings_ns``.
 
-    A phase call that raises becomes a ``RolePanic`` naming its role;
-    ``role`` is None between phase calls, where a failure raises as is.
+    Code in a timed phase that raises becomes a ``RolePanic`` naming its
+    role; ``role`` is None between phases, where a failure raises as is.
     Nothing of the tick is kept then.
     """
     world, spec, options = ctx.world, ctx.spec, ctx.options
@@ -144,9 +145,9 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
             raise RolePanic("generator", tick, TypeError(
                 f"answer must be a (Maneuver, str) pair, not {answer!r:.100}"))
         proposal, rationale = answer
-        if proposal == Maneuver.EMERGENCY_BRAKE:
+        if proposal == EMERGENCY_BRAKE:
             # Only the recovery planner may emergency-brake; demote to Wait.
-            proposal, rationale = (Maneuver.WAIT,
+            proposal, rationale = (WAIT,
                                    f"demoted emergency_brake; {rationale}")
         # Whichever generator ran, its rationale enters the record capped.
         rationale = truncate_rationale(rationale)
@@ -159,9 +160,9 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
         role = None
 
         # 4. Security assessor.
+        role, start = "security_assessor", clock()
         zone_distance = world.intersection.conflict_zone.distance_to(
             world.ego.position)
-        role, start = "security_assessor", clock()
         attack = injector.plan(tick, zone_distance)
         timings[role] = clock() - start
 
@@ -173,9 +174,9 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
         role = None
 
         # 6. Performance oracle, on the last tick's flag if it is this world's.
+        role, start = "performance_oracle", clock()
         sim_time, (seen, cleared) = world.clock.sim_time, ctx.cleared
         cleared = cleared if seen is world else ego_cleared_now(world)
-        role, start = "performance_oracle", clock()
         flags = performance_check(ctx.records, sim_time, cleared,
                                   spec.sim_params.dt, spec.perf_thresholds)
         timings[role] = clock() - start
@@ -188,9 +189,9 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
             final = proposal
 
         # 8. Action execution: the one phase that advances ground truth.
+        role, start = "action_execution", clock()
         accel = sim.maneuver_to_command(final, world.ego, world,
                                         spec.sim_params)
-        role, start = "action_execution", clock()
         new_world = sim.step_dynamics(world, accel)
         timings[role] = clock() - start
     except Exception as exc:  # noqa: BLE001 - wrapped into the run diagnostic
@@ -213,16 +214,16 @@ def check_termination(world: GroundTruthWorld, spec: ScenarioSpec,
                       options: Optional[RunOptions] = None) -> TerminationStatus:
     """Priority order: collision > cleared > halt-on-violation > timeout."""
     if world.collision is not None:
-        return TerminationStatus.COLLISION
+        return COLLISION
     if world.clear_streak >= spec.grace_ticks and ego_cleared_now(world):
-        return TerminationStatus.CLEARED
+        return CLEARED
     if (options is not None and options.halt_on_violation
             and last_verdict is not None
-            and last_verdict.level == VerdictLevel.UNSAFE):
-        return TerminationStatus.HALT_ON_VIOLATION
+            and last_verdict.level == UNSAFE):
+        return HALT_ON_VIOLATION
     if world.clock.tick >= spec.max_ticks:
-        return TerminationStatus.TIMEOUT
-    return TerminationStatus.RUNNING
+        return TIMEOUT
+    return RUNNING
 
 
 def run_scenario(spec: ScenarioSpec, seed: int,
@@ -234,8 +235,8 @@ def run_scenario(spec: ScenarioSpec, seed: int,
 
     ctx = RunContext(spec=spec, seed=seed, options=options,
                      world=spawn_scenario(spec, seed), plan_fn=plan_fn)
-    termination = TerminationStatus.RUNNING
-    while termination == TerminationStatus.RUNNING:
+    termination = RUNNING
+    while termination == RUNNING:
         new_world, _ = run_tick(ctx)
         if ctx.cleared[1]:
             new_world.clear_streak += 1

@@ -23,6 +23,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
 from .sim import build_intersection, ego_route_for
+from .state import ACCELERATE, PROCEED, PROCEED_CAUTIOUSLY, WAIT, YIELD
 from .state import (
     IntersectionGeometry,
     Maneuver,
@@ -142,18 +143,18 @@ def plan(perceived: PerceivedState, goal: RouteGoal, cfg: PlannerConfig,
     odom = perceived.ego_odometry
     ego_s = route.arc_length_of(odom.position)
     if ego_s is None:
-        return Maneuver.WAIT, "ego off route; waiting"
+        return WAIT, "ego off route; waiting"
 
     conflicts, blocker = find_conflicts(perceived, route, ego_s, zone)
     if blocker is not None:
-        return Maneuver.WAIT, f"path blocked by stationary object {blocker}"
+        return WAIT, f"path blocked by stationary object {blocker}"
 
     # What the ego does when no conflict holds it back.
     speed = odom.speed
     if speed < ACCELERATE_BELOW_FRACTION * limit:
-        go, why = Maneuver.ACCELERATE, "no conflicts; below cruise speed"
+        go, why = ACCELERATE, "no conflicts; below cruise speed"
     else:
-        go, why = Maneuver.PROCEED, "no conflicts"
+        go, why = PROCEED, "no conflicts"
     if not conflicts:
         return go, why
 
@@ -162,12 +163,12 @@ def plan(perceived: PerceivedState, goal: RouteGoal, cfg: PlannerConfig,
     detail = (f"object {binding.object_id}: gap {binding.time_gap:.2f}s, "
               f"required {req:.2f}s at {binding.crossing_distance:.1f}m")
     if binding.time_gap < cfg.reaction_time:
-        return Maneuver.WAIT, f"imminent conflict; {detail}"
+        return WAIT, f"imminent conflict; {detail}"
     if binding.time_gap >= req:
         return go, f"{why}; accepted {detail}"
     if binding.time_gap >= 0.5 * req:
-        return Maneuver.PROCEED_CAUTIOUSLY, f"tight {detail}"
-    return Maneuver.YIELD, f"rejected {detail}"
+        return PROCEED_CAUTIOUSLY, f"tight {detail}"
+    return YIELD, f"rejected {detail}"
 
 
 # --- optional external planner binding -----------------------------------
@@ -282,7 +283,7 @@ class ExternalPlanner:
             maneuver, rationale = None, "unparseable planner response"
         if maneuver is None:
             self.fault_count += 1
-            return Maneuver.WAIT, f"unmapped maneuver; {rationale}"
+            return WAIT, f"unmapped maneuver; {rationale}"
         return maneuver, rationale
 
     def close(self) -> None:

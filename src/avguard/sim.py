@@ -16,6 +16,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from . import geometry
+from .state import ACCELERATE, EMERGENCY_BRAKE, GHOST, GHOST_OBSTACLE, \
+    PROCEED_CAUTIOUSLY, REAL, SPOOFED, TRAJECTORY_SPOOF, VEHICLE, WAIT, YIELD
 from .state import (
     EGO_ID,
     AgentKind,
@@ -23,13 +25,11 @@ from .state import (
     CollisionEvent,
     ConflictZone,
     EgoOdometry,
-    FaultKind,
     GroundTruthWorld,
     IntersectionGeometry,
     Maneuver,
     PerceivedObject,
     PerceivedState,
-    Provenance,
     RouteGoal,
     SimClock,
     Vec2,
@@ -147,19 +147,25 @@ def distance_to_entry(route: geometry.Route, s: float,
     return s_entry - s
 
 
+# The maneuvers that read dist_to_entry, and crossing_traffic_near; callers
+# pass 0.0 or False to the rest. ``in`` tests ==, so "yield" is Yield too.
+READS_DIST_TO_ENTRY, READS_TRAFFIC_NEAR = (WAIT, YIELD), (YIELD,)
+
+
 def command_accel(maneuver: Maneuver, speed: float, dist_to_entry: float,
                   crossing_traffic_near: bool, speed_limit: float,
                   params: SimParams) -> float:
     """Longitudinal acceleration implementing a maneuver.
 
     ``dist_to_entry`` is the remaining arc length to the conflict-zone
-    entry line (negative once past it); ``crossing_traffic_near`` feeds
-    the yield envelope.
+    entry line (negative once past it), read only for Wait and Yield;
+    ``crossing_traffic_near`` feeds the yield envelope, read only for
+    Yield (``READS_DIST_TO_ENTRY``, ``READS_TRAFFIC_NEAR``).
     """
 
-    if maneuver == Maneuver.EMERGENCY_BRAKE:
+    if maneuver == EMERGENCY_BRAKE:
         accel = -params.a_brake_max if speed > 0.0 else 0.0
-    elif maneuver == Maneuver.WAIT:
+    elif maneuver == WAIT:
         # Stop before the entry line.
         if speed <= 0.0:
             accel = 0.0
@@ -167,11 +173,11 @@ def command_accel(maneuver: Maneuver, speed: float, dist_to_entry: float,
             needed = (speed * speed / (2.0 * max(dist_to_entry - 0.5, 0.1))
                       if dist_to_entry > 0.5 else COMFORT_DECEL)
             accel = -min(params.a_brake_max, max(COMFORT_DECEL, needed))
-    elif maneuver == Maneuver.ACCELERATE:
+    elif maneuver == ACCELERATE:
         accel = params.a_accel_max if speed < speed_limit else 0.0
     else:
         # Yield, proceed cautiously and proceed track a target speed.
-        if maneuver == Maneuver.YIELD:
+        if maneuver == YIELD:
             target = YIELD_SPEED_FRACTION * speed_limit
             if crossing_traffic_near and dist_to_entry > 0.0:
                 # Creep toward the line, never faster than what still
@@ -179,7 +185,7 @@ def command_accel(maneuver: Maneuver, speed: float, dist_to_entry: float,
                 allowed = math.sqrt(2.0 * COMFORT_DECEL
                                     * max(dist_to_entry - 1.0, 0.0))
                 target = min(target, allowed)
-        elif maneuver == Maneuver.PROCEED_CAUTIOUSLY:
+        elif maneuver == PROCEED_CAUTIOUSLY:
             target = CAUTIOUS_SPEED_FRACTION * speed_limit
         else:
             target = speed_limit
@@ -213,8 +219,10 @@ def maneuver_to_command(maneuver: Maneuver, ego: AgentState,
     """The ego's commanded acceleration for a maneuver: m/s^2, signed,
     along its route."""
     zone = world.intersection.conflict_zone
-    dist = distance_to_entry(world.ego_route, world.ego_s, zone)
-    near = crossing_traffic_within_envelope(world.agents, zone)
+    dist = (distance_to_entry(world.ego_route, world.ego_s, zone)
+            if maneuver in READS_DIST_TO_ENTRY else 0.0)
+    near = (maneuver in READS_TRAFFIC_NEAR
+            and crossing_traffic_within_envelope(world.agents, zone))
     return command_accel(maneuver, ego.speed, dist, near,
                          world.intersection.speed_limit, params)
 
@@ -331,13 +339,12 @@ def build_perceived_state(world: GroundTruthWorld,
         if math.hypot(x - ego_x, y - ego_y) > params.sensing_range:
             continue
         objects.append(PerceivedObject(agent.id, agent.kind, agent.position,
-                                       agent.velocity, agent.half_extent,
-                                       Provenance.REAL))
+                                       agent.velocity, agent.half_extent, REAL))
 
     ghost_seq = 0
     for directive in active_faults:
         attack = directive.attack
-        if attack.kind == FaultKind.TRAJECTORY_SPOOF:
+        if attack.kind == TRAJECTORY_SPOOF:
             target = directive.spoof_target
             spoofed = False
             for obj in objects:
@@ -348,7 +355,7 @@ def build_perceived_state(world: GroundTruthWorld,
                     if attack.heading_bias != 0.0:
                         vx, vy = _rotate(vx, vy, attack.heading_bias)
                     obj.velocity = Vec2((vx, vy))
-                    obj.provenance = Provenance.SPOOFED
+                    obj.provenance = SPOOFED
                     spoofed = True
             if not spoofed:
                 import logging  # only a skipped spoof logs
@@ -356,11 +363,11 @@ def build_perceived_state(world: GroundTruthWorld,
                 logging.getLogger(__name__).warning(
                     "spoof target %s not perceived at tick %d; skipped",
                     target, world.clock.tick)
-        elif attack.kind == FaultKind.GHOST_OBSTACLE:
+        elif attack.kind == GHOST_OBSTACLE:
             objects.append(PerceivedObject(
-                GHOST_ID_BASE + ghost_seq, AgentKind.VEHICLE,
+                GHOST_ID_BASE + ghost_seq, VEHICLE,
                 directive.ghost_position, _ZERO, VEHICLE_HALF_EXTENT,
-                Provenance.GHOST))
+                GHOST))
             ghost_seq += 1
 
     if params.perception_noise_std > 0.0 and stream is not None:

@@ -57,6 +57,15 @@ class FaultKind(str, Enum):
     TRAJECTORY_SPOOF = "trajectory_spoof"
 
 
+# Members as globals for the tick: a class lookup runs EnumType.__getattr__,
+# about 110 ns on Python 3.10 and 3.11 (28 ns on 3.12) against 8 ns.
+EGO_VEHICLE, VEHICLE, PEDESTRIAN = AgentKind
+REAL, GHOST, SPOOFED = Provenance
+WAIT, YIELD, PROCEED_CAUTIOUSLY, PROCEED, ACCELERATE, EMERGENCY_BRAKE = Maneuver
+SAFE, WARNING, UNSAFE = VerdictLevel
+GHOST_OBSTACLE, TRAJECTORY_SPOOF = FaultKind
+
+
 @dataclass(frozen=True)
 class SimClock:
     """Discrete simulation clock; sim_time is always tick * dt.

@@ -9,7 +9,10 @@ minimum the point-array form finds over every sample. Every test here
 compares against the numpy form the fast path replaced, kept as the
 reference, bit for bit; the yield envelope, which reads agents and
 perceived objects directly, is compared with the list of (position,
-velocity) pairs it read before.
+velocity) pairs it read before, and the commands that compute the
+zone-entry distance and the yield envelope only for the maneuvers that
+read them are compared with the forms that computed both for every
+maneuver.
 Scalar ``hypot``, ``atan2``, ``sin`` and ``cos`` go through ``math`` on
 both sides, as they do on the tick path; the first section pins the
 inputs on which ``math.hypot`` and ``math.sqrt`` must return numpy's
@@ -18,6 +21,7 @@ written out as ``a*c + b*d`` on both sides: that it equals an unfused
 ``np.dot`` is pinned by tests/test_cpu_independence.py.
 """
 
+import dataclasses
 import itertools
 import math
 import struct
@@ -37,9 +41,10 @@ from avguard.monitor import (
     safety_check,
     sample_times,
 )
-from avguard.sim import YIELD_ENVELOPE, SimParams, approach_route, \
+from avguard.sim import READS_DIST_TO_ENTRY, READS_TRAFFIC_NEAR, \
+    YIELD_ENVELOPE, ScenarioBase, SimParams, approach_route, \
     build_intersection, command_accel, crossing_traffic_within_envelope, \
-    distance_to_entry, ego_route_for
+    distance_to_entry, ego_route_for, maneuver_to_command, spawn_world
 from avguard.state import (
     AgentKind,
     AgentState,
@@ -328,12 +333,16 @@ lane_speed = st.one_of(st.just(0.0), st.floats(-14.0, 14.0))
 
 
 @st.composite
-def perceived_states(draw):
+def perceived_states(draw, off_route=False):
+    """On the straight route's lane; with ``off_route``, also any goal and
+    an ego x up to 70 m either side, so the route lookup can miss."""
     heading = draw(st.sampled_from([math.pi / 2, 0.0, math.pi,
                                     draw(st.floats(-math.pi, math.pi))]))
     ego_speed = draw(st.floats(0.0, 12.0))
+    ego_x = draw(st.floats(-70.0, 70.0)) if off_route and draw(
+        st.booleans()) else 2.5
     ego = EgoOdometry(
-        position=Vec2((2.5, draw(st.floats(-60.0, 20.0)))),
+        position=Vec2((ego_x, draw(st.floats(-60.0, 20.0)))),
         velocity=Vec2((ego_speed * float(np.cos(heading)),
                        ego_speed * float(np.sin(heading)))),
         heading=heading)
@@ -352,8 +361,9 @@ def perceived_states(draw):
             velocity=velocity,
             half_extent=Vec2(draw(st.sampled_from([(2.0, 1.0),
                                                    (0.3, 0.3)])))))
+    goal = draw(st.sampled_from(RouteGoal)) if off_route else RouteGoal.STRAIGHT
     return PerceivedState(clock=SimClock(), ego_odometry=ego, objects=objects,
-                          goal=RouteGoal.STRAIGHT)
+                          goal=goal)
 
 
 @given(perceived=perceived_states(),
@@ -497,6 +507,105 @@ def test_proposed_ego_accel_equals_the_pair_form(perceived, maneuver):
     assert proposed_ego_accel(perceived, maneuver, geometry,
                               sim_params).hex() == old_proposed_ego_accel(
         perceived, maneuver, geometry, sim_params).hex()
+
+
+# --- command-law inputs gated on the maneuver --------------------------------
+
+
+def eager_maneuver_to_command(maneuver, ego, world, params):
+    """maneuver_to_command as it was, computing both inputs for every
+    maneuver."""
+    zone = world.intersection.conflict_zone
+    dist = distance_to_entry(world.ego_route, world.ego_s, zone)
+    near = crossing_traffic_within_envelope(world.agents, zone)
+    return command_accel(maneuver, ego.speed, dist, near,
+                         world.intersection.speed_limit, params)
+
+
+def eager_proposed_ego_accel(perceived, proposed, world_geometry, sim_params):
+    """proposed_ego_accel as it was, computing both inputs for every
+    maneuver."""
+    odom = perceived.ego_odometry
+    route = ego_route_for(perceived.goal)
+    zone = world_geometry.conflict_zone
+    s_ego = route.arc_length_of(odom.position)
+    if s_ego is None:
+        dist = zone.distance_to(odom.position)
+    else:
+        dist = distance_to_entry(route, s_ego, zone)
+    near = crossing_traffic_within_envelope(perceived.objects, zone)
+    return command_accel(proposed, odom.speed, dist, near,
+                         world_geometry.speed_limit, sim_params)
+
+
+# Every member, and the plain strings that command_accel's == branches
+# take as Wait and Yield.
+COMMANDED = [*Maneuver, "wait", "yield"]
+
+
+def test_the_gate_is_wait_and_yield_for_the_distance_and_yield_for_traffic():
+    assert READS_DIST_TO_ENTRY == (Maneuver.WAIT, Maneuver.YIELD)
+    assert READS_TRAFFIC_NEAR == (Maneuver.YIELD,)
+    assert [m for m in COMMANDED if m in READS_DIST_TO_ENTRY] == [
+        Maneuver.WAIT, Maneuver.YIELD, "wait", "yield"]
+    assert [m for m in COMMANDED if m in READS_TRAFFIC_NEAR] == [
+        Maneuver.YIELD, "yield"]
+
+
+@given(maneuver=st.sampled_from(COMMANDED), speed=st.floats(),
+       dist=st.floats(), near=st.booleans(), limit=st.floats(0.0, 40.0))
+@settings(max_examples=3000, deadline=None)
+def test_command_accel_reads_no_input_outside_the_gate(maneuver, speed, dist,
+                                                       near, limit):
+    """The invariant the gate relies on: only Wait and Yield read
+    dist_to_entry, and only Yield reads crossing_traffic_near, so the
+    neutral values the gate passes give the same bits."""
+    params = SimParams()
+    got = command_accel(maneuver, speed, dist, near, limit, params).hex()
+    if maneuver != Maneuver.WAIT and maneuver != Maneuver.YIELD:
+        assert got == command_accel(maneuver, speed, 0.0, False, limit,
+                                    params).hex()
+    if maneuver == Maneuver.WAIT:
+        assert got == command_accel(maneuver, speed, dist, not near, limit,
+                                    params).hex()
+
+
+@given(perceived=perceived_states(off_route=True),
+       maneuver=st.sampled_from(COMMANDED))
+@settings(max_examples=1000, deadline=None)
+def test_gated_proposed_ego_accel_equals_the_eager_form(perceived, maneuver):
+    geometry, sim_params = build_intersection(), SimParams()
+    assert proposed_ego_accel(perceived, maneuver, geometry,
+                              sim_params).hex() == eager_proposed_ego_accel(
+        perceived, maneuver, geometry, sim_params).hex()
+
+
+@st.composite
+def worlds(draw):
+    """A spawned world with the ego anywhere on its route at any speed,
+    and agents anywhere around the yield envelope."""
+    world = spawn_world(draw(st.sampled_from(ScenarioBase)),
+                        draw(st.sampled_from(RouteGoal)),
+                        draw(st.integers(0, 99)), SimParams())
+    route = world.ego_route
+    ego_s = draw(st.floats(0.0, route.length))
+    speed = draw(st.floats(0.0, 12.0))
+    position, (dx, dy), heading = route.pose_at(ego_s)
+    ego = AgentState(0, AgentKind.EGO_VEHICLE, position,
+                     Vec2((speed * dx, speed * dy)), heading,
+                     Vec2((2.0, 1.0)))
+    agents = [AgentState(i, AgentKind.VEHICLE, Vec2(draw(envelope_position)),
+                         Vec2(draw(envelope_velocity)), 0.0, Vec2((2.0, 1.0)))
+              for i in range(1, draw(st.integers(0, 4)) + 1)]
+    return dataclasses.replace(world, ego=ego, ego_s=ego_s, agents=agents)
+
+
+@given(world=worlds(), maneuver=st.sampled_from(COMMANDED))
+@settings(max_examples=1000, deadline=None)
+def test_gated_maneuver_to_command_equals_the_eager_form(world, maneuver):
+    params = SimParams()
+    assert maneuver_to_command(maneuver, world.ego, world, params).hex() == (
+        eager_maneuver_to_command(maneuver, world.ego, world, params).hex())
 
 
 def test_zero_velocity_shortcut_keeps_the_full_forms_bits():

@@ -37,6 +37,7 @@ from avguard.sim import (
 from avguard.state import (
     RATIONALE_CAP,
     RATIONALE_TRUNCATION_MARKER,
+    ConflictZone,
     Maneuver,
     Verdict,
     VerdictLevel,
@@ -160,8 +161,10 @@ class TestPhaseFailureIsARolePanic:
     @pytest.mark.parametrize("role, owner, name", [
         ("environment", sim, "build_perceived_state"),
         ("safety_monitor", orchestrator, "safety_check"),
+        ("security_assessor", ConflictZone, "distance_to"),
         ("security_assessor", FaultInjector, "plan"),
         ("performance_oracle", orchestrator, "performance_check"),
+        ("action_execution", sim, "maneuver_to_command"),
         ("action_execution", sim, "step_dynamics"),
     ])
     def test_phase_failure(self, monkeypatch, role, owner, name):
@@ -178,6 +181,12 @@ class TestPhaseFailureIsARolePanic:
         assert ctx.injector.activations == 0
         self._assert_panics(monkeypatch, ctx, "fault_injector", FaultInjector,
                             "activate", tick=trigger_tick)
+
+    def test_oracle_cleared_flag_failure_on_the_first_tick(self, monkeypatch):
+        """Only the first tick has no flag from the tick before."""
+        self._assert_panics(monkeypatch, fresh_context(GHOST, seed=0),
+                            "performance_oracle", orchestrator,
+                            "ego_cleared_now", tick=0)
 
     @staticmethod
     def _assert_panics(monkeypatch, ctx, role, owner, name, tick):
