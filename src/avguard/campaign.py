@@ -116,21 +116,44 @@ def _execute_run(spec: ScenarioSpec, seed: int, options: RunOptions,
     return result.summary, digest, len(result.records)
 
 
-Task = tuple[ScenarioSpec, int, int, int]  # spec, seed, scenario index, run index
+Task = tuple[int, int, int]  # scenario index, seed, run index
+
+# A pool worker's (specs, options, out_dir), set once by _init_worker.
+_worker_plan: Optional[tuple[list[ScenarioSpec], RunOptions,
+                             Optional[str]]] = None
 
 
-def _run_pool(tasks: list[Task], options: RunOptions, out_dir: Optional[str],
+def _init_worker(specs: list[ScenarioSpec], options: RunOptions,
+                 out_dir: Optional[str]) -> None:
+    global _worker_plan
+    _worker_plan = (specs, options, out_dir)
+
+
+def _run_task(si: int, seed: int, i: int) -> Outcome:
+    """A pool worker's run of one task against the plan it was given."""
+    specs, options, out_dir = _worker_plan
+    # _execute_run is looked up at each call, so a wrapper put on the
+    # module before the pool started is the one that runs.
+    return _execute_run(specs[si], seed, options, out_dir, si, i)
+
+
+def _run_pool(specs: list[ScenarioSpec], tasks: list[Task],
+              options: RunOptions, out_dir: Optional[str],
               workers: int) -> list[Optional[Outcome]]:
     """Each task's outcome, or None where a worker died and broke the pool
-    before the task finished."""
+    before the task finished.
+
+    Each worker receives the specs, options and ``out_dir`` once, when it
+    starts; a task carries only indices and a seed.
+    """
     # Only a parallel campaign pays for the pool's imports.
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     outcomes: list[Optional[Outcome]] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_execute_run, spec, seed, options, out_dir, si, i)
-                   for spec, seed, si, i in tasks]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(specs, options, out_dir)) as pool:
+        futures = [pool.submit(_run_task, *task) for task in tasks]
         for future in futures:
             try:
                 outcomes.append(future.result())
@@ -139,8 +162,9 @@ def _run_pool(tasks: list[Task], options: RunOptions, out_dir: Optional[str],
     return outcomes
 
 
-def _run_parallel(tasks: list[Task], options: RunOptions,
-                  out_dir: Optional[str], workers: int) -> list[Outcome]:
+def _run_parallel(specs: list[ScenarioSpec], tasks: list[Task],
+                  options: RunOptions, out_dir: Optional[str],
+                  workers: int) -> list[Outcome]:
     """Run the tasks on a process pool; a run whose worker dies is a
     failed run.
 
@@ -152,15 +176,16 @@ def _run_parallel(tasks: list[Task], options: RunOptions,
     """
     from concurrent.futures.process import BrokenProcessPool
 
-    outcomes = _run_pool(tasks, options, out_dir, workers)
+    outcomes = _run_pool(specs, tasks, options, out_dir, workers)
     for index, (outcome, task) in enumerate(zip(outcomes, tasks)):
         if outcome is not None:
             continue
-        outcome = _run_pool([task], options, out_dir, 1)[0]
+        outcome = _run_pool(specs, [task], options, out_dir, 1)[0]
         if outcome is None:
-            spec, seed, si, i = task
+            si, seed, i = task
             outcome = _failed_run(
-                spec, seed, BrokenProcessPool("the run's worker process died"),
+                specs[si], seed,
+                BrokenProcessPool("the run's worker process died"),
                 out_dir, si, i)
         outcomes[index] = outcome
     return outcomes
@@ -195,19 +220,21 @@ def run_campaign(plan: CampaignPlan,
         raise ValidationError(f"out_dir {out_dir!r} is not empty: a campaign "
                               f"writes only into a new or empty directory")
     options = plan.options()
-    tasks = [(spec, stable_mix(plan.base_seed, spec.id, i), si, i)
-             for si, spec in enumerate(plan.specs)
+    specs = plan.specs
+    tasks = [(si, stable_mix(plan.base_seed, spec.id, i), i)
+             for si, spec in enumerate(specs)
              for i in range(plan.runs_per_spec)]
 
     if plan.parallelism > 1:
-        outcomes = _run_parallel(tasks, options, out_dir, plan.parallelism)
+        outcomes = _run_parallel(specs, tasks, options, out_dir,
+                                 plan.parallelism)
     else:
-        outcomes = [_execute_run(spec, seed, options, out_dir, si, i)
-                    for spec, seed, si, i in tasks]
+        outcomes = [_execute_run(specs[si], seed, options, out_dir, si, i)
+                    for si, seed, i in tasks]
 
     summaries = [summary for summary, _, _ in outcomes]
-    hashes = {(spec.id, seed): digest
-              for (spec, seed, _, _), (_, digest, _) in zip(tasks, outcomes)
+    hashes = {(specs[si].id, seed): digest
+              for (si, seed, _), (_, digest, _) in zip(tasks, outcomes)
               if digest is not None}
     return CampaignResult(summary=metrics.summarize_campaign(summaries),
                           run_summaries=summaries, trace_hashes=hashes)

@@ -85,10 +85,20 @@ class Route:
         """
         x, y = float(p[0]), float(p[1])
         best_s, best_d = None, 5.0
-        for i in range(len(self._segs)):
-            s, d = self._closest(i, x, y)
-            if s >= s_min and d < best_d:
-                best_s, best_d = s, d
+        # _closest inlined, with the same float operations: this runs on
+        # every tick; a point whose arc length is below s_min needs no
+        # distance.
+        for ax, ay, dx, dy, length, cum, _ in self._segs:
+            t = (x - ax) * dx + (y - ay) * dy
+            if t < 0.0:
+                t = 0.0
+            if t > length:
+                t = length
+            s = cum + t
+            if s >= s_min:
+                d = math.hypot(x - (ax + t * dx), y - (ay + t * dy))
+                if d < best_d:
+                    best_s, best_d = s, d
         return best_s
 
     def lateral_offset(self, p: tuple[float, float]) -> float:

@@ -20,10 +20,10 @@ from typing import IO, Optional, Union
 from .performance import PerfFlags, PerfThresholds
 from .state import (
     EMERGENCY_BRAKE,
+    UNSAFE,
     GroundTruthWorld,
     Maneuver,
     Verdict,
-    VerdictLevel,
 )
 
 
@@ -38,6 +38,7 @@ class TerminationStatus(str, Enum):
 # Members as globals for the tick: a class lookup runs EnumType.__getattr__,
 # about 110 ns on Python 3.10 and 3.11 (28 ns on 3.12) against 8 ns.
 RUNNING, CLEARED, COLLISION, TIMEOUT, HALT_ON_VIOLATION = TerminationStatus
+_UNSAFE = UNSAFE._value_  # a record's verdict_level is the plain string
 
 
 class EmptyTrace(Exception):
@@ -97,30 +98,29 @@ def finalize_tick(tick: int, world: GroundTruthWorld,
 # --- trace codec ----------------------------------------------------------
 
 _INF = '"inf"'  # the separation of a tick with no perceived object
-_float_repr = float.__repr__  # bound once: a record holds nine floats
-
-
-def _number(x: float) -> str:
-    """A finite float as JSON: its repr. ``TypeError`` for a non-float,
-    ``ValueError`` for NaN or an infinity."""
-    text = _float_repr(x)
-    if text[-1] in "nf":  # nan, inf, -inf; a finite repr ends in a digit
-        raise ValueError(f"out of range float value in a record: {text}")
-    return text
-
-
-def _flag(value: bool) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    raise TypeError(f"expected a bool, not {type(value).__name__}")
+_float_repr = float.__repr__  # bound once: a record holds eight floats
 
 
 def _integer(value: int) -> str:
     if value.__class__ is bool:
         raise TypeError("expected an int, not bool")
     return int.__repr__(value)  # TypeError for a non-int
+
+
+def _reject_non_bool(flags: tuple) -> None:
+    """Raise ``TypeError`` for the first flag that is not a bool."""
+    for value in flags:
+        if value.__class__ is not bool:
+            raise TypeError(f"expected a bool, not {type(value).__name__}")
+
+
+def _reject_non_finite(floats: tuple) -> None:
+    """Raise ``ValueError`` for the first float that is NaN or an
+    infinity."""
+    for x in floats:
+        text = _float_repr(x)
+        if text[-1] in "nf":  # nan, inf, -inf; a finite repr ends in a digit
+            raise ValueError(f"out of range float value in a record: {text}")
 
 
 def encode_record(record: IterationRecord) -> str:
@@ -135,32 +135,49 @@ def encode_record(record: IterationRecord) -> str:
     digests.
     """
     r = record
+    accel_v, clearance_x, collided, jerk_v, recovering = (
+        r.accel_violation, r.clearance_exceeded, r.collision,
+        r.jerk_violation, r.recovery_active)
+    if not (accel_v.__class__ is clearance_x.__class__ is collided.__class__
+            is jerk_v.__class__ is recovering.__class__ is bool):
+        _reject_non_bool((accel_v, clearance_x, collided, jerk_v, recovering))
     px, py = r.ego_position
     vx, vy = r.ego_velocity
+    accel, sim_time, time_of_min = (r.ego_accel_mps2, r.sim_time_s,
+                                    r.time_of_min_s)
     separation = r.min_predicted_separation
-    obj = r.offending_object
-    fault = r.active_fault
-    return (
-        f'{{"accel_violation": {_flag(r.accel_violation)}, '
+    no_object = separation == math.inf
+    obj, fault = r.offending_object, r.active_fault
+    # float.__repr__ raises TypeError for anything but a float.
+    line = (
+        f'{{"accel_violation": {"true" if accel_v else "false"}, '
         f'"active_fault": {"null" if fault is None else _string(fault)}, '
-        f'"clearance_exceeded": {_flag(r.clearance_exceeded)}, '
-        f'"collision": {_flag(r.collision)}, '
-        f'"ego_accel_mps2": {_number(r.ego_accel_mps2)}, '
-        f'"ego_position": [{_number(px)}, {_number(py)}], '
-        f'"ego_velocity": [{_number(vx)}, {_number(vy)}], '
+        f'"clearance_exceeded": {"true" if clearance_x else "false"}, '
+        f'"collision": {"true" if collided else "false"}, '
+        f'"ego_accel_mps2": {_float_repr(accel)}, '
+        f'"ego_position": [{_float_repr(px)}, {_float_repr(py)}], '
+        f'"ego_velocity": [{_float_repr(vx)}, {_float_repr(vy)}], '
         f'"final_maneuver": {_string(r.final_maneuver)}, '
-        f'"jerk_violation": {_flag(r.jerk_violation)}, '
+        f'"jerk_violation": {"true" if jerk_v else "false"}, '
         f'"min_predicted_separation": '
-        f'{_INF if separation == math.inf else _number(separation)}, '
+        f'{_INF if no_object else _float_repr(separation)}, '
         f'"offending_object": {"null" if obj is None else _integer(obj)}, '
         f'"proposed_maneuver": {_string(r.proposed_maneuver)}, '
         f'"rationale": {_string(r.rationale)}, '
-        f'"recovery_active": {_flag(r.recovery_active)}, '
-        f'"sim_time_s": {_number(r.sim_time_s)}, '
+        f'"recovery_active": {"true" if recovering else "false"}, '
+        f'"sim_time_s": {_float_repr(sim_time)}, '
         f'"tick": {_integer(r.tick)}, '
-        f'"time_of_min_s": {_number(r.time_of_min_s)}, '
+        f'"time_of_min_s": {_float_repr(time_of_min)}, '
         f'"verdict_level": {_string(r.verdict_level)}}}'
     )
+    # Every float is one now. x * 0.0 is a zero, which is false, for a
+    # finite x, and NaN, which is true, for NaN or an infinity.
+    if (accel * 0.0 + px * 0.0 + py * 0.0 + vx * 0.0 + vy * 0.0
+            + sim_time * 0.0 + time_of_min * 0.0
+            or not no_object and separation * 0.0):
+        _reject_non_finite((accel, px, py, vx, vy, sim_time, time_of_min,
+                            0.0 if no_object else separation))
+    return line
 
 
 def record_from_json_dict(d: dict) -> IterationRecord:
@@ -172,27 +189,39 @@ def record_from_json_dict(d: dict) -> IterationRecord:
     return IterationRecord(**d)
 
 
+def _encoded_lines(records: list[IterationRecord]) -> tuple[list[bytes], str]:
+    """Each record's trace line as UTF-8 bytes, without its newline, and
+    the sha256 of those bytes: the records' ``trace_hash``."""
+    h = hashlib.sha256()
+    update = h.update
+    lines = []
+    append = lines.append
+    for record in records:
+        line = encode_record(record).encode("utf-8")
+        update(line)
+        append(line)
+    return lines, h.hexdigest()
+
+
 def write_trace(records: list[IterationRecord],
                 destination: Union[str, IO[str]]) -> str:
     """Write JSON Lines, one record per line, UTF-8; return the trace's
     ``trace_hash``, the sha256 of the written bytes without the newlines.
 
-    Each record is encoded once, for both the file and the digest.
+    Each record is encoded once, to bytes, for both the file and the
+    digest. A path gets the whole trace in one binary write, so no
+    platform's newline translation can change its bytes; a text stream
+    gets the same text.
     """
-    h = hashlib.sha256()
-
-    def dump(fh: IO[str]) -> None:
-        for record in records:
-            line = encode_record(record)
-            h.update(line.encode("utf-8"))
-            fh.write(line + "\n")
-
+    lines, digest = _encoded_lines(records)
+    lines.append(b"")  # the last line's newline
+    data = b"\n".join(lines)
     if isinstance(destination, str):
-        with open(destination, "w", encoding="utf-8") as fh:
-            dump(fh)
+        with open(destination, "wb") as fh:
+            fh.write(data)
     else:
-        dump(destination)
-    return h.hexdigest()
+        destination.write(data.decode("utf-8"))
+    return digest
 
 
 def read_trace(source: Union[str, IO[str]]) -> list[IterationRecord]:
@@ -217,10 +246,7 @@ def read_trace(source: Union[str, IO[str]]) -> list[IterationRecord]:
 def trace_hash(records: list[IterationRecord]) -> str:
     """SHA-256 over the records' trace lines, newlines left out: the
     digest ``write_trace`` returns for the same records."""
-    h = hashlib.sha256()
-    for record in records:
-        h.update(encode_record(record).encode("utf-8"))
-    return h.hexdigest()
+    return _encoded_lines(records)[1]
 
 
 # --- run aggregation ------------------------------------------------------
@@ -260,72 +286,84 @@ class RunSummary:
             failed=True, error=error)
 
 
-def _recovery_episodes(records: list[IterationRecord]) -> tuple[int, int]:
-    """(activations, successes). An episode is a maximal run of
-    recovery-active ticks; it succeeds if no collision happens before the
-    next episode starts (or the run ends)."""
-    starts = [i for i, r in enumerate(records)
-              if r.recovery_active and (i == 0 or not records[i - 1].recovery_active)]
-    successes = 0
-    for n, start in enumerate(starts):
-        end = starts[n + 1] if n + 1 < len(starts) else len(records)
-        if not any(r.collision for r in records[start:end]):
-            successes += 1
-    return len(starts), successes
-
-
-def _fault_activations(records: list[IterationRecord]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    previous: set[str] = set()
-    for record in records:
-        current = set(record.active_fault.split("+")) if record.active_fault else set()
-        for kind in sorted(current - previous):
-            counts[kind] = counts.get(kind, 0) + 1
-        previous = current
-    return counts
-
-
 def summarize_run(records: list[IterationRecord],
                   termination: TerminationStatus,
                   thresholds: PerfThresholds = PerfThresholds(),
                   dt: float = 0.1,
                   scenario_id: str = "", seed: int = 0) -> RunSummary:
+    """The run's summary, in one pass over its records (``dt`` > 0, and
+    every acceleration finite, as the trace encoder requires).
+
+    The jerk of record i >= 1 is ``|a_i - a_(i-1)| / dt``. A record
+    violates comfort when its acceleration or jerk exceeds its
+    threshold; it counts as exempt when recovery was braking. A recovery
+    episode is a maximal run of recovery-active ticks; it succeeds if no
+    collision happens before the next episode starts (or the run ends).
+    A fault kind counts once per tick on which it becomes active.
+    """
     if not records:
         raise EmptyTrace("run produced no records")
-    unsafe = [r for r in records if r.verdict_level == VerdictLevel.UNSAFE.value]
-    collision = any(r.collision for r in records)
-
-    max_accel = max(abs(r.ego_accel_mps2) for r in records)
-    jerks = [abs(records[i].ego_accel_mps2 - records[i - 1].ego_accel_mps2) / dt
-             for i in range(1, len(records))]
-    max_jerk = max(jerks, default=0.0)
-    max_jerk_nonexempt = max(
-        (j for i, j in enumerate(jerks, start=1) if not records[i].recovery_active),
-        default=0.0)
-
-    violations = violations_exempt = 0
-    for i, record in enumerate(records):
-        violated = abs(record.ego_accel_mps2) > thresholds.max_abs_accel
-        if i >= 1 and jerks[i - 1] > thresholds.max_abs_jerk:
-            violated = True
+    accel_limit = thresholds.max_abs_accel
+    jerk_limit = thresholds.max_abs_jerk
+    unsafe = violations = violations_exempt = 0
+    activations = successes = 0
+    collision = episode_collided = recovering = False
+    faults: dict[str, int] = {}
+    fault, kinds = None, set()
+    max_accel = abs(records[0].ego_accel_mps2)
+    max_jerk = max_jerk_nonexempt = 0.0
+    last_accel = None
+    for r in records:
+        if r.verdict_level == _UNSAFE:
+            unsafe += 1
+        accel = r.ego_accel_mps2
+        magnitude = abs(accel)
+        if magnitude > max_accel:
+            max_accel = magnitude
+        violated = magnitude > accel_limit
+        active = r.recovery_active
+        if last_accel is not None:
+            jerk = abs(accel - last_accel) / dt
+            if jerk > max_jerk:
+                max_jerk = jerk
+            if not active and jerk > max_jerk_nonexempt:
+                max_jerk_nonexempt = jerk
+            if jerk > jerk_limit:
+                violated = True
+        last_accel = accel
         if violated:
-            if record.recovery_active:
+            if active:
                 violations_exempt += 1
             else:
                 violations += 1
+        if active and not recovering:  # an episode starts
+            if activations and not episode_collided:
+                successes += 1
+            activations += 1
+            episode_collided = False
+        recovering = active
+        if r.collision:
+            collision = episode_collided = True
+        if r.active_fault != fault:
+            fault = r.active_fault
+            current = set(fault.split("+")) if fault else set()
+            for kind in sorted(current - kinds):
+                faults[kind] = faults.get(kind, 0) + 1
+            kinds = current
+    if activations and not episode_collided:
+        successes += 1
 
-    activations, successes = _recovery_episodes(records)
-    cleared = termination == TerminationStatus.CLEARED
+    cleared = termination == CLEARED
     clearance = round(records[-1].sim_time_s + dt, 9) if cleared else None
     return RunSummary(
         scenario_id=scenario_id, seed=seed, termination=termination,
-        any_unsafe_flag=bool(unsafe), unsafe_tick_count=len(unsafe),
+        any_unsafe_flag=unsafe > 0, unsafe_tick_count=unsafe,
         collision=collision, clearance_time_s=clearance,
         max_abs_accel=max_accel, max_abs_jerk=max_jerk,
         max_abs_jerk_nonexempt=max_jerk_nonexempt,
         comfort_violations=violations,
         comfort_violations_exempt=violations_exempt,
-        faults_injected=_fault_activations(records),
+        faults_injected=faults,
         recovery_activations=activations, recovery_successes=successes,
     )
 

@@ -126,8 +126,12 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
                                               noise_stream)
         timings[role] = clock() - start
         role = None
-        active_fault = ("+".join(sorted({d.kind.value for d in active}))
-                        if active else None)
+        if not active:
+            active_fault = None
+        elif len(active) == 1:  # the common case needs no set or sort
+            active_fault = active[0].kind._value_
+        else:
+            active_fault = "+".join(sorted({d.kind.value for d in active}))
 
         # 2. Generator (the AUT). Any answer but a (Maneuver, str) pair is
         # the generator's fault, caught here before a later phase reads it.
@@ -201,11 +205,12 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
 
     record = metrics.finalize_tick(tick, new_world, proposal, rationale,
                                    verdict, flags, final, active_fault, accel)
+    cleared = ego_cleared_now(new_world)  # before the tick is kept
     ctx.records.append(record)
     ctx.role_timings_ns.append(timings)
     ctx.last_verdict = verdict
     ctx.world = new_world
-    ctx.cleared = (new_world, ego_cleared_now(new_world))
+    ctx.cleared = (new_world, cleared)
     return new_world, record
 
 

@@ -182,6 +182,65 @@ class TestRunCampaign:
         assert reaggregate_from_traces(str(out)) == result.summary
 
 
+class TestPoolDispatch:
+    def test_each_worker_gets_the_plan_once(self, tmp_path):
+        """Tasks carry indices and seeds; a spec is pickled at most once
+        per worker, when the worker starts, and not at all when workers
+        are forked. Three runs per spec: sending the spec with every
+        task would pickle each one three times, more than the two
+        workers' once each."""
+        import copyreg
+
+        reductions = []
+
+        def counting(spec):
+            reductions.append(spec.id)
+            return object.__reduce_ex__(spec, 2)
+
+        specs, workers = reference_specs(), 2
+        copyreg.pickle(ScenarioSpec, counting)
+        try:
+            result = run_campaign(
+                small_plan(specs=specs, runs_per_spec=3,
+                           parallelism=workers),
+                out_dir=str(tmp_path))
+        finally:
+            del copyreg.dispatch_table[ScenarioSpec]
+        assert not any(s.failed for s in result.run_summaries)
+        assert len(result.trace_hashes) == 3 * len(specs)
+        if multiprocessing.get_start_method() == "fork":
+            assert reductions == []
+        for spec in specs:
+            assert reductions.count(spec.id) <= workers
+
+    def test_worker_calls_execute_run_through_the_module(self, tmp_path,
+                                                         monkeypatch):
+        """perfbench --trace 1 replaces campaign._execute_run before the
+        pool forks and counts one root span per run: the worker entry
+        must look the function up at each call."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched _execute_run reaches forked workers only")
+        import functools
+
+        import avguard.campaign as campaign_mod
+        real = campaign_mod._execute_run
+        log = tmp_path / "calls.txt"
+
+        @functools.wraps(real)
+        def logging_run(spec, seed, *args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{spec.id} {seed}\n")
+            return real(spec, seed, *args)
+
+        monkeypatch.setattr(campaign_mod, "_execute_run", logging_run)
+        plan = small_plan(parallelism=2)
+        result = run_campaign(plan, out_dir=str(tmp_path / "out"))
+        calls = sorted(log.read_text(encoding="utf-8").splitlines())
+        assert calls == sorted(f"{s.scenario_id} {s.seed}"
+                               for s in result.run_summaries)
+        assert len(calls) == len(plan.specs) * plan.runs_per_spec
+
+
 class TestReaggregation:
     def test_reaggregation_matches_in_memory(self, tmp_path):
         result = run_campaign(small_plan(), out_dir=str(tmp_path))

@@ -12,7 +12,8 @@ perceived objects directly, is compared with the list of (position,
 velocity) pairs it read before, and the commands that compute the
 zone-entry distance and the yield envelope only for the maneuvers that
 read them are compared with the forms that computed both for every
-maneuver.
+maneuver. ``Route.arc_length_of``, which projects inline, is compared
+with the form that called ``_closest`` once per segment.
 Scalar ``hypot``, ``atan2``, ``sin`` and ``cos`` go through ``math`` on
 both sides, as they do on the tick path; the first section pins the
 inputs on which ``math.hypot`` and ``math.sqrt`` must return numpy's
@@ -239,6 +240,54 @@ def test_projection_on_axis_aligned_routes(points, data):
 def test_projection_on_a_diagonal_route(data):
     # The first two segments are off-axis, so neither product is exact.
     _check_projection(DIAGONAL_ROUTE, data)
+
+
+def closest_per_segment_arc_length(route, p, s_min=0.0):
+    """Route.arc_length_of as it was: one _closest call per segment."""
+    x, y = float(p[0]), float(p[1])
+    best_s, best_d = None, 5.0
+    for i in range(len(route._segs)):
+        s, d = route._closest(i, x, y)
+        if s >= s_min and d < best_d:
+            best_s, best_d = s, d
+    return best_s
+
+
+@st.composite
+def edge_query(draw, points):
+    """A point exactly 5 m (or a hair less) off a segment, or beyond
+    either end of the route along its end segment."""
+    i = draw(st.integers(0, len(points) - 2))
+    (ax, ay), (bx, by) = points[i].tolist(), points[i + 1].tolist()
+    kind = draw(st.sampled_from(["offset", "before", "after"]))
+    if kind == "offset":
+        offset = draw(st.sampled_from([5.0, -5.0, 4.999999999999999,
+                                       5.000000000000001]))
+        f = draw(st.floats(0.0, 1.0))
+        x, y = ax + f * (bx - ax), ay + f * (by - ay)
+        if ay == by:  # a horizontal segment: straight up or down
+            return x, y + offset
+        return x + offset, y  # exactly off a vertical one, near a diagonal
+    (ax, ay), (bx, by) = ((points[0].tolist(), points[1].tolist())
+                          if kind == "before"
+                          else (points[-1].tolist(), points[-2].tolist()))
+    f = draw(st.floats(0.0, 3.0))
+    return ax + f * (ax - bx), ay + f * (ay - by)
+
+
+@given(points=st.sampled_from(REFERENCE_ROUTES + [DIAGONAL_ROUTE])
+       | axis_aligned_route(),
+       data=st.data())
+@settings(max_examples=1500, deadline=None, derandomize=True)
+def test_inlined_arc_length_equals_the_closest_per_segment_form(points, data):
+    route = Route(points)
+    p = data.draw(query_point(points) | edge_query(points))
+    s_min = data.draw(st.sampled_from([0.0, route.length, route.length + 1.0,
+                                       math.inf])
+                      | st.floats(0.0, route.length + 10.0))
+    for s in (0.0, s_min):
+        assert bits(route.arc_length_of(p, s_min=s)) == bits(
+            closest_per_segment_arc_length(route, p, s_min=s))
 
 
 # --- headings ----------------------------------------------------------------

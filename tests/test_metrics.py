@@ -28,6 +28,11 @@ from avguard.metrics import (
     trace_hash,
     write_trace,
 )
+from avguard.orchestrator import RunOptions, run_scenario
+from avguard.performance import PerfThresholds
+from avguard.scenario import reference_specs
+from avguard.seeding import stable_mix
+from avguard.state import VerdictLevel
 
 # The reference form of a trace line: the C JSONEncoder, sorted keys and
 # no NaN, over the record's fields. It is how the codec encoded a record
@@ -484,6 +489,173 @@ class TestSummarizeRun:
                                 - records[i - 1].ego_accel_mps2) / 0.1
                             for i in range(1, len(records)))
         assert summary.max_abs_jerk == pytest.approx(expected_jerk)
+
+
+# --- the one-pass summary against the multi-pass form it replaced ----------
+
+def multi_pass_recovery_episodes(records):
+    """(activations, successes), as summarize_run counted them before it
+    made one pass."""
+    starts = [i for i, r in enumerate(records)
+              if r.recovery_active and (i == 0 or not records[i - 1].recovery_active)]
+    successes = 0
+    for n, start in enumerate(starts):
+        end = starts[n + 1] if n + 1 < len(starts) else len(records)
+        if not any(r.collision for r in records[start:end]):
+            successes += 1
+    return len(starts), successes
+
+
+def multi_pass_fault_activations(records):
+    counts = {}
+    previous = set()
+    for record in records:
+        current = set(record.active_fault.split("+")) if record.active_fault else set()
+        for kind in sorted(current - previous):
+            counts[kind] = counts.get(kind, 0) + 1
+        previous = current
+    return counts
+
+
+def multi_pass_summarize_run(records, termination,
+                             thresholds=PerfThresholds(), dt=0.1,
+                             scenario_id="", seed=0):
+    """The reference: summarize_run as it was, one pass per field."""
+    if not records:
+        raise EmptyTrace("run produced no records")
+    unsafe = [r for r in records if r.verdict_level == VerdictLevel.UNSAFE.value]
+    collision = any(r.collision for r in records)
+
+    max_accel = max(abs(r.ego_accel_mps2) for r in records)
+    jerks = [abs(records[i].ego_accel_mps2 - records[i - 1].ego_accel_mps2) / dt
+             for i in range(1, len(records))]
+    max_jerk = max(jerks, default=0.0)
+    max_jerk_nonexempt = max(
+        (j for i, j in enumerate(jerks, start=1) if not records[i].recovery_active),
+        default=0.0)
+
+    violations = violations_exempt = 0
+    for i, record in enumerate(records):
+        violated = abs(record.ego_accel_mps2) > thresholds.max_abs_accel
+        if i >= 1 and jerks[i - 1] > thresholds.max_abs_jerk:
+            violated = True
+        if violated:
+            if record.recovery_active:
+                violations_exempt += 1
+            else:
+                violations += 1
+
+    activations, successes = multi_pass_recovery_episodes(records)
+    cleared = termination == TerminationStatus.CLEARED
+    clearance = round(records[-1].sim_time_s + dt, 9) if cleared else None
+    return RunSummary(
+        scenario_id=scenario_id, seed=seed, termination=termination,
+        any_unsafe_flag=bool(unsafe), unsafe_tick_count=len(unsafe),
+        collision=collision, clearance_time_s=clearance,
+        max_abs_accel=max_accel, max_abs_jerk=max_jerk,
+        max_abs_jerk_nonexempt=max_jerk_nonexempt,
+        comfort_violations=violations,
+        comfort_violations_exempt=violations_exempt,
+        faults_injected=multi_pass_fault_activations(records),
+        recovery_activations=activations, recovery_successes=successes,
+    )
+
+
+def assert_same_summary(got, want):
+    """Field for field, floats by their bits and fault counts in the
+    order they were first counted."""
+    for f in dataclasses.fields(RunSummary):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, float):
+            assert a.hex() == b.hex(), f.name
+        else:
+            assert a == b, f.name
+    assert list(got.faults_injected) == list(want.faults_injected)
+
+
+# dt 0.5 and thresholds 3 and 4: accelerations on the half-unit grid put
+# accelerations and jerks exactly at, just below and just above each
+# threshold.
+SUMMARY_THRESHOLDS = PerfThresholds(max_abs_accel=3.0, max_abs_jerk=4.0)
+GRID_ACCEL = st.sampled_from([i / 2 for i in range(-12, 13)])
+TICKS = st.tuples(
+    GRID_ACCEL | st.floats(-20.0, 20.0),                    # accel
+    st.booleans(),                                          # recovery_active
+    st.sampled_from([False] * 4 + [True]),                  # collision
+    st.sampled_from([None, None, "", "ghost_obstacle", "trajectory_spoof",
+                     "ghost_obstacle+trajectory_spoof"]),    # active_fault
+    st.sampled_from(LEVELS),                                # verdict_level
+)
+
+
+class TestOnePassSummary:
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    @given(ticks=st.lists(TICKS, min_size=1, max_size=40),
+           dt=st.sampled_from([0.5, 0.1, 0.25]),
+           termination=st.sampled_from(list(TerminationStatus)))
+    def test_equals_the_multi_pass_form(self, ticks, dt, termination):
+        records = [make_record(
+            tick, sim_time_s=round(tick * dt, 9), ego_accel_mps2=accel,
+            recovery_active=recovery, collision=collision,
+            active_fault=fault, verdict_level=level,
+            final_maneuver="emergency_brake" if recovery else "proceed")
+            for tick, (accel, recovery, collision, fault, level)
+            in enumerate(ticks)]
+        args = (records, termination, SUMMARY_THRESHOLDS, dt)
+        assert_same_summary(summarize_run(*args, scenario_id="s", seed=3),
+                            multi_pass_summarize_run(*args, scenario_id="s",
+                                                     seed=3))
+
+    @pytest.mark.parametrize("recoveries, collisions, activations, successes", [
+        # Back-to-back episodes split by one tick; a collision in the
+        # gap belongs to the episode before it.
+        ("11011", "00100", 2, 1),
+        # A collision before the first episode counts for none.
+        ("00110", "10000", 1, 1),
+        # A collision on an episode's first tick fails that episode.
+        ("01101", "00001", 2, 1),
+        # The last episode runs to the end of the run.
+        ("10001", "00000", 2, 2),
+    ])
+    def test_episode_edges(self, recoveries, collisions, activations,
+                           successes):
+        records = [make_record(t, recovery_active=r == "1",
+                               collision=c == "1")
+                   for t, (r, c) in enumerate(zip(recoveries, collisions))]
+        summary = summarize_run(records, TerminationStatus.TIMEOUT)
+        assert (summary.recovery_activations,
+                summary.recovery_successes) == (activations, successes)
+        assert_same_summary(
+            summary, multi_pass_summarize_run(records,
+                                              TerminationStatus.TIMEOUT))
+
+    def test_every_reference_run_and_its_trace_bytes(self, tmp_path):
+        """Every run of base seeds 0 and 7, recovery on and off: the same
+        summary as the multi-pass form, and write_trace's file is the
+        records' lines, each with its newline."""
+        path = tmp_path / "trace.jsonl"
+        runs = records_total = 0
+        for base_seed in (0, 7):
+            for recovery in (True, False):
+                options = RunOptions(recovery_enabled=recovery)
+                for spec in reference_specs():
+                    for i in range(15):
+                        seed = stable_mix(base_seed, spec.id, i)
+                        result = run_scenario(spec, seed, options)
+                        records = result.records
+                        args = (records, result.termination,
+                                spec.perf_thresholds, spec.sim_params.dt)
+                        want = multi_pass_summarize_run(
+                            *args, scenario_id=spec.id, seed=seed)
+                        assert_same_summary(result.summary, want)
+                        digest = write_trace(records, str(path))
+                        assert path.read_bytes() == "".join(
+                            encode_record(r) + "\n"
+                            for r in records).encode("utf-8")
+                        assert digest == trace_hash(records)
+                        runs += 1
+                        records_total += len(records)
+        assert (runs, records_total) == (360, 46017)
 
 
 def run_summary(scenario, seed, *, unsafe=False, collision=False,

@@ -188,6 +188,28 @@ class TestPhaseFailureIsARolePanic:
                             "performance_oracle", orchestrator,
                             "ego_cleared_now", tick=0)
 
+    def test_cleared_flag_failure_after_the_phases_keeps_nothing(
+            self, monkeypatch):
+        """The cleared flag of the world a tick produced is computed
+        between phases, so its failure raises as is, and the tick keeps
+        no record, timings, world, flag or verdict."""
+        ctx = fresh_context(GHOST, seed=0)
+        for _ in range(3):
+            run_tick(ctx)
+        records = list(ctx.records)
+        timings = [dict(t) for t in ctx.role_timings_ns]
+        world, cleared, verdict = ctx.world, ctx.cleared, ctx.last_verdict
+        # Tick 3's oracle reuses tick 2's flag: only the end of the tick
+        # calls ego_cleared_now.
+        monkeypatch.setattr(orchestrator, "ego_cleared_now", _raise)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_tick(ctx)
+        assert ctx.records == records
+        assert ctx.role_timings_ns == timings
+        assert ctx.world is world and ctx.world.clock.tick == 3
+        assert ctx.cleared == cleared and ctx.cleared[0] is world
+        assert ctx.last_verdict is verdict
+
     @staticmethod
     def _assert_panics(monkeypatch, ctx, role, owner, name, tick):
         records = list(ctx.records)
