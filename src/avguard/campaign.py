@@ -8,7 +8,6 @@ folded in (scenario, run index) order regardless of completion order.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -25,6 +24,9 @@ from .seeding import stable_mix
 
 @dataclass
 class CampaignPlan:
+    """A campaign: its specs, runs per spec, base seed, run options and
+    worker-process count."""
+
     specs: list[ScenarioSpec]
     runs_per_spec: int = 15
     base_seed: int = 0
@@ -39,6 +41,9 @@ class CampaignPlan:
 
 @dataclass
 class CampaignResult:
+    """A campaign's summary, each run's summary and each completed run's
+    trace hash by (scenario id, seed)."""
+
     summary: CampaignSummary
     run_summaries: list[RunSummary]
     trace_hashes: dict[tuple[str, int], str] = field(default_factory=dict)
@@ -298,6 +303,8 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
     sidecar, raises ``MalformedTrace``. So does a directory that holds
     no sidecar at all, since a report of no runs shows nothing.
     """
+    import hashlib  # loaded by the first trace, not by ``import avguard``
+
     keyed: list[tuple[int, int, RunSummary]] = []
     for scenario_id in sorted(os.listdir(traces_dir)):
         scenario_dir = os.path.join(traces_dir, scenario_id)

@@ -8,10 +8,8 @@ sidecar, not in the trace.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _string
@@ -57,6 +55,8 @@ class MalformedTrace(Exception):
 
 @dataclass
 class IterationRecord:
+    """One tick of a run, as one line of its trace records it."""
+
     tick: int
     sim_time_s: float
     ego_position: tuple[float, float]
@@ -189,20 +189,6 @@ def record_from_json_dict(d: dict) -> IterationRecord:
     return IterationRecord(**d)
 
 
-def _encoded_lines(records: list[IterationRecord]) -> tuple[list[bytes], str]:
-    """Each record's trace line as UTF-8 bytes, without its newline, and
-    the sha256 of those bytes: the records' ``trace_hash``."""
-    h = hashlib.sha256()
-    update = h.update
-    lines = []
-    append = lines.append
-    for record in records:
-        line = encode_record(record).encode("utf-8")
-        update(line)
-        append(line)
-    return lines, h.hexdigest()
-
-
 def write_trace(records: list[IterationRecord],
                 destination: Union[str, IO[str]]) -> str:
     """Write JSON Lines, one record per line, UTF-8; return the trace's
@@ -213,15 +199,24 @@ def write_trace(records: list[IterationRecord],
     platform's newline translation can change its bytes; a text stream
     gets the same text.
     """
-    lines, digest = _encoded_lines(records)
-    lines.append(b"")  # the last line's newline
+    import hashlib  # loaded by the first trace, not by ``import avguard``
+
+    h = hashlib.sha256()
+    update = h.update
+    lines = []
+    append = lines.append
+    for record in records:
+        line = encode_record(record).encode("utf-8")
+        update(line)
+        append(line)
+    append(b"")  # the last line's newline
     data = b"\n".join(lines)
     if isinstance(destination, str):
         with open(destination, "wb") as fh:
             fh.write(data)
     else:
         destination.write(data.decode("utf-8"))
-    return digest
+    return h.hexdigest()
 
 
 def read_trace(source: Union[str, IO[str]]) -> list[IterationRecord]:
@@ -246,13 +241,22 @@ def read_trace(source: Union[str, IO[str]]) -> list[IterationRecord]:
 def trace_hash(records: list[IterationRecord]) -> str:
     """SHA-256 over the records' trace lines, newlines left out: the
     digest ``write_trace`` returns for the same records."""
-    return _encoded_lines(records)[1]
+    import hashlib  # loaded by the first trace, not by ``import avguard``
+
+    h = hashlib.sha256()
+    update = h.update
+    for record in records:
+        update(encode_record(record).encode("utf-8"))
+    return h.hexdigest()
 
 
 # --- run aggregation ------------------------------------------------------
 
 @dataclass
 class RunSummary:
+    """One run's dependability figures, from one pass over its records; a
+    failed run has every count 0."""
+
     scenario_id: str
     seed: int
     termination: TerminationStatus
@@ -379,6 +383,8 @@ def pct(k: int, n: int) -> float:
 
 @dataclass
 class ScenarioRow:
+    """One scenario's row of the report, over the scenario's completed runs."""
+
     scenario: str
     runs: int
     failed: int
@@ -391,6 +397,8 @@ class ScenarioRow:
 
 @dataclass
 class CampaignSummary:
+    """The report's per-scenario rows and the mean of their percentages."""
+
     rows: list[ScenarioRow]
     overall_pct_unsafe_flag: float
     overall_pct_collision: float
@@ -399,6 +407,8 @@ class CampaignSummary:
 def summarize_campaign(runs: list[RunSummary]) -> CampaignSummary:
     """Per-scenario rows in first-seen order, plus a mean-of-percentages
     overall row (matching the Overall Avg. convention)."""
+    import statistics  # loaded by the first summary, not by ``import avguard``
+
     order: list[str] = []
     grouped: dict[str, list[RunSummary]] = {}
     for run in runs:

@@ -61,6 +61,9 @@ SEARCH_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class SafetyParams:
+    """The safety monitor's horizon, sample step, separation thresholds and
+    closing-speed margin."""
+
     horizon: float = 3.0          # s
     sample_dt: float = 0.05       # s
     d_unsafe: float = 2.0         # m

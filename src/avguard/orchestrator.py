@@ -56,12 +56,18 @@ class RolePanic(Exception):
 
 @dataclass(frozen=True)
 class RunOptions:
+    """How a run treats a violation: whether recovery may act, and whether
+    an UNSAFE verdict ends the run."""
+
     recovery_enabled: bool = True
     halt_on_violation: bool = False
 
 
 @dataclass
 class RunResult:
+    """A finished run: how it ended, its records, their summary and each
+    tick's phase timings."""
+
     termination: TerminationStatus
     records: list[IterationRecord]
     summary: RunSummary

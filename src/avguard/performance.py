@@ -7,6 +7,9 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class PerfThresholds:
+    """The performance oracle's limits on clearance time, acceleration and
+    jerk."""
+
     max_clearance: float = 30.0    # s; still uncleared past this is gridlock
     max_abs_accel: float = 3.0     # m/s^2, recovery braking exempt
     max_abs_jerk: float = 5.0      # m/s^3, recovery braking exempt
@@ -18,6 +21,9 @@ class PerfThresholds:
 
 @dataclass
 class PerfFlags:
+    """Which of the oracle's limits are broken: acceleration and jerk by the
+    last executed motion, clearance time by an ego not yet clear."""
+
     accel_violation: bool = False
     jerk_violation: bool = False
     clearance_exceeded: bool = False

@@ -58,6 +58,9 @@ _KIND_CAUTION = {
 
 @dataclass(frozen=True)
 class PlannerConfig:
+    """Which built-in planner decides, with its caution factor and reaction
+    time."""
+
     kind: PlannerKind = PlannerKind.GAP_ACCEPTANCE
     caution: float = 1.0
     reaction_time: float = 0.5
@@ -84,6 +87,9 @@ def required_gap(ego_speed: float, crossing_distance: float,
 
 @dataclass
 class Conflict:
+    """A moving object whose path crosses the ego's route ahead, and when
+    and where it crosses."""
+
     object_id: int
     time_gap: float          # s until the object reaches the crossing point
     crossing_distance: float  # m of ego route to the crossing point

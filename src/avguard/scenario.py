@@ -70,6 +70,9 @@ def default_spoof_attack() -> AttackConfig:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """One scenario: its base, attack, ego goal, tick limits and the
+    parameters of each role."""
+
     id: str = "scenario"
     base: ScenarioBase = ScenarioBase.NOMINAL
     attack: Optional[AttackConfig] = None

@@ -70,6 +70,9 @@ class ScenarioBase(str, Enum):
 
 @dataclass(frozen=True)
 class SimParams:
+    """The simulator's time step, sensing range, braking and acceleration
+    limits, and perception noise."""
+
     dt: float = 0.1
     sensing_range: float = 60.0
     a_brake_max: float = 8.0

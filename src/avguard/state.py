@@ -103,6 +103,9 @@ def normalize_heading(theta: float) -> float:
 
 @dataclass
 class AgentState:
+    """One agent's ground-truth state: id, kind, position, velocity, heading
+    and box half sizes."""
+
     id: int
     kind: AgentKind
     position: Vec2       # m
@@ -139,12 +142,17 @@ class ConflictZone:
 
 @dataclass
 class IntersectionGeometry:
+    """The intersection's conflict zone and its speed limit."""
+
     conflict_zone: ConflictZone
     speed_limit: float  # m/s
 
 
 @dataclass(frozen=True)
 class CollisionEvent:
+    """A collision of the ego with an agent: the tick, both ids and how deep
+    their boxes overlap."""
+
     tick: int
     agent_a: int
     agent_b: int
@@ -174,6 +182,9 @@ class GroundTruthWorld:
 
 @dataclass
 class PerceivedObject:
+    """An object as perception reports it, with its provenance: real, ghost
+    or spoofed."""
+
     id: int
     kind: AgentKind
     position: Vec2
@@ -188,6 +199,9 @@ class PerceivedObject:
 
 @dataclass
 class EgoOdometry:
+    """The ego's own position, velocity and heading as perception reports
+    them."""
+
     position: Vec2
     velocity: Vec2
     heading: float
@@ -199,6 +213,9 @@ class EgoOdometry:
 
 @dataclass
 class PerceivedState:
+    """What the planner sees at one tick: the clock, the ego's odometry, the
+    perceived objects and the route goal."""
+
     clock: SimClock
     ego_odometry: EgoOdometry
     objects: list[PerceivedObject]
@@ -207,6 +224,9 @@ class PerceivedState:
 
 @dataclass
 class Verdict:
+    """The safety monitor's verdict on one tick: its level, and the least
+    predicted separation, when it occurs and to which object."""
+
     level: VerdictLevel
     min_predicted_separation: float  # m, may be +inf
     time_of_min: float               # s within horizon
