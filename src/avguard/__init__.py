@@ -7,17 +7,7 @@ built-in kinematic four-way intersection simulator, then aggregates
 seeded campaigns into dependability reports.
 """
 
-from .campaign import CampaignPlan, run_campaign
-from .metrics import (
-    read_trace,
-    render_report,
-    summarize_run,
-    trace_hash,
-    write_trace,
-)
-from .orchestrator import RunOptions, run_scenario
-from .scenario import reference_specs
-from .seeding import stable_mix
+import importlib
 
 __version__ = "0.1.0"
 
@@ -36,3 +26,37 @@ __all__ = [
     "trace_hash",
     "write_trace",
 ]
+
+# The module each name in __all__ comes from. Each loads on first access
+# (PEP 562), so importing avguard, or loading a scenario, does not load
+# the campaign, the orchestrator or the trace codec.
+_HOMES = {
+    "CampaignPlan": "campaign",
+    "RunOptions": "orchestrator",
+    "read_trace": "metrics",
+    "reference_specs": "scenario",
+    "render_report": "metrics",
+    "run_campaign": "campaign",
+    "run_scenario": "orchestrator",
+    "stable_mix": "seeding",
+    "summarize_run": "metrics",
+    "trace_hash": "metrics",
+    "write_trace": "metrics",
+}
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is not None:
+        value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+        globals()[name] = value
+        return value
+    # A submodule: avguard.sim works after a plain ``import avguard``, as it
+    # did when this package imported every module up front.
+    if name.isidentifier():
+        try:
+            return importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,15 +9,6 @@ import argparse
 import os
 import sys
 
-from . import metrics
-from .campaign import (
-    CampaignPlan,
-    _execute_run,
-    reaggregate_from_traces,
-    run_campaign,
-)
-from .metrics import render_report
-from .orchestrator import RunOptions
 from .scenario import ParseError, ValidationError, load_scenario_file
 
 EXIT_OK = 0
@@ -60,7 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each command imports the run machinery it uses, so validate loads only
+# the scenario layer.
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .campaign import _execute_run
+    from .orchestrator import RunOptions
+
     spec = load_scenario_file(args.scenario)
     options = RunOptions(recovery_enabled=not args.no_recovery,
                          halt_on_violation=args.halt_on_violation)
@@ -76,6 +72,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    from .campaign import CampaignPlan, run_campaign
+    from .metrics import render_report
+
     files = sorted(f for f in os.listdir(args.scenario_dir)
                    if f.endswith((".ini", ".cfg", ".scenario", ".conf")))
     specs = [load_scenario_file(os.path.join(args.scenario_dir, f))
@@ -95,7 +94,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    summary = reaggregate_from_traces(args.traces)
+    from .campaign import reaggregate_from_traces
+    from .metrics import MalformedTrace, render_report
+
+    try:
+        summary = reaggregate_from_traces(args.traces)
+    except MalformedTrace as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     text = render_report(summary, args.format)
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -115,8 +121,7 @@ def main(argv: list[str] | None = None) -> int:
                 "report": _cmd_report, "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except (ParseError, ValidationError, metrics.MalformedTrace, OSError,
-            UnicodeDecodeError) as exc:
+    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

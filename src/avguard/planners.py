@@ -16,7 +16,6 @@ generator does.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -262,6 +261,7 @@ class ExternalPlanner:
         self._reader.start()
 
     def plan(self, perceived: PerceivedState, goal: RouteGoal) -> tuple[Maneuver, str]:
+        import json
         import queue
 
         if self._proc is None:

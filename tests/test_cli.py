@@ -338,7 +338,7 @@ class TestCampaignAndReport:
         assert err.startswith("error:") and str(sidecar) in err
 
     def test_failed_run_exit_code(self, scenario_dir, tmp_path, monkeypatch):
-        import avguard.cli as cli_mod
+        import avguard.campaign as campaign_mod
         from avguard.campaign import CampaignResult
         from avguard.metrics import RunSummary, summarize_campaign
 
@@ -348,7 +348,7 @@ class TestCampaignAndReport:
             return CampaignResult(summary=summarize_campaign(summaries),
                                   run_summaries=summaries)
 
-        monkeypatch.setattr(cli_mod, "run_campaign", fake_run_campaign)
+        monkeypatch.setattr(campaign_mod, "run_campaign", fake_run_campaign)
         code = main(["campaign", "--scenario-dir", scenario_dir,
                      "--out", str(tmp_path / "o"),
                      "--report", str(tmp_path / "r.csv")])

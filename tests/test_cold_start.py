@@ -1,11 +1,14 @@
 """Importing avguard loads only what loading a scenario needs.
 
-The process pool, the external planner's subprocess plumbing, the
-traceback of a failed run, the log of a skipped spoof, the trace hash
-and the campaign statistics are imported where they are used, so
-``import avguard`` and ``avguard validate`` do not pay for them. The
-children run with ``-I -S``: ``site`` can pre-import much of the
-standard library, which would hide an import avguard makes.
+The package resolves its public names from their modules at first use,
+and each CLI command imports the run machinery it runs, so ``import
+avguard``, ``import avguard.scenario`` and ``avguard validate`` load
+neither the campaign, the orchestrator, the trace codec nor json. The
+process pool, the external planner's subprocess plumbing, the traceback
+of a failed run, the log of a skipped spoof, the trace hash and the
+campaign statistics are imported where they are used too. The children
+run with ``-I -S``: ``site`` can pre-import much of the standard
+library, which would hide an import avguard makes.
 """
 
 import dataclasses
@@ -15,6 +18,8 @@ import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import avguard
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -22,9 +27,11 @@ SRC = os.path.join(ROOT, "src")
 NOMINAL = os.path.join(ROOT, "scenarios", "01_nominal.ini")
 
 # hashlib loads OpenSSL's _hashlib; statistics loads fractions, decimal
-# and numbers.
+# and numbers; json is read and written only by the trace codec, the
+# campaign's sidecars and the external planner.
 LAZY = ["concurrent.futures", "multiprocessing", "subprocess", "queue",
-        "traceback", "logging", "hashlib", "statistics"]
+        "traceback", "logging", "hashlib", "statistics", "avguard.campaign",
+        "avguard.metrics", "avguard.orchestrator", "json"]
 
 IMPORT_CHILD = """
 import sys
@@ -47,13 +54,27 @@ print(" ".join(sorted(m for m in sys.argv[3:]
 """
 
 
+SUBMODULE_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import avguard
+assert "avguard.sim" not in sys.modules
+print(avguard.sim.__name__)
+"""
+
+
 def loaded_lazy_modules(child: str) -> list[str]:
     """The LAZY modules that ``child`` loaded; its last printed line."""
+    return run_child(child, NOMINAL, *LAZY).split()
+
+
+def run_child(child: str, *args: str) -> str:
+    """The last line ``child`` printed, run in a fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", child, SRC, NOMINAL, *LAZY],
+        [sys.executable, "-I", "-S", "-c", child, SRC, *args],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1].split()
+    return proc.stdout.splitlines()[-1]
 
 
 def test_import_loads_no_lazy_module():
@@ -62,6 +83,35 @@ def test_import_loads_no_lazy_module():
 
 def test_validate_loads_no_lazy_module():
     assert loaded_lazy_modules(VALIDATE_CHILD) == []
+
+
+def test_each_public_name_is_its_home_modules_object():
+    for name in avguard.__all__:
+        value = getattr(avguard, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from avguard import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(avguard.__all__)
+
+
+def test_from_import_of_a_submodule_gives_the_submodule():
+    from avguard import campaign
+
+    assert campaign is sys.modules["avguard.campaign"]
+
+
+def test_plain_import_reaches_a_submodule_as_an_attribute():
+    assert run_child(SUBMODULE_CHILD) == "avguard.sim"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        avguard.no_such_name
+    assert not hasattr(avguard, "no_such_name")
+    assert not hasattr(avguard, "no_such_module.name")
 
 
 def test_every_dataclass_has_its_own_docstring():
