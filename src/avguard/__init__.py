@@ -29,7 +29,9 @@ __all__ = [
 
 # The module each name in __all__ comes from. Each loads on first access
 # (PEP 562), so importing avguard, or loading a scenario, does not load
-# the campaign, the orchestrator or the trace codec.
+# the campaign, the orchestrator or the trace codec. A scenario's own
+# types live in avguard.config, so loading one loads no simulator or role
+# either: reference_specs needs only avguard.scenario and avguard.config.
 _HOMES = {
     "CampaignPlan": "campaign",
     "RunOptions": "orchestrator",

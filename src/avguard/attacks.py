@@ -11,65 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
-from .sim import APPROACH_REACH, default_ghost_position
-from .state import GHOST_OBSTACLE, VEHICLE, FaultKind, PerceivedState, Vec2
-
-MAX_VELOCITY_SCALE = 100.0  # keeps a spoofed velocity and the monitor finite
-
-
-class TriggerKind(str, Enum):
-    EGO_WITHIN_DISTANCE = "ego_within"  # meters from the conflict zone
-    AT_TICK = "at_tick"
-    PERIODIC = "periodic"               # every N ticks
-
+from .config import MAX_VELOCITY_SCALE, AttackConfig, FaultKind, TriggerKind, \
+    Vec2
+from .sim import default_ghost_position
+from .state import GHOST_OBSTACLE, VEHICLE, PerceivedState
 
 # Members as globals for the tick: a class lookup runs EnumType.__getattr__,
 # about 110 ns on Python 3.10 and 3.11 (28 ns on 3.12) against 8 ns.
 EGO_WITHIN_DISTANCE, AT_TICK, PERIODIC = TriggerKind
-
-
-@dataclass(frozen=True)
-class AttackConfig:
-    """The scenario's one attack: what to inject, when, and how often.
-
-    A ghost is a stationary vehicle-sized object; a spoof rescales and
-    rotates one real vehicle's perceived velocity. The ghost fields have
-    no effect on a spoof attack, nor the spoof fields on a ghost attack.
-    """
-
-    kind: FaultKind
-    trigger: TriggerKind
-    trigger_value: float
-    duration_ticks: int = 80
-    max_activations: int = 0  # 0 = unlimited
-    ghost_position: Optional[tuple[float, float]] = None  # None -> on-route default
-    spoof_target_id: Optional[int] = None  # None -> nearest closing vehicle
-    velocity_scale: float = 2.0
-    heading_bias: float = 0.0  # rad
-
-    def __post_init__(self) -> None:
-        if self.duration_ticks < 1:
-            raise ValueError("duration_ticks must be >= 1")
-        if self.max_activations < 0:
-            raise ValueError("max_activations must be >= 0")
-        if not 0 < self.velocity_scale <= MAX_VELOCITY_SCALE:
-            raise ValueError(f"velocity_scale must be in "
-                             f"(0, {MAX_VELOCITY_SCALE:g}]")
-        for key, v in zip(("ghost_x_m", "ghost_y_m"), self.ghost_position or ()):
-            if not abs(v) <= APPROACH_REACH:
-                raise ValueError(f"{key} must be within +-{APPROACH_REACH:g} m")
-        value = float(self.trigger_value)
-        if self.trigger == TriggerKind.EGO_WITHIN_DISTANCE:
-            if not value >= 0:
-                raise ValueError("trigger ego_within needs a distance >= 0")
-        else:
-            least = 1 if self.trigger == TriggerKind.PERIODIC else 0
-            if not (value.is_integer() and value >= least):
-                raise ValueError(f"trigger {self.trigger.value} needs a whole "
-                                 f"number >= {least}")
 
 
 @dataclass(frozen=True)
@@ -174,10 +125,8 @@ def nearest_closing_vehicle(perceived: PerceivedState) -> Optional[int]:
 
 
 __all__ = [
-    "AttackConfig",
     "FaultDirective",
     "FaultInjector",
-    "TriggerKind",
     "nearest_closing_vehicle",
     "trigger_fires",
 ]

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import metrics
+from .config import PerfThresholds
 from .metrics import CampaignSummary, RunSummary, TerminationStatus
 from .orchestrator import RunOptions, RunResult, run_scenario
-from .performance import PerfThresholds
 from .scenario import ScenarioSpec, ValidationError, validate_spec
 from .seeding import stable_mix
 

@@ -13,7 +13,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .state import ConflictZone, Vec2, normalize_heading
+from .config import Vec2
+from .state import ConflictZone, normalize_heading
 
 
 @dataclass

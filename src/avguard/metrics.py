@@ -15,7 +15,8 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii as _string
 from typing import IO, Optional, Union
 
-from .performance import PerfFlags, PerfThresholds
+from .config import PerfThresholds
+from .performance import PerfFlags
 from .state import (
     EMERGENCY_BRAKE,
     UNSAFE,

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .sim import READS_DIST_TO_ENTRY, READS_TRAFFIC_NEAR, SimParams, command_accel, \
+from .config import EGO_RADIUS, SafetyParams, SimParams, Vec2
+from .sim import READS_DIST_TO_ENTRY, READS_TRAFFIC_NEAR, command_accel, \
     crossing_traffic_within_envelope, distance_to_entry, ego_route_for
 from .state import EMERGENCY_BRAKE, SAFE, UNSAFE, WARNING
 from .state import (
@@ -45,39 +45,13 @@ from .state import (
     Maneuver,
     PerceivedObject,
     PerceivedState,
-    Vec2,
     Verdict,
 )
-
-# Ego footprint radius for the disc approximation; matches the vehicle
-# bounding box (max half extent).
-EGO_RADIUS = 2.0
 
 # A sample within this many metres of the running minimum may sit on a
 # flat stretch whose rounding hides a lower sample next to it. Rounding
 # on world-scale coordinates is below 1e-13 m.
 SEARCH_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class SafetyParams:
-    """The safety monitor's horizon, sample step, separation thresholds and
-    closing-speed margin."""
-
-    horizon: float = 3.0          # s
-    sample_dt: float = 0.05       # s
-    d_unsafe: float = 2.0         # m
-    d_warn: float = 4.0           # m
-    margin_speed_gain: float = 0.25  # s; widens d_unsafe with closing speed
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.d_unsafe < self.d_warn):
-            raise ValueError("require 0 < d_unsafe < d_warn")
-        for name in ("horizon", "sample_dt"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        if not self.margin_speed_gain >= 0:
-            raise ValueError("margin_speed_gain must be >= 0")
 
 
 @lru_cache(maxsize=16)
@@ -321,8 +295,6 @@ def recovery_decide(verdict: Verdict, proposed: Maneuver) -> Maneuver:
 
 
 __all__ = [
-    "EGO_RADIUS",
-    "SafetyParams",
     "closing_speed",
     "proposed_ego_accel",
     "recovery_decide",

@@ -4,19 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class PerfThresholds:
-    """The performance oracle's limits on clearance time, acceleration and
-    jerk."""
-
-    max_clearance: float = 30.0    # s; still uncleared past this is gridlock
-    max_abs_accel: float = 3.0     # m/s^2, recovery braking exempt
-    max_abs_jerk: float = 5.0      # m/s^3, recovery braking exempt
-
-    def __post_init__(self) -> None:
-        if min(self.max_clearance, self.max_abs_accel, self.max_abs_jerk) <= 0:
-            raise ValueError("thresholds must be > 0")
+from .config import PerfThresholds
 
 
 @dataclass
@@ -50,4 +38,4 @@ def performance_check(run_history: list, sim_time: float, ego_cleared: bool,
                      clearance_exceeded=clearance_exceeded)
 
 
-__all__ = ["PerfFlags", "PerfThresholds", "performance_check"]
+__all__ = ["PerfFlags", "performance_check"]

@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Optional
 
+from .config import PlannerConfig, PlannerKind, RouteGoal
 from .sim import build_intersection, ego_route_for
 from .state import ACCELERATE, PROCEED, PROCEED_CAUTIOUSLY, WAIT, YIELD
 from .state import (
     IntersectionGeometry,
     Maneuver,
     PerceivedState,
-    RouteGoal,
 )
 from . import geometry
 
@@ -40,39 +39,6 @@ BLOCK_LOOKAHEAD = 25.0        # m of route ahead scanned for static blockers
 BLOCK_LATERAL_MARGIN = 1.5    # m added to the blocker footprint
 CROSSING_HORIZON = 30.0       # s of object motion searched for a crossing
 ACCELERATE_BELOW_FRACTION = 0.5  # of the speed limit
-
-
-class PlannerKind(str, Enum):
-    GAP_ACCEPTANCE = "gap_acceptance"
-    OVER_CAUTIOUS = "over_cautious"
-    AGGRESSIVE = "aggressive"
-
-
-_KIND_CAUTION = {
-    PlannerKind.GAP_ACCEPTANCE: 1.0,
-    PlannerKind.OVER_CAUTIOUS: 2.5,
-    PlannerKind.AGGRESSIVE: 0.4,
-}
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    """Which built-in planner decides, with its caution factor and reaction
-    time."""
-
-    kind: PlannerKind = PlannerKind.GAP_ACCEPTANCE
-    caution: float = 1.0
-    reaction_time: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.caution <= 0:
-            raise ValueError("caution must be > 0")
-        if not self.reaction_time >= 0:
-            raise ValueError("reaction_time must be >= 0")
-
-    @property
-    def effective_caution(self) -> float:
-        return self.caution * _KIND_CAUTION[self.kind]
 
 
 def required_gap(ego_speed: float, crossing_distance: float,
@@ -316,8 +282,6 @@ class ExternalPlanner:
 __all__ = [
     "Conflict",
     "ExternalPlanner",
-    "PlannerConfig",
-    "PlannerKind",
     "find_conflicts",
     "map_maneuver_text",
     "perceived_to_request",

@@ -1,13 +1,13 @@
 """Scenario configuration: typed spec, INI-style file parsing, validation.
 
 A scenario file is a small sectioned key/value document. Each section
-fills one config dataclass through the ``_KEYS`` table, and that
-dataclass owns each key's default and range check: an omitted key takes
-the dataclass default, and a value out of range is rejected with its
-section named. Integer keys take whole numbers, every number must be
-finite, and ``ghost_x_m`` and ``ghost_y_m`` are set together. A key or
-section the parser does not read is rejected, and so is one given twice.
-Values are literal: ``%`` has no special meaning. Example:
+fills one dataclass of ``avguard.config`` through the ``_KEYS`` table,
+and that dataclass owns each key's default and range check: an omitted
+key takes the dataclass default, and a value out of range is rejected
+with its section named. Integer keys take whole numbers, every number
+must be finite, and ``ghost_x_m`` and ``ghost_y_m`` are set together. A
+key or section the parser does not read is rejected, and so is one given
+twice. Values are literal: ``%`` has no special meaning. Example:
 
     [scenario]
     id = ghost_attack
@@ -34,14 +34,14 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .attacks import AttackConfig, TriggerKind
-from .monitor import EGO_RADIUS, SafetyParams
-from .performance import PerfThresholds
-from .planners import PlannerConfig, PlannerKind
-from .sim import VEHICLE_HALF_EXTENT, ScenarioBase, SimParams, spawn_world
-from .state import FaultKind, GroundTruthWorld, RouteGoal
+from .config import EGO_RADIUS, VEHICLE_HALF_EXTENT, AttackConfig, FaultKind, \
+    PerfThresholds, PlannerConfig, PlannerKind, RouteGoal, SafetyParams, \
+    ScenarioBase, SimParams, TriggerKind
+
+if TYPE_CHECKING:
+    from .state import GroundTruthWorld
 
 
 class ParseError(Exception):
@@ -134,6 +134,8 @@ def validate_spec(spec: ScenarioSpec) -> None:
 
 def spawn_scenario(spec: ScenarioSpec, seed: int) -> GroundTruthWorld:
     """Deterministic initial world for (spec, seed)."""
+    from .sim import spawn_world  # only a run pays for the simulator
+
     validate_spec(spec)
     return spawn_world(spec.base, spec.ego_goal, seed, spec.sim_params)
 

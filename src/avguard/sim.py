@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from . import geometry
+from .config import APPROACH_REACH, VEHICLE_HALF_EXTENT, RouteGoal, \
+    ScenarioBase, SimParams, Vec2
 from .state import ACCELERATE, EMERGENCY_BRAKE, GHOST, GHOST_OBSTACLE, \
     PROCEED_CAUTIOUSLY, REAL, SPOOFED, TRAJECTORY_SPOOF, VEHICLE, WAIT, YIELD
 from .state import (
@@ -30,9 +31,7 @@ from .state import (
     Maneuver,
     PerceivedObject,
     PerceivedState,
-    RouteGoal,
     SimClock,
-    Vec2,
 )
 from .seeding import stream_for
 
@@ -40,13 +39,12 @@ if TYPE_CHECKING:
     from .attacks import FaultDirective
 
 # Intersection layout (meters). The conflict zone is centered on the
-# origin; each approach lane runs on the right-hand side of its road.
+# origin; each approach lane runs on the right-hand side of its road,
+# out to APPROACH_REACH.
 ZONE_HALF = 10.0
 LANE_OFFSET = 2.5
-APPROACH_REACH = 200.0
 SPEED_LIMIT = 10.0
 
-VEHICLE_HALF_EXTENT = Vec2((2.0, 1.0))
 PEDESTRIAN_HALF_EXTENT = Vec2((0.3, 0.3))
 
 EGO_START_BEFORE_ENTRY = 40.0
@@ -59,32 +57,6 @@ CAUTIOUS_SPEED_FRACTION = 0.6
 
 GHOST_ID_BASE = 9000
 GHOST_OFFSET_BEFORE_ENTRY = 8.0
-
-
-class ScenarioBase(str, Enum):
-    NOMINAL = "nominal"
-    CONGESTED = "congested"
-    CONFLICTING_TRAFFIC = "conflicting_traffic"
-    PEDESTRIAN_CROSSING = "pedestrian_crossing"
-
-
-@dataclass(frozen=True)
-class SimParams:
-    """The simulator's time step, sensing range, braking and acceleration
-    limits, and perception noise."""
-
-    dt: float = 0.1
-    sensing_range: float = 60.0
-    a_brake_max: float = 8.0
-    a_accel_max: float = 3.0
-    perception_noise_std: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("dt", "sensing_range", "a_brake_max", "a_accel_max"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        if not self.perception_noise_std >= 0:
-            raise ValueError("perception_noise_std must be >= 0")
 
 
 @dataclass
@@ -482,8 +454,6 @@ def default_ghost_position(goal: RouteGoal) -> tuple[float, float]:
 
 __all__ = [
     "AgentScript",
-    "ScenarioBase",
-    "SimParams",
     "advance_arc",
     "approach_route",
     "build_intersection",

@@ -2,8 +2,10 @@
 
 Everything the roles exchange lives here: the ground-truth world, the
 perceived (possibly fault-corrupted) state handed to the planner, and
-the maneuver, verdict and fault vocabulary. The controller passes each
-role's output straight to the later phases of the same tick.
+the maneuver, verdict and provenance vocabulary. The fault kinds, route
+goals and ``Vec2`` that a scenario file also names live in
+``avguard.config``. The controller passes each role's output straight to
+the later phases of the same tick.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
+
+from .config import FaultKind, RouteGoal, Vec2
 
 EGO_ID = 0
 
@@ -31,12 +35,6 @@ class Provenance(str, Enum):
     SPOOFED = "spoofed"
 
 
-class RouteGoal(str, Enum):
-    STRAIGHT = "straight"
-    LEFT_TURN = "left_turn"
-    RIGHT_TURN = "right_turn"
-
-
 class Maneuver(str, Enum):
     WAIT = "wait"
     YIELD = "yield"
@@ -50,11 +48,6 @@ class VerdictLevel(str, Enum):
     SAFE = "safe"
     WARNING = "warning"
     UNSAFE = "unsafe"
-
-
-class FaultKind(str, Enum):
-    GHOST_OBSTACLE = "ghost_obstacle"
-    TRAJECTORY_SPOOF = "trajectory_spoof"
 
 
 # Members as globals for the tick: a class lookup runs EnumType.__getattr__,
@@ -83,16 +76,6 @@ class SimClock:
 
     def advanced(self) -> "SimClock":
         return SimClock(self.tick + 1, self.dt)
-
-
-class Vec2(tuple):
-    """An (x, y) pair of floats; ``a - b`` subtracts elementwise."""
-
-    __slots__ = ()
-
-    def __sub__(self, other):
-        ox, oy = other
-        return Vec2((self[0] - ox, self[1] - oy))
 
 
 def normalize_heading(theta: float) -> float:
@@ -247,16 +230,13 @@ __all__ = [
     "CollisionEvent",
     "ConflictZone",
     "EgoOdometry",
-    "FaultKind",
     "GroundTruthWorld",
     "IntersectionGeometry",
     "Maneuver",
     "PerceivedObject",
     "PerceivedState",
     "Provenance",
-    "RouteGoal",
     "SimClock",
-    "Vec2",
     "Verdict",
     "VerdictLevel",
     "normalize_heading",

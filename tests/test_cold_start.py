@@ -4,6 +4,11 @@ The package resolves its public names from their modules at first use,
 and each CLI command imports the run machinery it runs, so ``import
 avguard``, ``import avguard.scenario`` and ``avguard validate`` load
 neither the campaign, the orchestrator, the trace codec nor json. The
+scenario's parameter types, and the enums and constants they name, live
+in the leaf module ``avguard.config``, and the simulator loads when a
+run first spawns a world. So loading and validating scenario files
+loads none of the tick path (the world types, the simulator, geometry,
+the roles, seeding) and builds only the six scenario dataclasses. The
 process pool, the external planner's subprocess plumbing, the traceback
 of a failed run, the log of a skipped spoof, the trace hash and the
 campaign statistics are imported where they are used too. The children
@@ -54,6 +59,37 @@ print(" ".join(sorted(m for m in sys.argv[3:]
 """
 
 
+# What loading a scenario leaves out: the world types, the simulator and
+# its route tables, geometry, the roles and the seed streams.
+TICK_PATH = ["avguard.state", "avguard.sim", "avguard.geometry",
+             "avguard.attacks", "avguard.monitor", "avguard.planners",
+             "avguard.performance", "avguard.seeding"]
+
+SCENARIO_TYPES = ["AttackConfig", "PerfThresholds", "PlannerConfig",
+                  "SafetyParams", "ScenarioSpec", "SimParams"]
+
+# As perfbench's set-up probe does: load and validate every scenario file.
+# Prints the avguard dataclasses it created, "|", the argv modules it loaded.
+LOAD_CHILD = """
+import dataclasses, os, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+from avguard.scenario import load_scenario_file, validate_spec
+paths = sorted(os.path.join(sys.argv[2], n) for n in os.listdir(sys.argv[2])
+               if n.endswith(".ini"))
+assert len(paths) == 6, paths
+for path in paths:
+    validate_spec(load_scenario_file(path))
+new = [m for m in sys.modules if m.startswith("avguard") and m not in before]
+print(" ".join(sorted(v.__name__ for m in new
+                      for v in vars(sys.modules[m]).values()
+                      if isinstance(v, type) and dataclasses.is_dataclass(v)
+                      and v.__module__ == m)),
+      "|", " ".join(sorted(m for m in sys.argv[3:]
+                           if m in sys.modules and m not in before)))
+"""
+
+
 SUBMODULE_CHILD = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -83,6 +119,17 @@ def test_import_loads_no_lazy_module():
 
 def test_validate_loads_no_lazy_module():
     assert loaded_lazy_modules(VALIDATE_CHILD) == []
+
+
+def test_loading_scenarios_builds_no_tick_path_module():
+    classes, loaded = run_child(LOAD_CHILD, os.path.join(ROOT, "scenarios"),
+                                *TICK_PATH).split("|")
+    assert loaded.split() == []
+    assert classes.split() == SCENARIO_TYPES
+
+
+def test_validate_loads_no_tick_path_module():
+    assert run_child(VALIDATE_CHILD, NOMINAL, *TICK_PATH).split() == []
 
 
 def test_each_public_name_is_its_home_modules_object():
