@@ -2,9 +2,9 @@
 
 The security assessor decides when the scenario's one attack fires; the
 fault injector resolves each activation into a directive against the
-current scene (ghost placement, spoof target) and keeps the active set.
-A directive activated at tick t corrupts perception from tick t+1
-through its window end, never the tick that triggered it.
+current scene (ghost placement, spoof target) and keeps it: at most one
+is active at a time. A directive activated at tick t corrupts perception
+from tick t+1 through its window end, never the tick that triggered it.
 """
 
 from __future__ import annotations
@@ -55,24 +55,24 @@ def trigger_fires(attack: AttackConfig, tick: int, zone_distance: float) -> bool
 
 
 class FaultInjector:
-    """Owns the per-run active-directive set and the attack's activation
-    count."""
+    """Owns the run's one directive slot, which ``plan`` never refills
+    while its directive covers the next tick, and the activation count."""
 
     def __init__(self, attack: Optional[AttackConfig]):
         self.attack = attack
-        self.active: list[FaultDirective] = []
+        self.directive: Optional[FaultDirective] = None
         self.activations = 0
 
     def plan(self, tick: int, zone_distance: float) -> Optional[AttackConfig]:
         """Security-assessor step: the attack if its trigger fires, its
-        activations are not spent and no directive of it is active next
-        tick; None otherwise."""
+        activations are not spent and no directive is active next tick;
+        None otherwise."""
         attack = self.attack
         if attack is None:
             return None
         if attack.max_activations and self.activations >= attack.max_activations:
             return None
-        if any(d.active_at(tick + 1) for d in self.active):
+        if self.directive is not None and self.directive.end_tick > tick:
             return None
         return attack if trigger_fires(attack, tick, zone_distance) else None
 
@@ -97,14 +97,16 @@ class FaultInjector:
                 return None
             directive = FaultDirective(attack, start, end, spoof_target=target)
         self.activations += 1
-        self.active.append(directive)
+        self.directive = directive
         return directive
 
     def active_directives(self, tick: int) -> list[FaultDirective]:
-        if not self.active:
-            return []
-        self.active = [d for d in self.active if d.end_tick >= tick]
-        return [d for d in self.active if d.active_at(tick)]
+        """``[directive]`` if it is active at ``tick``, else ``[]``: the
+        list ``sim.build_perceived_state`` takes."""
+        directive = self.directive
+        if directive is not None and directive.active_at(tick):
+            return [directive]
+        return []
 
 
 def nearest_closing_vehicle(perceived: PerceivedState) -> Optional[int]:

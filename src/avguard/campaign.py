@@ -259,8 +259,8 @@ def _read_sidecar(path: str
     """A sidecar's fields, with its termination and thresholds decoded.
 
     A sidecar that is not a JSON object, lacks a key its writer writes,
-    or holds a value the writer never writes raises ``MalformedTrace``
-    naming the file.
+    has a key it never writes, or holds a value it never writes raises
+    ``MalformedTrace`` naming the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -272,14 +272,25 @@ def _read_sidecar(path: str
         missing = sorted(keys - meta.keys())
         if missing:
             raise ValueError(f"no {', '.join(missing)}")
+        unknown = sorted(meta.keys() - keys)
+        if unknown:
+            raise ValueError(f"unknown key {', '.join(unknown)}")
         if any(type(meta[key]) is not int
                for key in ("seed", "scenario_index", "run_index")):
             raise ValueError("seed, scenario_index and run_index must be "
                              "integers")
+        if type(meta["failed"]) is not bool:
+            raise ValueError("failed must be true or false")
         if not meta["dt"] > 0:
             raise ValueError("dt must be > 0")
-        if not meta["failed"] and not meta["ticks"] >= 1:
-            raise ValueError("a run records at least one tick")
+        if not meta["failed"]:
+            if not meta["ticks"] >= 1:
+                raise ValueError("a run records at least one tick")
+            timings = meta["role_timings_ns"]
+            if not (type(timings) is list and len(timings) == meta["ticks"]
+                    and all(type(t) is dict for t in timings)):
+                raise ValueError("role_timings_ns must be a list of one "
+                                 "dict per tick")
         termination = TerminationStatus(meta["termination"])
         thresholds = PerfThresholds(max_clearance=meta["max_clearance"],
                                     max_abs_accel=meta["max_abs_accel"],
@@ -300,8 +311,10 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
     and any byte that differs from the canonical form (re-spaced JSON, a
     carriage return) fails the check. A damaged sidecar, a trace with no
     sidecar, or a trace whose line count or hash disagrees with its
-    sidecar, raises ``MalformedTrace``. So does a directory that holds
-    no sidecar at all, since a report of no runs shows nothing.
+    sidecar, raises ``MalformedTrace``. So does a sidecar that is not
+    ``<its scenario_id>/<its seed>.run.json``, which would name another
+    run's trace, and a directory that holds no sidecar at all, since a
+    report of no runs shows nothing.
     """
     import hashlib  # loaded by the first trace, not by ``import avguard``
 
@@ -321,8 +334,16 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
         for name in names:
             if not name.endswith(".run.json"):
                 continue
-            meta, termination, thresholds = _read_sidecar(
-                os.path.join(scenario_dir, name))
+            path = os.path.join(scenario_dir, name)
+            meta, termination, thresholds = _read_sidecar(path)
+            # A sidecar names its trace by its seed: read it only where
+            # its writer put it.
+            if (meta["scenario_id"], f"{meta['seed']}.run.json") != \
+                    (scenario_id, name):
+                raise metrics.MalformedTrace(
+                    None, f"{path}: the sidecar of run {meta['seed']} of "
+                          f"scenario {meta['scenario_id']!r} belongs at "
+                          f"{meta['scenario_id']}/{meta['seed']}.run.json")
             order = (meta["scenario_index"], meta["run_index"])
             if meta["failed"]:
                 keyed.append((*order, RunSummary.failed_run(

@@ -304,7 +304,8 @@ def summarize_run(records: list[IterationRecord],
     threshold; it counts as exempt when recovery was braking. A recovery
     episode is a maximal run of recovery-active ticks; it succeeds if no
     collision happens before the next episode starts (or the run ends).
-    A fault kind counts once per tick on which it becomes active.
+    A fault kind counts on each record whose non-empty ``active_fault``,
+    the kind of its one active directive, differs from the last one's.
     """
     if not records:
         raise EmptyTrace("run produced no records")
@@ -314,7 +315,7 @@ def summarize_run(records: list[IterationRecord],
     activations = successes = 0
     collision = episode_collided = recovering = False
     faults: dict[str, int] = {}
-    fault, kinds = None, set()
+    fault = None
     max_accel = abs(records[0].ego_accel_mps2)
     max_jerk = max_jerk_nonexempt = 0.0
     last_accel = None
@@ -351,10 +352,8 @@ def summarize_run(records: list[IterationRecord],
             collision = episode_collided = True
         if r.active_fault != fault:
             fault = r.active_fault
-            current = set(fault.split("+")) if fault else set()
-            for kind in sorted(current - kinds):
-                faults[kind] = faults.get(kind, 0) + 1
-            kinds = current
+            if fault:
+                faults[fault] = faults.get(fault, 0) + 1
     if activations and not episode_collided:
         successes += 1
 

@@ -122,7 +122,7 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
     clock = time.perf_counter_ns
     timings: dict[str, int] = {}
 
-    # 1. Environment update: perception with currently-active faults.
+    # 1. Environment update: perception with the active fault, if any.
     active = injector.active_directives(tick)
     noise_stream = (stream_for(ctx.seed, "perception", tick)
                     if spec.sim_params.perception_noise_std > 0 else None)
@@ -132,12 +132,7 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
                                               noise_stream)
         timings[role] = clock() - start
         role = None
-        if not active:
-            active_fault = None
-        elif len(active) == 1:  # the common case needs no set or sort
-            active_fault = active[0].kind._value_
-        else:
-            active_fault = "+".join(sorted({d.kind.value for d in active}))
+        active_fault = active[0].kind._value_ if active else None
 
         # 2. Generator (the AUT). Any answer but a (Maneuver, str) pair is
         # the generator's fault, caught here before a later phase reads it.

@@ -107,6 +107,11 @@ MIN_D_UNSAFE = 2.0 * (math.hypot(*VEHICLE_HALF_EXTENT) - EGO_RADIUS)
 
 def validate_spec(spec: ScenarioSpec) -> None:
     """Raise ValidationError naming the first violated invariant."""
+    # The id names the run's directory under a campaign's out_dir.
+    if spec.id in ("", ".", "..") or "/" in spec.id or "\\" in spec.id:
+        raise ValidationError(
+            f"scenario id {spec.id!r} must name one directory: not empty, "
+            f"'.' or '..', and no '/' or '\\'")
     if spec.attack is not None and not spec.allow_custom_pairing:
         expected = _ATTACK_BASE_PAIRING[spec.attack.kind]
         if spec.base != expected:

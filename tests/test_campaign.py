@@ -81,6 +81,18 @@ class TestRunCampaign:
                          out_dir=str(tmp_path))
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("bad_id", ["../escaped", "sub/dir", ""])
+    def test_id_outside_its_directory_rejected_before_any_run(self, tmp_path,
+                                                              bad_id):
+        from avguard.scenario import ValidationError
+        spec = dataclasses.replace(spec_named("nominal"), id=bad_id)
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError) as err:
+            run_campaign(CampaignPlan(specs=[spec], runs_per_spec=1),
+                         out_dir=str(out))
+        assert repr(bad_id) in str(err.value)
+        assert not os.listdir(tmp_path)
+
     def test_duplicate_scenario_id_rejected_before_any_run(self, tmp_path):
         """Seeds derive from the id, so two specs that share one would
         overwrite each other's traces."""
@@ -425,9 +437,14 @@ class TestSidecarCheck:
 
     @pytest.mark.parametrize("damage", ["cut", "termination", "no_ticks",
                                         "threshold", "no_run_index",
-                                        "string_seed", "zero_dt"])
+                                        "string_seed", "zero_dt",
+                                        "unknown_key", "string_timings",
+                                        "timings_short", "timings_not_dicts",
+                                        "failed_with_trace_keys",
+                                        "failed_not_a_bool"])
     def test_damaged_sidecar_is_rejected(self, tmp_path, damage):
-        """Each damage used to escape as a bare exception."""
+        """Each damage used to escape as a bare exception, or, from
+        unknown_key on, to pass unnoticed: its writer never writes it."""
         run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
         trace = self._trace(tmp_path)
         sidecar = trace.with_suffix(".run.json")
@@ -446,12 +463,49 @@ class TestSidecarCheck:
                 del meta["run_index"]
             elif damage == "string_seed":
                 meta["seed"] = str(meta["seed"])
-            else:
+            elif damage == "zero_dt":
                 meta["dt"] = 0.0
+            elif damage == "unknown_key":
+                meta["bogus"] = 1
+            elif damage == "string_timings":
+                meta["role_timings_ns"] = "fast"
+            elif damage == "timings_short":
+                meta["role_timings_ns"].pop()
+            elif damage == "timings_not_dicts":
+                meta["role_timings_ns"] = [0] * meta["ticks"]
+            else:  # a failed run has no trace, so no trace_hash or ticks
+                trace.unlink()
+                meta.update(failed=True, error="RuntimeError: boom")
+                if damage == "failed_not_a_bool":
+                    for key in ("trace_hash", "ticks", "role_timings_ns"):
+                        del meta[key]
+                    meta["failed"] = 1
             sidecar.write_text(json.dumps(meta))
         with pytest.raises(MalformedTrace) as err:
             reaggregate_from_traces(str(tmp_path))
         assert str(sidecar) in str(err.value)
+
+    @pytest.mark.parametrize("move", ["copied_over_sibling",
+                                      "other_scenario_dir"])
+    def test_sidecar_away_from_its_own_name_is_rejected(self, tmp_path,
+                                                        move):
+        """A sidecar names its trace by its seed; read under another
+        run's name it would count its own run twice and the other run's
+        trace never."""
+        run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
+        trace = self._trace(tmp_path)
+        first = trace.with_suffix(".run.json")
+        if move == "copied_over_sibling":
+            bad = first.with_name(f"{stable_mix(0, 'nominal', 1)}.run.json")
+            bad.write_bytes(first.read_bytes())
+        else:
+            other = tmp_path / "other"
+            other.mkdir()
+            trace.rename(other / trace.name)
+            bad = first.rename(other / first.name)
+        with pytest.raises(MalformedTrace) as err:
+            reaggregate_from_traces(str(tmp_path))
+        assert str(bad) in str(err.value)
 
     def test_sidecar_without_trace_hash_is_rejected(self, tmp_path):
         run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))

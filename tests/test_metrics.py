@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avguard.config import FaultKind
 from avguard.metrics import (
     EmptyTrace,
     IterationRecord,
@@ -507,13 +508,13 @@ def multi_pass_recovery_episodes(records):
 
 
 def multi_pass_fault_activations(records):
+    """Each non-empty active_fault counts, as one kind, on every record
+    where it differs from the record before."""
     counts = {}
-    previous = set()
-    for record in records:
-        current = set(record.active_fault.split("+")) if record.active_fault else set()
-        for kind in sorted(current - previous):
-            counts[kind] = counts.get(kind, 0) + 1
-        previous = current
+    for i, record in enumerate(records):
+        fault = record.active_fault
+        if fault and (i == 0 or records[i - 1].active_fault != fault):
+            counts[fault] = counts.get(fault, 0) + 1
     return counts
 
 
@@ -586,6 +587,25 @@ TICKS = st.tuples(
                      "ghost_obstacle+trajectory_spoof"]),    # active_fault
     st.sampled_from(LEVELS),                                # verdict_level
 )
+
+
+class TestOneFaultPerTick:
+    @pytest.mark.parametrize("fixture", ["reference_campaign",
+                                         "no_recovery_campaign"])
+    def test_reference_traces_record_one_fault_kind(self, fixture, request):
+        """A tick has at most one active directive, so its active_fault is
+        null or one kind, and a run counts only kinds."""
+        result, out_dir = request.getfixturevalue(fixture)[:2]
+        kinds = {kind.value for kind in FaultKind}
+        seen = set()
+        for path in sorted(pathlib.Path(out_dir).glob("*/*.jsonl")):
+            for line in path.read_text(encoding="utf-8").splitlines():
+                fault = json.loads(line)["active_fault"]
+                assert fault is None or fault in kinds, (path, fault)
+                seen.add(fault)
+        assert seen == kinds | {None}
+        for summary in result.run_summaries:
+            assert set(summary.faults_injected) <= kinds
 
 
 class TestOnePassSummary:

@@ -398,7 +398,7 @@ class TestGhostFaultTiming:
         assert activation_tick is not None
         # The injector planned the directive on the tick before the
         # window opened.
-        directive = ctx.injector.active[0]
+        directive = ctx.injector.directive
         assert directive.start_tick == activation_tick
 
     def test_ground_truth_isolated_from_faults(self):

@@ -234,6 +234,18 @@ class TestValidation:
     def test_validate_spec_accepts_defaults(self):
         validate_spec(ScenarioSpec())
 
+    @pytest.mark.parametrize("bad_id", ["", ".", "..", "../escaped",
+                                        "sub/dir", "/abs", "a\\b"])
+    def test_id_that_is_not_one_directory_name_rejected(self, bad_id):
+        """The id names the run's directory under a campaign's out_dir:
+        one that leaves it, or nests in it, would put runs where the
+        report never looks."""
+        with pytest.raises(ValidationError) as err:
+            parse_scenario_file(f"[scenario]\nid = {bad_id}\n")
+        assert repr(bad_id) in str(err.value)
+        with pytest.raises(ValidationError):
+            validate_spec(ScenarioSpec(id=bad_id))
+
 
 class TestParseErrors:
     def test_garbage_line_reports_line_number(self):
