@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import MAX_VELOCITY_SCALE, AttackConfig, FaultKind, TriggerKind, \
-    Vec2
+from .config import AttackConfig, FaultKind, TriggerKind, Vec2
 from .sim import default_ghost_position
 from .state import GHOST_OBSTACLE, VEHICLE, PerceivedState
 
@@ -129,6 +128,4 @@ def nearest_closing_vehicle(perceived: PerceivedState) -> Optional[int]:
 __all__ = [
     "FaultDirective",
     "FaultInjector",
-    "nearest_closing_vehicle",
-    "trigger_fires",
 ]

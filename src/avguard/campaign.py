@@ -121,6 +121,32 @@ def _execute_run(spec: ScenarioSpec, seed: int, options: RunOptions,
     return result.summary, digest, len(result.records)
 
 
+def _next_run_index(out_dir: str, scenario_id: str, seed: int) -> int:
+    """The run index ``avguard run`` gives its run in ``out_dir``: one past
+    every run index a sidecar there records, save the sidecar this run
+    replaces. Runs gathered in one directory by repeated ``run`` so claim
+    distinct ``(0, run_index)`` pairs, as ``reaggregate_from_traces``
+    requires, in the order they were run."""
+    last = -1
+    for sub in os.listdir(out_dir) if os.path.isdir(out_dir) else ():
+        directory = os.path.join(out_dir, sub)
+        if not os.path.isdir(directory):
+            continue
+        for name in os.listdir(directory):
+            if not name.endswith(".run.json") or \
+                    (sub, name) == (scenario_id, f"{seed}.run.json"):
+                continue
+            try:
+                with open(os.path.join(directory, name),
+                          encoding="utf-8") as fh:
+                    index = json.load(fh)["run_index"]
+            except (OSError, ValueError, LookupError, TypeError):
+                continue  # report rejects a damaged sidecar, naming it
+            if type(index) is int:
+                last = max(last, index)
+    return last + 1
+
+
 Task = tuple[int, int, int]  # scenario index, seed, run index
 
 # A pool worker's (specs, options, out_dir), set once by _init_worker.
@@ -313,12 +339,15 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
     sidecar, or a trace whose line count or hash disagrees with its
     sidecar, raises ``MalformedTrace``. So does a sidecar that is not
     ``<its scenario_id>/<its seed>.run.json``, which would name another
-    run's trace, and a directory that holds no sidecar at all, since a
-    report of no runs shows nothing.
+    run's trace, two sidecars that claim the same ``(scenario_index,
+    run_index)``, as a run of another campaign copied in does, and a
+    directory that holds no sidecar at all, since a report of no runs
+    shows nothing.
     """
     import hashlib  # loaded by the first trace, not by ``import avguard``
 
     keyed: list[tuple[int, int, RunSummary]] = []
+    sidecars: dict[tuple[int, int], str] = {}  # (scenario_index, run_index)
     for scenario_id in sorted(os.listdir(traces_dir)):
         scenario_dir = os.path.join(traces_dir, scenario_id)
         if not os.path.isdir(scenario_dir):
@@ -345,6 +374,12 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
                           f"scenario {meta['scenario_id']!r} belongs at "
                           f"{meta['scenario_id']}/{meta['seed']}.run.json")
             order = (meta["scenario_index"], meta["run_index"])
+            other = sidecars.setdefault(order, path)
+            if other != path:
+                raise metrics.MalformedTrace(
+                    None, f"{path}: scenario_index {order[0]} and run_index "
+                          f"{order[1]} are already claimed by {other}: a "
+                          f"campaign has one run of each")
             if meta["failed"]:
                 keyed.append((*order, RunSummary.failed_run(
                     meta["scenario_id"], meta["seed"], meta["error"])))

@@ -54,13 +54,15 @@ def _build_parser() -> argparse.ArgumentParser:
 # Each command imports the run machinery it uses, so validate loads only
 # the scenario layer.
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .campaign import _execute_run
+    from .campaign import _execute_run, _next_run_index
     from .orchestrator import RunOptions
 
     spec = load_scenario_file(args.scenario)
     options = RunOptions(recovery_enabled=not args.no_recovery,
                          halt_on_violation=args.halt_on_violation)
-    summary, digest, ticks = _execute_run(spec, args.seed, options, args.out)
+    summary, digest, ticks = _execute_run(
+        spec, args.seed, options, args.out, scenario_index=0,
+        run_index=_next_run_index(args.out, spec.id, args.seed))
     if summary.failed:
         print(f"run failed: {summary.error}", file=sys.stderr)
         return EXIT_RUN_FAILURE

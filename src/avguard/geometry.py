@@ -55,10 +55,6 @@ class Route:
             self._cum.append(self._cum[-1] + length)
         self._zone_cache: tuple = (None, None)  # (zone, entry_exit)
 
-    @property
-    def length(self) -> float:
-        return self._cum[-1]
-
     def pose_at(self, s: float) -> tuple[Vec2, tuple[float, float], float]:
         """(position, unit direction, normalized heading) at arc length s."""
         if s <= 0.0:

@@ -493,9 +493,7 @@ __all__ = [
     "TerminationStatus",
     "encode_record",
     "finalize_tick",
-    "pct",
     "read_trace",
-    "record_from_json_dict",
     "render_report",
     "summarize_campaign",
     "summarize_run",

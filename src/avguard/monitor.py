@@ -86,20 +86,6 @@ def _stop(speed: float, accel: float,
     return len(times), math.inf, 0.0
 
 
-def displacement_along(speed: float, accel: float,
-                       times: Sequence[float]) -> tuple[float, ...]:
-    """Arc displacement at each time under constant accel, clamped at zero
-    speed: the ego arc the search evaluates one sample at a time.
-
-    At sample k, time t, that is speed * t + accel / 2 * t * t while the
-    ego moves, and its stopping arc from its first stopped sample on.
-    """
-    k_stop, _, s_stop = _stop(speed, accel, times)
-    half_a = 0.5 * accel
-    return tuple(s_stop if k >= k_stop else speed * t + half_a * t * t
-                 for k, t in enumerate(times))
-
-
 def proposed_ego_accel(perceived: PerceivedState, proposed: Maneuver,
                        world_geometry: IntersectionGeometry,
                        sim_params: SimParams) -> float:
@@ -296,8 +282,6 @@ def recovery_decide(verdict: Verdict, proposed: Maneuver) -> Maneuver:
 
 __all__ = [
     "closing_speed",
-    "proposed_ego_accel",
     "recovery_decide",
     "safety_check",
-    "sample_times",
 ]

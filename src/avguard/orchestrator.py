@@ -262,8 +262,6 @@ __all__ = [
     "RunContext",
     "RunOptions",
     "RunResult",
-    "check_termination",
-    "ego_cleared_now",
     "run_scenario",
     "run_tick",
 ]

@@ -280,11 +280,6 @@ class ExternalPlanner:
 
 
 __all__ = [
-    "Conflict",
     "ExternalPlanner",
-    "find_conflicts",
-    "map_maneuver_text",
-    "perceived_to_request",
     "plan",
-    "required_gap",
 ]

@@ -387,10 +387,7 @@ __all__ = [
     "ParseError",
     "ScenarioSpec",
     "ValidationError",
-    "default_ghost_attack",
-    "default_spoof_attack",
     "load_scenario_file",
-    "parse_scenario_file",
     "reference_specs",
     "spawn_scenario",
     "validate_spec",

@@ -46,4 +46,4 @@ def stream_for(seed: int, *tags: object) -> random.Random:
     return random.Random(h)
 
 
-__all__ = ["fnv1a64", "splitmix64", "stable_mix", "stream_for"]
+__all__ = ["stable_mix", "stream_for"]

@@ -453,8 +453,6 @@ def default_ghost_position(goal: RouteGoal) -> tuple[float, float]:
 
 
 __all__ = [
-    "AgentScript",
-    "advance_arc",
     "approach_route",
     "build_intersection",
     "build_perceived_state",

@@ -175,10 +175,6 @@ class PerceivedObject:
     half_extent: Vec2
     provenance: Provenance = Provenance.REAL
 
-    @property
-    def speed(self) -> float:
-        return math.hypot(*self.velocity)
-
 
 @dataclass
 class EgoOdometry:

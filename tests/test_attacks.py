@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avguard.attacks import (
-    MAX_VELOCITY_SCALE,
     AttackConfig,
     FaultDirective,
     FaultInjector,
@@ -16,6 +15,7 @@ from avguard.attacks import (
     nearest_closing_vehicle,
     trigger_fires,
 )
+from avguard.config import MAX_VELOCITY_SCALE
 from avguard.sim import APPROACH_REACH
 from avguard.state import (
     AgentKind,

@@ -507,6 +507,25 @@ class TestSidecarCheck:
             reaggregate_from_traces(str(tmp_path))
         assert str(bad) in str(err.value)
 
+    def test_runs_of_another_campaign_are_rejected(self, tmp_path):
+        """Runs copied in from a campaign at another base seed have free
+        file names but repeat (scenario_index, run_index): counted, they
+        would make a report of four runs from a campaign of two."""
+        first, second = tmp_path / "first", tmp_path / "second"
+        run_campaign(small_plan(**self.PLAN), out_dir=str(first))
+        run_campaign(small_plan(**{**self.PLAN, "base_seed": 1}),
+                     out_dir=str(second))
+        for path in (first / "nominal").iterdir():
+            (second / "nominal" / path.name).write_bytes(path.read_bytes())
+        with pytest.raises(MalformedTrace) as err:
+            reaggregate_from_traces(str(second))
+        # It names both sidecars of one run index: one own, one copied.
+        named = [run for run in range(2) if all(
+            str(second / "nominal" / f"{stable_mix(seed, 'nominal', run)}"
+                                     f".run.json") in str(err.value)
+            for seed in (0, 1))]
+        assert len(named) == 1
+
     def test_sidecar_without_trace_hash_is_rejected(self, tmp_path):
         run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
         sidecar = self._trace(tmp_path).with_suffix(".run.json")

@@ -190,6 +190,34 @@ class TestRun:
         assert len(text.splitlines()) == 2  # header + the run's row
         assert text == render_report(summarize_campaign([result.summary]))
 
+    def test_runs_gathered_in_one_directory_can_be_reaggregated(
+            self, scenario_dir, tmp_path):
+        """Each run takes a run index no other run there holds, so a
+        re-run seed, a second seed and another scenario at the same seed
+        all report once."""
+        out = str(tmp_path / "out")
+        nominal, congested = (os.path.join(scenario_dir, name) for name in
+                              ("01_nominal.ini", "02_congested.ini"))
+        for scenario, seed in ((nominal, 5), (congested, 5), (nominal, 6),
+                               (nominal, 5)):
+            assert main(["run", "--scenario", scenario, "--seed", str(seed),
+                         "--out", out]) == EXIT_OK
+        indices = {}
+        for name in ("nominal/5", "congested/5", "nominal/6"):
+            with open(os.path.join(out, f"{name}.run.json"),
+                      encoding="utf-8") as fh:
+                meta = json.load(fh)
+            indices[name] = (meta["scenario_index"], meta["run_index"])
+        assert indices == {"congested/5": (0, 1), "nominal/6": (0, 2),
+                           "nominal/5": (0, 3)}
+        report = str(tmp_path / "r.csv")
+        assert main(["report", "--traces", out, "--report", report]) == EXIT_OK
+        summaries = [run_scenario(load_scenario_file(scenario), seed).summary
+                     for scenario, seed in ((congested, 5), (nominal, 6),
+                                            (nominal, 5))]
+        with open(report, encoding="utf-8") as fh:
+            assert fh.read() == render_report(summarize_campaign(summaries))
+
 
 class TestCampaignAndReport:
     def test_campaign_then_identical_report(self, scenario_dir, tmp_path,

@@ -144,6 +144,21 @@ def test_star_import_binds_every_public_name():
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(avguard.__all__)
 
 
+# Every submodule but the CLI, which is a program and lists no API.
+SUBMODULES = sorted(info.name
+                    for info in pkgutil.iter_modules(avguard.__path__)
+                    if info.name != "cli")
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_star_import_of_a_submodule_binds_its_all(name):
+    """A misspelled or removed entry fails here, not in a user's import."""
+    module = importlib.import_module(f"avguard.{name}")
+    namespace: dict = {}
+    exec(f"from avguard.{name} import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(module.__all__)
+
+
 def test_from_import_of_a_submodule_gives_the_submodule():
     from avguard import campaign
 

@@ -37,7 +37,6 @@ from avguard.monitor import (
     EGO_RADIUS,
     SafetyParams,
     closing_speed,
-    displacement_along,
     proposed_ego_accel,
     safety_check,
     sample_times,
@@ -61,8 +60,10 @@ from avguard.state import (
 )
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from test_geometry import route_length, segment_intersection  # noqa: E402
+from test_monitor import displacement_along  # noqa: E402
 
 
 def bits(x):
@@ -216,7 +217,7 @@ def query_point(draw, points):
 def _check_projection(points, data):
     route, reference = Route(points), NumpyRoute(points)
     p = data.draw(query_point(points))
-    s_min = data.draw(st.floats(0.0, route.length + 1.0))
+    s_min = data.draw(st.floats(0.0, route_length(route) + 1.0))
     assert bits(route.arc_length_of(p)) == bits(reference.arc_length_of(p))
     assert (bits(route.arc_length_of(p, s_min=s_min))
             == bits(reference.arc_length_of(p, s_min=s_min)))
@@ -282,9 +283,9 @@ def edge_query(draw, points):
 def test_inlined_arc_length_equals_the_closest_per_segment_form(points, data):
     route = Route(points)
     p = data.draw(query_point(points) | edge_query(points))
-    s_min = data.draw(st.sampled_from([0.0, route.length, route.length + 1.0,
-                                       math.inf])
-                      | st.floats(0.0, route.length + 10.0))
+    length = route_length(route)
+    s_min = data.draw(st.sampled_from([0.0, length, length + 1.0, math.inf])
+                      | st.floats(0.0, length + 10.0))
     for s in (0.0, s_min):
         assert bits(route.arc_length_of(p, s_min=s)) == bits(
             closest_per_segment_arc_length(route, p, s_min=s))
@@ -415,12 +416,49 @@ def perceived_states(draw, off_route=False):
                           goal=goal)
 
 
+# Limits so small that half the command, squared, underflows: the
+# moving phase's cubic then loses its t^3 term (c3 == 0) while q != 0,
+# and the search takes its ``elif c2 != 0.0`` branch.
+tiny_limit = st.sampled_from([1e-200, 1e-170, 1e-160, 1e-310, 5e-324])
+sim_limits = st.just(SimParams()) | st.builds(
+    SimParams, a_brake_max=tiny_limit | st.just(8.0),
+    a_accel_max=tiny_limit | st.just(3.0))
+
+# Heading pi/2 at 8 m/s under PROCEED at a_accel_max = 1e-200:
+# 2 * (qx^2 + qy^2) is 0 with q = 5e-201 * (cos, sin) != 0.
+LINEAR_BRANCH_CASE = dict(
+    perceived=PerceivedState(
+        clock=SimClock(),
+        ego_odometry=EgoOdometry(
+            position=Vec2((2.5, -20.0)),
+            velocity=Vec2((8.0 * math.cos(math.pi / 2),
+                           8.0 * math.sin(math.pi / 2))),
+            heading=math.pi / 2),
+        objects=[PerceivedObject(
+            id=1, kind=AgentKind.VEHICLE, position=Vec2((20.0, -1.7)),
+            velocity=Vec2((-6.0, 0.0)), half_extent=Vec2((2.0, 1.0)))],
+        goal=RouteGoal.STRAIGHT),
+    maneuver=Maneuver.PROCEED, sim_params=SimParams(a_accel_max=1e-200))
+
+
+def test_linear_branch_case_drops_only_the_cubic_term():
+    case = LINEAR_BRANCH_CASE
+    accel = proposed_ego_accel(case["perceived"], case["maneuver"],
+                               build_intersection(), case["sim_params"])
+    heading = case["perceived"].ego_odometry.heading
+    qx, qy = 0.5 * accel * math.cos(heading), 0.5 * accel * math.sin(heading)
+    assert 2.0 * (qx * qx + qy * qy) == 0.0 and qy != 0.0
+
+
 @given(perceived=perceived_states(),
        maneuver=st.sampled_from([m for m in Maneuver
-                                 if m != Maneuver.EMERGENCY_BRAKE]))
-@settings(max_examples=600, deadline=None)
-def test_safety_check_equals_the_point_array_form(perceived, maneuver):
-    geometry, params, sim_params = build_intersection(), SafetyParams(), SimParams()
+                                 if m != Maneuver.EMERGENCY_BRAKE]),
+       sim_params=sim_limits)
+@example(**LINEAR_BRANCH_CASE)
+@settings(max_examples=900, deadline=None)
+def test_safety_check_equals_the_point_array_form(perceived, maneuver,
+                                                  sim_params):
+    geometry, params = build_intersection(), SafetyParams()
     new = safety_check(perceived, maneuver, params, geometry, sim_params)
     old = old_safety_check(perceived, maneuver, params, geometry, sim_params)
     assert new.level == old.level
@@ -637,7 +675,7 @@ def worlds(draw):
                         draw(st.sampled_from(RouteGoal)),
                         draw(st.integers(0, 99)), SimParams())
     route = world.ego_route
-    ego_s = draw(st.floats(0.0, route.length))
+    ego_s = draw(st.floats(0.0, route_length(route)))
     speed = draw(st.floats(0.0, 12.0))
     position, (dx, dy), heading = route.pose_at(ego_s)
     ego = AgentState(0, AgentKind.EGO_VEHICLE, position,
@@ -826,7 +864,6 @@ def test_search_takes_the_sample_on_either_side_of_a_minimum(ego, obj,
 
 from avguard import geometry  # noqa: E402
 from avguard.planners import STATIONARY_SPEED, find_conflicts  # noqa: E402
-from test_geometry import segment_intersection  # noqa: E402
 
 
 def crossing_pair(a0, a1, b0, b1):

@@ -18,8 +18,8 @@ from avguard.geometry import obb_overlap, rect_corners
 from avguard.monitor import (
     EGO_RADIUS,
     SafetyParams,
+    _stop,
     closing_speed,
-    displacement_along,
     proposed_ego_accel,
     recovery_decide,
     safety_check,
@@ -63,6 +63,19 @@ def make_object(obj_id, pos, vel, half_extent=(2.0, 1.0)):
                            velocity=Vec2((float(vel[0]), float(vel[1]))),
                            half_extent=Vec2((float(half_extent[0]),
                                              float(half_extent[1]))))
+
+
+def displacement_along(speed, accel, times):
+    """Arc displacement at each time under constant accel, clamped at zero
+    speed: the ego arc the monitor's search evaluates one sample at a time.
+
+    At sample k, time t, that is speed * t + accel / 2 * t * t while the
+    ego moves, and its stopping arc from its first stopped sample on.
+    """
+    k_stop, _, s_stop = _stop(speed, accel, times)
+    half_a = 0.5 * accel
+    return tuple(s_stop if k >= k_stop else speed * t + half_a * t * t
+                 for k, t in enumerate(times))
 
 
 # --- independent 1 ms brute-force oracle ------------------------------------
@@ -312,7 +325,7 @@ class TestSafetyCheck:
             # speed x half the sample interval, the largest distance a
             # parabolic minimum can hide between two samples.
             coarse = safety_check(perceived, maneuver, default, GEOMETRY)
-            rel = max(perceived.ego_odometry.speed + o.speed
+            rel = max(perceived.ego_odometry.speed + math.hypot(*o.velocity)
                       for o in perceived.objects)
             bound = rel * default.sample_dt / 2.0 + 1e-9
             assert coarse.min_predicted_separation >= sep - 1e-9

@@ -49,6 +49,7 @@ from avguard.state import (
     Vec2,
     normalize_heading,
 )
+from test_geometry import route_length
 
 PARAMS = SimParams()
 GHOST_ATTACK = AttackConfig(kind=FaultKind.GHOST_OBSTACLE,
@@ -378,7 +379,7 @@ class TestRoutesAndGeometry:
         for goal in RouteGoal:
             route = ego_route_for(goal)
             s_entry, s_exit = route.zone_entry_exit(zone)
-            assert 0.0 < s_entry < s_exit < route.length
+            assert 0.0 < s_entry < s_exit < route_length(route)
 
     def test_default_ghost_position_on_ego_path(self):
         pos = default_ghost_position(RouteGoal.STRAIGHT)
