@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -106,8 +107,8 @@ def _failed_run(spec: ScenarioSpec, seed: int, exc: BaseException,
 
 
 def _execute_run(spec: ScenarioSpec, seed: int, options: RunOptions,
-                 out_dir: Optional[str], scenario_index: int = 0,
-                 run_index: int = 0) -> Outcome:
+                 out_dir: Optional[str], scenario_index: int,
+                 run_index: int) -> Outcome:
     """One run end-to-end: simulate, persist trace + sidecar, summarize."""
     try:
         result = run_scenario(spec, seed, options)
@@ -137,13 +138,10 @@ def _next_run_index(out_dir: str, scenario_id: str, seed: int) -> int:
                     (sub, name) == (scenario_id, f"{seed}.run.json"):
                 continue
             try:
-                with open(os.path.join(directory, name),
-                          encoding="utf-8") as fh:
-                    index = json.load(fh)["run_index"]
-            except (OSError, ValueError, LookupError, TypeError):
+                meta, _, _ = _read_sidecar(os.path.join(directory, name))
+            except (OSError, metrics.MalformedTrace):
                 continue  # report rejects a damaged sidecar, naming it
-            if type(index) is int:
-                last = max(last, index)
+            last = max(last, meta["run_index"])
     return last + 1
 
 
@@ -307,11 +305,15 @@ def _read_sidecar(path: str
                              "integers")
         if type(meta["failed"]) is not bool:
             raise ValueError("failed must be true or false")
+        if any(type(meta[key]) not in (int, float)
+               or not math.isfinite(meta[key]) for key in (
+                   "dt", "max_abs_accel", "max_abs_jerk", "max_clearance")):
+            raise ValueError("dt and the thresholds must be finite numbers")
         if not meta["dt"] > 0:
             raise ValueError("dt must be > 0")
         if not meta["failed"]:
-            if not meta["ticks"] >= 1:
-                raise ValueError("a run records at least one tick")
+            if type(meta["ticks"]) is not int or not meta["ticks"] >= 1:
+                raise ValueError("ticks must be an integer >= 1")
             timings = meta["role_timings_ns"]
             if not (type(timings) is list and len(timings) == meta["ticks"]
                     and all(type(t) is dict for t in timings)):

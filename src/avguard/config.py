@@ -16,10 +16,6 @@ from typing import Optional
 # The end of each approach road, in metres from the origin.
 APPROACH_REACH = 200.0
 
-# Ego footprint radius for the monitor's disc approximation; matches the
-# vehicle bounding box (max half extent).
-EGO_RADIUS = 2.0
-
 MAX_VELOCITY_SCALE = 100.0  # keeps a spoofed velocity and the monitor finite
 
 
@@ -34,6 +30,8 @@ class Vec2(tuple):
 
 
 VEHICLE_HALF_EXTENT = Vec2((2.0, 1.0))
+# Ego footprint radius for the monitor's disc approximation.
+EGO_RADIUS = max(VEHICLE_HALF_EXTENT)
 
 
 class ScenarioBase(str, Enum):

@@ -409,17 +409,12 @@ def summarize_campaign(runs: list[RunSummary]) -> CampaignSummary:
     overall row (matching the Overall Avg. convention)."""
     import statistics  # loaded by the first summary, not by ``import avguard``
 
-    order: list[str] = []
     grouped: dict[str, list[RunSummary]] = {}
     for run in runs:
-        if run.scenario_id not in grouped:
-            grouped[run.scenario_id] = []
-            order.append(run.scenario_id)
-        grouped[run.scenario_id].append(run)
+        grouped.setdefault(run.scenario_id, []).append(run)
 
     rows = []
-    for scenario in order:
-        group = grouped[scenario]
+    for scenario, group in grouped.items():
         completed = [r for r in group if not r.failed]
         n = len(completed)
         clearances = [r.clearance_time_s for r in completed

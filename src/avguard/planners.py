@@ -144,15 +144,10 @@ def plan(perceived: PerceivedState, goal: RouteGoal, cfg: PlannerConfig,
 
 # --- optional external planner binding -----------------------------------
 
-_MANEUVER_ALIASES = {
-    "wait": Maneuver.WAIT,
-    "yield": Maneuver.YIELD,
-    "proceed_cautiously": Maneuver.PROCEED_CAUTIOUSLY,
-    "proceed cautiously": Maneuver.PROCEED_CAUTIOUSLY,
-    "proceed": Maneuver.PROCEED,
-    "go": Maneuver.PROCEED,
-    "accelerate": Maneuver.ACCELERATE,
-}
+# An answer of emergency_brake maps too: run_tick demotes it, as it does
+# any generator's.
+_MANEUVER_ALIASES = {m.value: m for m in Maneuver} | {
+    "go": PROCEED, "proceed cautiously": PROCEED_CAUTIOUSLY}
 
 
 def map_maneuver_text(text: str) -> Optional[Maneuver]:
@@ -205,7 +200,8 @@ class ExternalPlanner:
     child is stopped), an exited child (``EOFError``) or a broken pipe
     (``OSError``) raises, so the run fails with a generator ``RolePanic``,
     and every later ``plan`` raises too. An unmapped answer is what the
-    child said: a Wait, counted in ``fault_count``. Callers ``close()`` it.
+    child said: a Wait, counted in ``fault_count``; an ``emergency_brake``
+    maps, and ``run_tick`` demotes it. Callers ``close()`` it.
     """
 
     def __init__(self, command: list[str], timeout: float = 2.0):

@@ -147,36 +147,16 @@ def spawn_scenario(spec: ScenarioSpec, seed: int) -> GroundTruthWorld:
 
 # --- file parsing ---------------------------------------------------------
 
-_BASE_ALIASES = {
-    "nominal": ScenarioBase.NOMINAL,
-    "congested": ScenarioBase.CONGESTED,
-    "conflicting_traffic": ScenarioBase.CONFLICTING_TRAFFIC,
+# Each word table is its enum's values plus the short words a file may use.
+_BASE_ALIASES = {b.value: b for b in ScenarioBase} | {
     "conflicting": ScenarioBase.CONFLICTING_TRAFFIC,
-    "pedestrian_crossing": ScenarioBase.PEDESTRIAN_CROSSING,
-    "pedestrian": ScenarioBase.PEDESTRIAN_CROSSING,
-}
-
-_GOAL_ALIASES = {
-    "straight": RouteGoal.STRAIGHT,
-    "left": RouteGoal.LEFT_TURN,
-    "left_turn": RouteGoal.LEFT_TURN,
-    "right": RouteGoal.RIGHT_TURN,
-    "right_turn": RouteGoal.RIGHT_TURN,
-}
-
-_ATTACK_ALIASES = {
-    "ghost": FaultKind.GHOST_OBSTACLE,
-    "ghost_obstacle": FaultKind.GHOST_OBSTACLE,
-    "spoof": FaultKind.TRAJECTORY_SPOOF,
-    "trajectory_spoof": FaultKind.TRAJECTORY_SPOOF,
-}
-
-_PLANNER_ALIASES = {
-    "gap_acceptance": PlannerKind.GAP_ACCEPTANCE,
-    "over_cautious": PlannerKind.OVER_CAUTIOUS,
-    "overcautious": PlannerKind.OVER_CAUTIOUS,
-    "aggressive": PlannerKind.AGGRESSIVE,
-}
+    "pedestrian": ScenarioBase.PEDESTRIAN_CROSSING}
+_GOAL_ALIASES = {g.value: g for g in RouteGoal} | {
+    "left": RouteGoal.LEFT_TURN, "right": RouteGoal.RIGHT_TURN}
+_ATTACK_ALIASES = {k.value: k for k in FaultKind} | {
+    "ghost": FaultKind.GHOST_OBSTACLE, "spoof": FaultKind.TRAJECTORY_SPOOF}
+_PLANNER_ALIASES = {k.value: k for k in PlannerKind} | {
+    "overcautious": PlannerKind.OVER_CAUTIOUS}
 
 
 def _number(raw: str) -> float:

@@ -301,10 +301,11 @@ def build_perceived_state(world: GroundTruthWorld,
     """Object-list perception: ground truth in range, plus fault effects.
 
     Spoof directives rescale/rotate a real object's perceived velocity (a
-    zero heading bias only rescales, with no sin/cos call);
-    ghost directives append a stationary vehicle with no ground-truth
-    counterpart. A spoof whose target is not currently perceived is
-    logged and skipped for the tick. Ground truth is never modified.
+    zero heading bias only rescales, with no sin/cos call); a ghost
+    directive appends a stationary vehicle, id ``GHOST_ID_BASE``, with no
+    ground-truth counterpart. A spoof whose target is not currently
+    perceived is logged and skipped for the tick. Ground truth is never
+    modified.
     """
     ego = world.ego
     ego_x, ego_y = ego.position
@@ -316,7 +317,6 @@ def build_perceived_state(world: GroundTruthWorld,
         objects.append(PerceivedObject(agent.id, agent.kind, agent.position,
                                        agent.velocity, agent.half_extent, REAL))
 
-    ghost_seq = 0
     for directive in active_faults:
         attack = directive.attack
         if attack.kind == TRAJECTORY_SPOOF:
@@ -340,10 +340,8 @@ def build_perceived_state(world: GroundTruthWorld,
                     target, world.clock.tick)
         elif attack.kind == GHOST_OBSTACLE:
             objects.append(PerceivedObject(
-                GHOST_ID_BASE + ghost_seq, VEHICLE,
-                directive.ghost_position, _ZERO, VEHICLE_HALF_EXTENT,
-                GHOST))
-            ghost_seq += 1
+                GHOST_ID_BASE, VEHICLE, directive.ghost_position, _ZERO,
+                VEHICLE_HALF_EXTENT, GHOST))
 
     if params.perception_noise_std > 0.0 and stream is not None:
         for obj in objects:

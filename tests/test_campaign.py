@@ -4,6 +4,7 @@ transparency, failure reporting, and re-aggregation."""
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 
@@ -441,7 +442,9 @@ class TestSidecarCheck:
                                         "unknown_key", "string_timings",
                                         "timings_short", "timings_not_dicts",
                                         "failed_with_trace_keys",
-                                        "failed_not_a_bool"])
+                                        "failed_not_a_bool", "dt_bool",
+                                        "threshold_bool", "ticks_float",
+                                        "dt_infinite", "threshold_nan"])
     def test_damaged_sidecar_is_rejected(self, tmp_path, damage):
         """Each damage used to escape as a bare exception, or, from
         unknown_key on, to pass unnoticed: its writer never writes it."""
@@ -473,6 +476,16 @@ class TestSidecarCheck:
                 meta["role_timings_ns"].pop()
             elif damage == "timings_not_dicts":
                 meta["role_timings_ns"] = [0] * meta["ticks"]
+            elif damage == "dt_bool":  # True > 0, and the clearance used it
+                meta["dt"] = True
+            elif damage == "threshold_bool":
+                meta["max_clearance"] = True
+            elif damage == "ticks_float":  # 72.0 == 72 matched the trace
+                meta["ticks"] = float(meta["ticks"])
+            elif damage == "dt_infinite":  # json reads Infinity and NaN
+                meta["dt"] = math.inf
+            elif damage == "threshold_nan":
+                meta["max_clearance"] = math.nan
             else:  # a failed run has no trace, so no trace_hash or ticks
                 trace.unlink()
                 meta.update(failed=True, error="RuntimeError: boom")

@@ -559,3 +559,24 @@ class TestExternalPlanner:
             assert planner.fault_count == 0
             hashes.append(trace_hash(result.records))
         assert hashes[0] == hashes[1]
+
+    def test_child_emergency_brake_is_demoted_not_a_fault(self,
+                                                          planner_script):
+        """A child's emergency_brake is a known maneuver, demoted as any
+        generator's is; it used to count as an unmapped answer."""
+        planner = ExternalPlanner(planner_script("""
+            import json, sys
+            for line in sys.stdin:
+                print(json.dumps({"maneuver": "emergency_brake",
+                                  "rationale": "x"}), flush=True)
+        """), timeout=2.0)
+        try:
+            result = run_scenario(dataclasses.replace(NOMINAL, max_ticks=20),
+                                  seed=7, plan_fn=planner.plan)
+        finally:
+            planner.close()
+        assert len(result.records) == 20
+        for record in result.records:
+            assert record.proposed_maneuver == "wait"
+            assert record.rationale.startswith("demoted emergency_brake; ")
+        assert planner.fault_count == 0

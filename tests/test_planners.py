@@ -211,6 +211,13 @@ class TestManeuverTextMapping:
         assert map_maneuver_text("proceed_cautiously") == (
             Maneuver.PROCEED_CAUTIOUSLY)
 
+    @pytest.mark.parametrize("text, maneuver", [
+        *((m.value, m) for m in Maneuver),
+        ("go", Maneuver.PROCEED),
+        ("proceed cautiously", Maneuver.PROCEED_CAUTIOUSLY)])
+    def test_every_maneuver_and_alias_maps(self, text, maneuver):
+        assert map_maneuver_text(text) == maneuver
+
     def test_unmapped_text_is_none(self):
         assert map_maneuver_text("do a barrel roll") is None
 

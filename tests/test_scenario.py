@@ -282,6 +282,39 @@ class TestParseErrors:
                 max_ticks = lots
             """)
 
+    @pytest.mark.parametrize("section, key, word, value", [
+        ("scenario", "base", "nominal", ScenarioBase.NOMINAL),
+        ("scenario", "base", "congested", ScenarioBase.CONGESTED),
+        ("scenario", "base", "conflicting_traffic",
+         ScenarioBase.CONFLICTING_TRAFFIC),
+        ("scenario", "base", "conflicting", ScenarioBase.CONFLICTING_TRAFFIC),
+        ("scenario", "base", "pedestrian_crossing",
+         ScenarioBase.PEDESTRIAN_CROSSING),
+        ("scenario", "base", "pedestrian", ScenarioBase.PEDESTRIAN_CROSSING),
+        ("scenario", "ego_goal", "straight", RouteGoal.STRAIGHT),
+        ("scenario", "ego_goal", "left_turn", RouteGoal.LEFT_TURN),
+        ("scenario", "ego_goal", "left", RouteGoal.LEFT_TURN),
+        ("scenario", "ego_goal", "right_turn", RouteGoal.RIGHT_TURN),
+        ("scenario", "ego_goal", "right", RouteGoal.RIGHT_TURN),
+        ("attack", "kind", "ghost_obstacle", FaultKind.GHOST_OBSTACLE),
+        ("attack", "kind", "ghost", FaultKind.GHOST_OBSTACLE),
+        ("attack", "kind", "trajectory_spoof", FaultKind.TRAJECTORY_SPOOF),
+        ("attack", "kind", "spoof", FaultKind.TRAJECTORY_SPOOF),
+        ("planner", "kind", "gap_acceptance", PlannerKind.GAP_ACCEPTANCE),
+        ("planner", "kind", "over_cautious", PlannerKind.OVER_CAUTIOUS),
+        ("planner", "kind", "overcautious", PlannerKind.OVER_CAUTIOUS),
+        ("planner", "kind", "aggressive", PlannerKind.AGGRESSIVE),
+    ])
+    def test_every_accepted_word(self, section, key, word, value):
+        """Each word an enum key accepts, and the value it reads as."""
+        text = "[scenario]\nallow_custom_pairing = true\n"
+        text += "" if section == "scenario" else f"[{section}]\n"
+        spec = parse_scenario_file(f"{text}{key} = {word}\n")
+        got = {"base": spec.base, "ego_goal": spec.ego_goal,
+               "attack": spec.attack and spec.attack.kind,
+               "planner": spec.planner_config.kind}
+        assert got[key if section == "scenario" else section] == value
+
     def test_unknown_base(self):
         with pytest.raises((ParseError, ValidationError)):
             parse("""
