@@ -14,15 +14,15 @@ distance to show where each verdict boundary sits.
 
 from dataclasses import replace
 
-from avguard.monitor import SafetyParams, safety_check
+from avguard.config import SafetyParams, ScenarioBase, Vec2
+from avguard.monitor import safety_check
 from avguard.scenario import ScenarioSpec
 from avguard.sim import (
-    ScenarioBase,
     build_intersection,
     build_perceived_state,
     spawn_world,
 )
-from avguard.state import AgentKind, Maneuver, PerceivedObject, Vec2
+from avguard.state import AgentKind, Maneuver, PerceivedObject
 
 SPEC = ScenarioSpec(id="demo", base=ScenarioBase.NOMINAL)
 PARAMS = SafetyParams()

@@ -21,6 +21,7 @@ from .metrics import CampaignSummary, RunSummary, TerminationStatus
 from .orchestrator import RunOptions, RunResult, run_scenario
 from .scenario import ScenarioSpec, ValidationError, validate_spec
 from .seeding import stable_mix
+from .state import UNSAFE
 
 
 @dataclass
@@ -338,8 +339,10 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
     ``trace_hash``, so a trace is checked without re-encoding a record,
     and any byte that differs from the canonical form (re-spaced JSON, a
     carriage return) fails the check. A damaged sidecar, a trace with no
-    sidecar, or a trace whose line count or hash disagrees with its
-    sidecar, raises ``MalformedTrace``. So does a sidecar that is not
+    sidecar, a trace whose line count or hash disagrees with its sidecar,
+    or a termination its last record contradicts (``running``, or a
+    collision bit or unsafe halt the record does not show) raises
+    ``MalformedTrace``. So does a sidecar that is not
     ``<its scenario_id>/<its seed>.run.json``, which would name another
     run's trace, two sidecars that claim the same ``(scenario_index,
     run_index)``, as a run of another campaign copied in does, and a
@@ -403,6 +406,18 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
             keyed.append((*order, metrics.summarize_run(
                 records, termination, thresholds, meta["dt"],
                 scenario_id=meta["scenario_id"], seed=meta["seed"])))
+            # As check_termination ends a run: collision first, and a halt
+            # only on an unsafe verdict.
+            last = records[-1]
+            if (termination == TerminationStatus.RUNNING
+                    or last.collision != (termination
+                                          == TerminationStatus.COLLISION)
+                    or termination == TerminationStatus.HALT_ON_VIOLATION
+                    and last.verdict_level != UNSAFE):
+                raise metrics.MalformedTrace(
+                    None, f"{path}: termination {termination.value} "
+                          f"contradicts the trace's last record (collision "
+                          f"{last.collision}, verdict {last.verdict_level})")
     if not keyed:
         raise metrics.MalformedTrace(
             None, f"{traces_dir}: no run found; a campaign's traces are laid "

@@ -15,7 +15,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii as _string
 from typing import IO, Optional, Union
 
-from .config import PerfThresholds
+from .config import PerfThresholds, SimParams
 from .performance import PerfFlags
 from .state import (
     EMERGENCY_BRAKE,
@@ -182,12 +182,28 @@ def encode_record(record: IterationRecord) -> str:
 
 
 def record_from_json_dict(d: dict) -> IterationRecord:
-    d = dict(d)
+    """The record of a decoded trace line; ``d`` is taken over, not
+    copied, as ``json.loads`` hands each line a fresh dict."""
     if d["min_predicted_separation"] == "inf":
         d["min_predicted_separation"] = math.inf
     d["ego_position"] = tuple(d["ego_position"])
     d["ego_velocity"] = tuple(d["ego_velocity"])
     return IterationRecord(**d)
+
+
+def _encoded_lines(records: list[IterationRecord]):
+    """Each record's trace line as UTF-8 bytes, without its newline."""
+    return (encode_record(record).encode("utf-8") for record in records)
+
+
+def _digest(lines) -> str:
+    """The sha256 of the concatenated ``lines``, in hex."""
+    import hashlib  # loaded by the first trace, not by ``import avguard``
+
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line)
+    return h.hexdigest()
 
 
 def write_trace(records: list[IterationRecord],
@@ -200,24 +216,15 @@ def write_trace(records: list[IterationRecord],
     platform's newline translation can change its bytes; a text stream
     gets the same text.
     """
-    import hashlib  # loaded by the first trace, not by ``import avguard``
-
-    h = hashlib.sha256()
-    update = h.update
-    lines = []
-    append = lines.append
-    for record in records:
-        line = encode_record(record).encode("utf-8")
-        update(line)
-        append(line)
-    append(b"")  # the last line's newline
+    # The empty last line adds the last newline and nothing to the digest.
+    lines = [*_encoded_lines(records), b""]
     data = b"\n".join(lines)
     if isinstance(destination, str):
         with open(destination, "wb") as fh:
             fh.write(data)
     else:
         destination.write(data.decode("utf-8"))
-    return h.hexdigest()
+    return _digest(lines)
 
 
 def read_trace(source: Union[str, IO[str]]) -> list[IterationRecord]:
@@ -241,14 +248,9 @@ def read_trace(source: Union[str, IO[str]]) -> list[IterationRecord]:
 
 def trace_hash(records: list[IterationRecord]) -> str:
     """SHA-256 over the records' trace lines, newlines left out: the
-    digest ``write_trace`` returns for the same records."""
-    import hashlib  # loaded by the first trace, not by ``import avguard``
-
-    h = hashlib.sha256()
-    update = h.update
-    for record in records:
-        update(encode_record(record).encode("utf-8"))
-    return h.hexdigest()
+    digest ``write_trace`` returns for the same records. The lines are
+    digested as they are encoded, so no whole trace is held."""
+    return _digest(_encoded_lines(records))
 
 
 # --- run aggregation ------------------------------------------------------
@@ -294,7 +296,7 @@ class RunSummary:
 def summarize_run(records: list[IterationRecord],
                   termination: TerminationStatus,
                   thresholds: PerfThresholds = PerfThresholds(),
-                  dt: float = 0.1,
+                  dt: float = SimParams.dt,
                   scenario_id: str = "", seed: int = 0) -> RunSummary:
     """The run's summary, in one pass over its records (``dt`` > 0, and
     every acceleration finite, as the trace encoder requires).
@@ -453,24 +455,20 @@ def _fmt(value: Optional[float], digits: int = 2) -> str:
 def render_report(campaign: CampaignSummary, format: str = "csv") -> str:
     if format not in ("csv", "md"):
         raise ValueError(f"unknown report format: {format!r}")
+    cells = [(row.scenario, str(row.runs),
+              f"{row.pct_runs_with_unsafe_flag:.1f}",
+              f"{row.pct_runs_with_collision:.1f}",
+              _fmt(row.clearance_mean_s), _fmt(row.clearance_std_s),
+              str(row.gridlock_count), str(row.failed))
+             for row in campaign.rows]
     if format == "csv":
-        lines = [_CSV_HEADER]
-        for row in campaign.rows:
-            lines.append(
-                f"{row.scenario},{row.runs},{row.pct_runs_with_unsafe_flag:.1f},"
-                f"{row.pct_runs_with_collision:.1f},{_fmt(row.clearance_mean_s)},"
-                f"{_fmt(row.clearance_std_s)},{row.gridlock_count},{row.failed}")
+        lines = [_CSV_HEADER, *map(",".join, cells)]
         return "\n".join(lines) + "\n"
 
     header = ("| Scenario | Runs | Unsafe Flag (%) | Collision (%) | "
               "Clearance Mean (s) | Clearance Std (s) | Gridlocks | Failed |")
     divider = "|---|---|---|---|---|---|---|---|"
-    lines = [header, divider]
-    for row in campaign.rows:
-        lines.append(
-            f"| {row.scenario} | {row.runs} | {row.pct_runs_with_unsafe_flag:.1f} "
-            f"| {row.pct_runs_with_collision:.1f} | {_fmt(row.clearance_mean_s)} "
-            f"| {_fmt(row.clearance_std_s)} | {row.gridlock_count} | {row.failed} |")
+    lines = [header, divider, *(f"| {' | '.join(row)} |" for row in cells)]
     if campaign.rows:
         lines.append(
             f"| **Overall Avg.** |  | {campaign.overall_pct_unsafe_flag:.1f} "

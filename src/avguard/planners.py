@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .config import PlannerConfig, PlannerKind, RouteGoal
+from .config import PlannerConfig, RouteGoal
 from .sim import build_intersection, ego_route_for
 from .state import ACCELERATE, PROCEED, PROCEED_CAUTIOUSLY, WAIT, YIELD
 from .state import (

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
-from .config import FaultKind, RouteGoal, Vec2
+from .config import FaultKind, RouteGoal, SimParams, Vec2
 
 EGO_ID = 0
 
@@ -68,7 +68,7 @@ class SimClock:
     """
 
     tick: int = 0
-    dt: float = 0.1
+    dt: float = SimParams.dt
 
     @property
     def sim_time(self) -> float:

@@ -29,10 +29,11 @@ from avguard import (
     write_trace,
 )
 from avguard.campaign import reaggregate_from_traces
+from avguard.config import PlannerConfig, PlannerKind, SafetyParams
 from avguard.metrics import TerminationStatus, pct
-from avguard.monitor import SafetyParams, safety_check
+from avguard.monitor import safety_check
 from avguard.orchestrator import RunContext, run_tick
-from avguard.planners import PlannerConfig, PlannerKind, plan
+from avguard.planners import plan
 from avguard.scenario import spawn_scenario
 from avguard.sim import (
     GHOST_ID_BASE,
@@ -134,8 +135,9 @@ class TestCriterion03GhostInvariants:
 
             # Ground truth unchanged vs a no-attack replay of the same
             # final-maneuver sequence.
-            from avguard.sim import (ScenarioBase, maneuver_to_command,
-                                     spawn_world, step_dynamics)
+            from avguard.config import ScenarioBase
+            from avguard.sim import (maneuver_to_command, spawn_world,
+                                     step_dynamics)
             from avguard.state import Maneuver
             replay = spawn_world(ScenarioBase.NOMINAL, ghost_spec.ego_goal,
                                  seed, ghost_spec.sim_params)
@@ -157,7 +159,7 @@ class TestCriterion03GhostInvariants:
                 [rng.uniform(-10, 10), 0.0]) for i in range(rng.randint(1, 3))]
             perceived = make_perceived([2.5, rng.uniform(-45, -15)],
                                        [0.0, rng.uniform(1, 9)], objects)
-            from avguard.state import RouteGoal
+            from avguard.config import RouteGoal
             baseline = plan(perceived, RouteGoal.STRAIGHT, PlannerConfig(),
                             GEOMETRY)
             relabeled = [PerceivedObject(

@@ -8,24 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avguard.attacks import (
-    AttackConfig,
     FaultDirective,
     FaultInjector,
-    TriggerKind,
     nearest_closing_vehicle,
     trigger_fires,
 )
-from avguard.config import MAX_VELOCITY_SCALE
-from avguard.sim import APPROACH_REACH
+from avguard.config import (
+    APPROACH_REACH,
+    MAX_VELOCITY_SCALE,
+    AttackConfig,
+    FaultKind,
+    RouteGoal,
+    TriggerKind,
+    Vec2,
+)
 from avguard.state import (
     AgentKind,
     EgoOdometry,
-    FaultKind,
     PerceivedObject,
     PerceivedState,
-    RouteGoal,
     SimClock,
-    Vec2,
 )
 
 

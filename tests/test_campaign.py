@@ -15,6 +15,7 @@ from avguard.campaign import (
     reaggregate_from_traces,
     run_campaign,
 )
+from avguard.config import ScenarioBase
 from avguard.metrics import (
     MalformedTrace,
     TerminationStatus,
@@ -24,7 +25,6 @@ from avguard.metrics import (
 )
 from avguard.scenario import ScenarioSpec, reference_specs
 from avguard.seeding import stable_mix
-from avguard.sim import ScenarioBase
 
 
 def small_plan(**overrides):
@@ -260,6 +260,20 @@ class TestReaggregation:
         rebuilt = reaggregate_from_traces(str(tmp_path))
         assert rebuilt == result.summary
 
+    @pytest.mark.parametrize("options", [
+        dict(halt_on_violation=True),
+        dict(recovery_enabled=False),
+        dict(halt_on_violation=True, recovery_enabled=False),
+    ], ids=["halt", "no_recovery", "halt_no_recovery"])
+    def test_halting_and_no_recovery_campaigns_reaggregate(self, tmp_path,
+                                                           options):
+        """Each termination the writer gives passes the reader's check."""
+        result = run_campaign(small_plan(**options), out_dir=str(tmp_path))
+        terminations = {s.termination for s in result.run_summaries}
+        if options.get("halt_on_violation"):
+            assert TerminationStatus.HALT_ON_VIOLATION in terminations
+        assert reaggregate_from_traces(str(tmp_path)) == result.summary
+
     def test_run_summaries_recomputable_from_traces(self, tmp_path):
         plan = small_plan(runs_per_spec=2)
         result = run_campaign(plan, out_dir=str(tmp_path))
@@ -444,7 +458,10 @@ class TestSidecarCheck:
                                         "failed_with_trace_keys",
                                         "failed_not_a_bool", "dt_bool",
                                         "threshold_bool", "ticks_float",
-                                        "dt_infinite", "threshold_nan"])
+                                        "dt_infinite", "threshold_nan",
+                                        "termination_running",
+                                        "termination_collision",
+                                        "termination_halt"])
     def test_damaged_sidecar_is_rejected(self, tmp_path, damage):
         """Each damage used to escape as a bare exception, or, from
         unknown_key on, to pass unnoticed: its writer never writes it."""
@@ -486,6 +503,12 @@ class TestSidecarCheck:
                 meta["dt"] = math.inf
             elif damage == "threshold_nan":
                 meta["max_clearance"] = math.nan
+            elif damage == "termination_running":  # was read as no clearance
+                meta["termination"] = "running"
+            elif damage == "termination_collision":  # the run has none
+                meta["termination"] = "collision"
+            elif damage == "termination_halt":  # on a verdict that was safe
+                meta["termination"] = "halt_on_violation"
             else:  # a failed run has no trace, so no trace_hash or ticks
                 trace.unlink()
                 meta.update(failed=True, error="RuntimeError: boom")

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from avguard import geometry, sim
+from avguard.config import Vec2
 from avguard.geometry import obb_overlap, rect_corners
 from avguard.sim import build_intersection, detect_collision
 from avguard.state import (
@@ -15,7 +16,6 @@ from avguard.state import (
     AgentState,
     GroundTruthWorld,
     SimClock,
-    Vec2,
 )
 
 hypothesis = pytest.importorskip("hypothesis")

@@ -11,7 +11,8 @@ inside the clip bounds, where rounding shows.
 
 import pytest
 
-from avguard.sim import SPEED_LIMIT, SimParams, command_accel
+from avguard.config import SimParams
+from avguard.sim import SPEED_LIMIT, command_accel
 from avguard.state import Maneuver
 
 DISTS = (-1.5, 0.0, 0.3, 0.5, 0.8, 1.0, 1.6, 3.5, 5.0, 7.7, 30.0)

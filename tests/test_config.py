@@ -10,6 +10,7 @@ import ast
 import importlib
 import inspect
 import math
+import pathlib
 import pickle
 import pkgutil
 
@@ -20,8 +21,8 @@ from avguard import attacks, config, monitor, performance, planners, \
     scenario, sim, state
 
 # Each moved name, from the module that held it before avguard.config and
-# still binds it. attacks, which never read MAX_VELOCITY_SCALE, binds it
-# no more.
+# still binds it. attacks, which never read MAX_VELOCITY_SCALE, and
+# planners, which never read PlannerKind, bind them no more.
 OLD_HOMES = [
     (sim, "APPROACH_REACH"),
     (sim, "ScenarioBase"),
@@ -31,7 +32,6 @@ OLD_HOMES = [
     (monitor, "SafetyParams"),
     (performance, "PerfThresholds"),
     (planners, "PlannerConfig"),
-    (planners, "PlannerKind"),
     (attacks, "AttackConfig"),
     (attacks, "TriggerKind"),
     (state, "FaultKind"),
@@ -50,8 +50,13 @@ def test_attacks_does_not_bind_max_velocity_scale():
     assert not hasattr(attacks, "MAX_VELOCITY_SCALE")
 
 
+def test_planners_does_not_bind_planner_kind():
+    assert not hasattr(planners, "PlannerKind")
+
+
 def test_each_moved_name_is_public_in_config_only():
-    moved = sorted({name for _, name in OLD_HOMES} | {"MAX_VELOCITY_SCALE"})
+    moved = sorted({name for _, name in OLD_HOMES}
+                   | {"MAX_VELOCITY_SCALE", "PlannerKind"})
     assert sorted(config.__all__) == moved
     listed = {}
     for info in pkgutil.iter_modules(avguard.__path__):
@@ -60,6 +65,26 @@ def test_each_moved_name_is_public_in_config_only():
             listed.setdefault(name, []).append(module.__name__)
     assert {name: listed[name] for name in moved} == \
         {name: ["avguard.config"] for name in moved}
+
+
+def test_config_names_are_imported_from_config_only():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = [path for folder in ("src/avguard", "tests", "demos", "perfbench")
+             for path in sorted((root / folder).glob("*.py"))]
+    assert paths
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = f"avguard.{node.module}" if node.level else node.module
+            if module and module.startswith("avguard") \
+                    and module != "avguard.config":
+                found += [f"{path.name}:{node.lineno}: {module}.{alias.name}"
+                          for alias in node.names
+                          if alias.name in config.__all__]
+    assert found == []
 
 
 def test_config_imports_no_other_avguard_module():

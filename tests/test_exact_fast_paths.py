@@ -32,17 +32,23 @@ import numpy as np
 import pytest
 
 from avguard import monitor
+from avguard.config import (
+    EGO_RADIUS,
+    RouteGoal,
+    SafetyParams,
+    ScenarioBase,
+    SimParams,
+    Vec2,
+)
 from avguard.geometry import Route
 from avguard.monitor import (
-    EGO_RADIUS,
-    SafetyParams,
     closing_speed,
     proposed_ego_accel,
     safety_check,
     sample_times,
 )
 from avguard.sim import READS_DIST_TO_ENTRY, READS_TRAFFIC_NEAR, \
-    YIELD_ENVELOPE, ScenarioBase, SimParams, approach_route, \
+    YIELD_ENVELOPE, approach_route, \
     build_intersection, command_accel, crossing_traffic_within_envelope, \
     distance_to_entry, ego_route_for, maneuver_to_command, spawn_world
 from avguard.state import (
@@ -52,9 +58,7 @@ from avguard.state import (
     Maneuver,
     PerceivedObject,
     PerceivedState,
-    RouteGoal,
     SimClock,
-    Vec2,
     Verdict,
     VerdictLevel,
 )

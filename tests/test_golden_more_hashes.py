@@ -19,7 +19,7 @@ import hashlib
 import pytest
 
 from avguard import CampaignPlan, reference_specs, run_campaign
-from avguard.state import RouteGoal
+from avguard.config import RouteGoal
 
 # sha256 over the sorted "scenario\tseed\ttrace_hash" lines of all 90 runs.
 DIGESTS = {

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avguard.config import FaultKind
+from avguard.config import FaultKind, PerfThresholds
 from avguard.metrics import (
     EmptyTrace,
     IterationRecord,
@@ -30,7 +30,6 @@ from avguard.metrics import (
     write_trace,
 )
 from avguard.orchestrator import RunOptions, run_scenario
-from avguard.performance import PerfThresholds
 from avguard.scenario import reference_specs
 from avguard.seeding import stable_mix
 from avguard.state import VerdictLevel
@@ -154,8 +153,8 @@ class TestTraceCodec:
         assert err.value.line_number == 1
 
     def test_line_that_is_a_json_string_rejected(self):
-        # json.loads gives the str "ab", which record_from_json_dict's
-        # dict() call rejects with a bare ValueError.
+        # json.loads gives the str "ab", which record_from_json_dict
+        # rejects with a bare TypeError: a str has no string keys.
         buffer = io.StringIO()
         write_trace([make_record(0)], buffer)
         with pytest.raises(MalformedTrace) as err:

@@ -14,10 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avguard.config import (
+    EGO_RADIUS,
+    VEHICLE_HALF_EXTENT,
+    RouteGoal,
+    SafetyParams,
+    SimParams,
+    Vec2,
+)
 from avguard.geometry import obb_overlap, rect_corners
 from avguard.monitor import (
-    EGO_RADIUS,
-    SafetyParams,
     _stop,
     closing_speed,
     proposed_ego_accel,
@@ -26,16 +32,14 @@ from avguard.monitor import (
     sample_times,
 )
 from avguard.scenario import MIN_D_UNSAFE
-from avguard.sim import VEHICLE_HALF_EXTENT, SimParams, build_intersection
+from avguard.sim import build_intersection
 from avguard.state import (
     AgentKind,
     EgoOdometry,
     Maneuver,
     PerceivedObject,
     PerceivedState,
-    RouteGoal,
     SimClock,
-    Vec2,
     Verdict,
     VerdictLevel,
 )

@@ -9,6 +9,7 @@ import pytest
 
 from avguard import metrics, orchestrator, planners, sim
 from avguard.attacks import FaultInjector
+from avguard.config import PerfThresholds, ScenarioBase
 from avguard.orchestrator import (
     RolePanic,
     RunContext,
@@ -19,7 +20,7 @@ from avguard.orchestrator import (
     run_tick,
 )
 from avguard.metrics import TerminationStatus, finalize_tick, trace_hash
-from avguard.performance import PerfFlags, PerfThresholds
+from avguard.performance import PerfFlags
 from avguard.planners import ExternalPlanner
 from avguard.scenario import (
     ScenarioSpec,
@@ -28,7 +29,6 @@ from avguard.scenario import (
 )
 from avguard.sim import (
     GHOST_ID_BASE,
-    ScenarioBase,
     build_perceived_state,
     maneuver_to_command,
     spawn_world,

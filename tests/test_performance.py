@@ -4,7 +4,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from avguard.performance import PerfThresholds, performance_check
+from avguard.config import PerfThresholds
+from avguard.performance import performance_check
 
 
 @dataclass

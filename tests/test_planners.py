@@ -7,10 +7,9 @@ import time
 
 import pytest
 
+from avguard.config import PlannerConfig, PlannerKind, RouteGoal, Vec2
 from avguard.planners import (
     ExternalPlanner,
-    PlannerConfig,
-    PlannerKind,
     map_maneuver_text,
     perceived_to_request,
     plan,
@@ -24,9 +23,7 @@ from avguard.state import (
     PerceivedObject,
     PerceivedState,
     Provenance,
-    RouteGoal,
     SimClock,
-    Vec2,
 )
 
 GEOMETRY = build_intersection()

@@ -8,10 +8,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from avguard.attacks import AttackConfig, TriggerKind
-from avguard.monitor import SafetyParams
-from avguard.performance import PerfThresholds
-from avguard.planners import PlannerConfig, PlannerKind
+from avguard.config import (
+    AttackConfig,
+    FaultKind,
+    PerfThresholds,
+    PlannerConfig,
+    PlannerKind,
+    RouteGoal,
+    SafetyParams,
+    ScenarioBase,
+    SimParams,
+    TriggerKind,
+)
 from avguard.scenario import (
     _KEYS,
     MIN_D_UNSAFE,
@@ -26,8 +34,6 @@ from avguard.scenario import (
     spawn_scenario,
     validate_spec,
 )
-from avguard.sim import ScenarioBase, SimParams
-from avguard.state import FaultKind, RouteGoal
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -11,11 +11,22 @@ import numpy as np
 import pytest
 
 from avguard import sim
-from avguard.attacks import AttackConfig, FaultDirective, TriggerKind
+from avguard.attacks import FaultDirective
+from avguard.config import (
+    AttackConfig,
+    FaultKind,
+    PlannerConfig,
+    RouteGoal,
+    SafetyParams,
+    ScenarioBase,
+    SimParams,
+    TriggerKind,
+    Vec2,
+)
 from avguard.metrics import trace_hash
-from avguard.monitor import SafetyParams, safety_check
+from avguard.monitor import safety_check
 from avguard.orchestrator import run_scenario
-from avguard.planners import PlannerConfig, plan
+from avguard.planners import plan
 from avguard.scenario import reference_specs
 from avguard.seeding import stable_mix
 from avguard.sim import (
@@ -23,8 +34,6 @@ from avguard.sim import (
     GHOST_ID_BASE,
     SPEED_LIMIT,
     AgentScript,
-    ScenarioBase,
-    SimParams,
     advance_arc,
     approach_route,
     build_intersection,
@@ -41,12 +50,9 @@ from avguard.sim import (
 )
 from avguard.state import (
     AgentKind,
-    FaultKind,
     Maneuver,
     PerceivedObject,
     Provenance,
-    RouteGoal,
-    Vec2,
     normalize_heading,
 )
 from test_geometry import route_length
