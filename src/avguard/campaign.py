@@ -339,10 +339,11 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
     ``trace_hash``, so a trace is checked without re-encoding a record,
     and any byte that differs from the canonical form (re-spaced JSON, a
     carriage return) fails the check. A damaged sidecar, a trace with no
-    sidecar, a trace whose line count or hash disagrees with its sidecar,
-    or a termination its last record contradicts (``running``, or a
-    collision bit or unsafe halt the record does not show) raises
-    ``MalformedTrace``. So does a sidecar that is not
+    sidecar, a trace whose line count, record count or hash disagrees
+    with its sidecar, a trace line that does not decode, or a termination
+    its last record contradicts (``running``, or a collision bit or unsafe
+    halt the record does not show) raises ``MalformedTrace`` naming the
+    file. So does a sidecar that is not
     ``<its scenario_id>/<its seed>.run.json``, which would name another
     run's trace, two sidecars that claim the same ``(scenario_index,
     run_index)``, as a run of another campaign copied in does, and a
@@ -401,13 +402,21 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
                           f"{found[1]}, but its sidecar records {expected[0]} "
                           f"ticks with trace_hash {expected[1]}")
             # Decoded as it is read: no second, decoded copy of the file.
-            records = metrics.read_trace(
-                io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            try:
+                records = metrics.read_trace(
+                    io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            except (metrics.MalformedTrace, UnicodeDecodeError) as exc:
+                raise metrics.MalformedTrace(None, f"{trace}: {exc}") from exc
+            # A blank line is no record, and a last line needs no newline.
+            if len(records) != meta["ticks"]:
+                raise metrics.MalformedTrace(
+                    None, f"{trace}: {len(records)} records, but its sidecar "
+                          f"records {meta['ticks']} ticks")
             keyed.append((*order, metrics.summarize_run(
                 records, termination, thresholds, meta["dt"],
                 scenario_id=meta["scenario_id"], seed=meta["seed"])))
-            # As check_termination ends a run: collision first, and a halt
-            # only on an unsafe verdict.
+            # As a run ends: collision first (check_termination's order),
+            # and a halt only on an unsafe verdict (run_scenario's rule).
             last = records[-1]
             if (termination == TerminationStatus.RUNNING
                     or last.collision != (termination

@@ -46,7 +46,7 @@ class EmptyTrace(Exception):
 
 class MalformedTrace(Exception):
     """A trace line that does not decode (``line_number`` set), or a
-    trace that disagrees with its sidecar (``line_number`` None)."""
+    file at fault, named in the message (``line_number`` None)."""
 
     def __init__(self, line_number: Optional[int], message: str):
         super().__init__(message if line_number is None

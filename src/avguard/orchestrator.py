@@ -35,12 +35,7 @@ from .performance import performance_check
 from .scenario import ScenarioSpec
 from .seeding import stream_for
 from .state import EMERGENCY_BRAKE, UNSAFE, WAIT
-from .state import (
-    GroundTruthWorld,
-    Maneuver,
-    Verdict,
-    truncate_rationale,
-)
+from .state import GroundTruthWorld, Maneuver, truncate_rationale
 
 
 class RolePanic(Exception):
@@ -81,7 +76,7 @@ PlanFn = Callable[..., tuple[Maneuver, str]]
 @dataclass
 class RunContext:
     """Everything one run owns: world, records and phase timings so far,
-    injector, configuration, and the last tick's verdict and cleared flag."""
+    injector and configuration."""
 
     spec: ScenarioSpec
     seed: int
@@ -91,9 +86,6 @@ class RunContext:
     role_timings_ns: list[dict[str, int]] = field(default_factory=list)
     injector: FaultInjector = field(init=False)
     plan_fn: Optional[PlanFn] = None  # defaults to the configured planner
-    last_verdict: Optional[Verdict] = None
-    # (world, ego_cleared_now(world)) for the world the last tick produced.
-    cleared: tuple[Optional[GroundTruthWorld], bool] = (None, False)
 
     def __post_init__(self) -> None:
         self.injector = FaultInjector(self.spec.attack)
@@ -178,11 +170,10 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
             timings[role] = clock() - start
         role = None
 
-        # 6. Performance oracle, on the last tick's flag if it is this world's.
+        # 6. Performance oracle.
         role, start = "performance_oracle", clock()
-        sim_time, (seen, cleared) = world.clock.sim_time, ctx.cleared
-        cleared = cleared if seen is world else ego_cleared_now(world)
-        flags = performance_check(ctx.records, sim_time, cleared,
+        flags = performance_check(ctx.records, world.clock.sim_time,
+                                  ego_cleared_now(world),
                                   spec.sim_params.dt, spec.perf_thresholds)
         timings[role] = clock() - start
         role = None
@@ -206,26 +197,21 @@ def run_tick(ctx: RunContext) -> tuple[GroundTruthWorld, IterationRecord]:
 
     record = metrics.finalize_tick(tick, new_world, proposal, rationale,
                                    verdict, flags, final, active_fault, accel)
-    cleared = ego_cleared_now(new_world)  # before the tick is kept
     ctx.records.append(record)
     ctx.role_timings_ns.append(timings)
-    ctx.last_verdict = verdict
     ctx.world = new_world
-    ctx.cleared = (new_world, cleared)
     return new_world, record
 
 
 def check_termination(world: GroundTruthWorld, spec: ScenarioSpec,
-                      last_verdict: Optional[Verdict] = None,
-                      options: Optional[RunOptions] = None) -> TerminationStatus:
-    """Priority order: collision > cleared > halt-on-violation > timeout."""
+                      halt: bool) -> TerminationStatus:
+    """Priority order: collision > cleared > halt > timeout, where
+    ``halt`` is the caller's decision to stop on the last tick's verdict."""
     if world.collision is not None:
         return COLLISION
     if world.clear_streak >= spec.grace_ticks and ego_cleared_now(world):
         return CLEARED
-    if (options is not None and options.halt_on_violation
-            and last_verdict is not None
-            and last_verdict.level == UNSAFE):
+    if halt:
         return HALT_ON_VIOLATION
     if world.clock.tick >= spec.max_ticks:
         return TIMEOUT
@@ -236,20 +222,22 @@ def run_scenario(spec: ScenarioSpec, seed: int,
                  options: RunOptions = RunOptions(),
                  plan_fn: Optional[PlanFn] = None) -> RunResult:
     """Run one scenario to termination; identical inputs give identical
-    records."""
+    records. The run halts on an unsafe verdict when
+    ``options.halt_on_violation`` asks for it."""
     from .scenario import spawn_scenario
 
     ctx = RunContext(spec=spec, seed=seed, options=options,
                      world=spawn_scenario(spec, seed), plan_fn=plan_fn)
     termination = RUNNING
     while termination == RUNNING:
-        new_world, _ = run_tick(ctx)
-        if ctx.cleared[1]:
+        new_world, record = run_tick(ctx)
+        if ego_cleared_now(new_world):
             new_world.clear_streak += 1
         else:
             new_world.clear_streak = 0
-        termination = check_termination(new_world, spec, ctx.last_verdict,
-                                         options)
+        termination = check_termination(
+            new_world, spec,
+            options.halt_on_violation and record.verdict_level == UNSAFE)
     summary = metrics.summarize_run(ctx.records, termination,
                                     spec.perf_thresholds, spec.sim_params.dt,
                                     scenario_id=spec.id, seed=seed)

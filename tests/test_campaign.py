@@ -521,6 +521,43 @@ class TestSidecarCheck:
             reaggregate_from_traces(str(tmp_path))
         assert str(sidecar) in str(err.value)
 
+    @pytest.mark.parametrize("edit, named", [
+        ("blank_line", "records"), ("only_blank", "records"),
+        ("unended_last_line", "records"), ("not_a_record", "line 11: "),
+        ("not_utf8", "utf-8")])
+    def test_rehashed_edit_is_rejected_naming_the_trace(self, tmp_path, edit,
+                                                        named):
+        """The sidecar's ticks, timings and hash are made to agree with
+        the edited bytes, yet the trace is not the run's. A blank line is
+        no record (as the only line, it escaped as ``EmptyTrace``), and a
+        last line with no newline is one record more: both were
+        aggregated. A line that is no record, or no UTF-8, was reported
+        without its file."""
+        run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
+        trace = self._trace(tmp_path)
+        data = trace.read_bytes()
+        lines = data.splitlines(keepends=True)
+        if edit == "only_blank":
+            data, ticks = b" \n", 1
+        elif edit == "unended_last_line":
+            data, ticks = data[:-1], len(lines) - 1
+        else:
+            lines[10] = {"blank_line": b"\n", "not_a_record": b"{}\n",
+                         "not_utf8": b'"\xff"\n'}[edit]
+            data, ticks = b"".join(lines), len(lines)
+        trace.write_bytes(data)
+        sidecar = trace.with_suffix(".run.json")
+        meta = json.loads(sidecar.read_text())
+        meta.update(ticks=ticks,
+                    role_timings_ns=meta["role_timings_ns"][:ticks],
+                    trace_hash=hashlib.sha256(
+                        data.replace(b"\n", b"")).hexdigest())
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(MalformedTrace) as err:
+            reaggregate_from_traces(str(tmp_path))
+        assert str(err.value).startswith(f"{trace}: ")
+        assert named in str(err.value)
+
     @pytest.mark.parametrize("move", ["copied_over_sibling",
                                       "other_scenario_dir"])
     def test_sidecar_away_from_its_own_name_is_rejected(self, tmp_path,

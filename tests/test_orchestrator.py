@@ -77,7 +77,7 @@ class TestRunTick:
             if record.verdict_level == "unsafe":
                 saw_unsafe = True
                 assert record.final_maneuver == "emergency_brake"
-            if check_termination(ctx.world, spec, options=RunOptions()) != (
+            if check_termination(ctx.world, spec, False) != (
                     TerminationStatus.RUNNING):
                 break
         assert saw_unsafe
@@ -163,6 +163,7 @@ class TestPhaseFailureIsARolePanic:
         ("safety_monitor", orchestrator, "safety_check"),
         ("security_assessor", ConflictZone, "distance_to"),
         ("security_assessor", FaultInjector, "plan"),
+        ("performance_oracle", orchestrator, "ego_cleared_now"),
         ("performance_oracle", orchestrator, "performance_check"),
         ("action_execution", sim, "maneuver_to_command"),
         ("action_execution", sim, "step_dynamics"),
@@ -183,32 +184,11 @@ class TestPhaseFailureIsARolePanic:
                             "activate", tick=trigger_tick)
 
     def test_oracle_cleared_flag_failure_on_the_first_tick(self, monkeypatch):
-        """Only the first tick has no flag from the tick before."""
+        """The oracle computes the cleared flag on every tick, the first
+        one included."""
         self._assert_panics(monkeypatch, fresh_context(GHOST, seed=0),
                             "performance_oracle", orchestrator,
                             "ego_cleared_now", tick=0)
-
-    def test_cleared_flag_failure_after_the_phases_keeps_nothing(
-            self, monkeypatch):
-        """The cleared flag of the world a tick produced is computed
-        between phases, so its failure raises as is, and the tick keeps
-        no record, timings, world, flag or verdict."""
-        ctx = fresh_context(GHOST, seed=0)
-        for _ in range(3):
-            run_tick(ctx)
-        records = list(ctx.records)
-        timings = [dict(t) for t in ctx.role_timings_ns]
-        world, cleared, verdict = ctx.world, ctx.cleared, ctx.last_verdict
-        # Tick 3's oracle reuses tick 2's flag: only the end of the tick
-        # calls ego_cleared_now.
-        monkeypatch.setattr(orchestrator, "ego_cleared_now", _raise)
-        with pytest.raises(RuntimeError, match="boom"):
-            run_tick(ctx)
-        assert ctx.records == records
-        assert ctx.role_timings_ns == timings
-        assert ctx.world is world and ctx.world.clock.tick == 3
-        assert ctx.cleared == cleared and ctx.cleared[0] is world
-        assert ctx.last_verdict is verdict
 
     @staticmethod
     def _assert_panics(monkeypatch, ctx, role, owner, name, tick):
@@ -271,10 +251,11 @@ def test_tick_calls_each_function_perfbench_wraps(monkeypatch):
 @pytest.mark.parametrize("spec, seed", [(NOMINAL, 0), (GHOST, 3),
                                         (NOMINAL, 11)])
 def test_ego_cleared_now_runs_once_per_world(monkeypatch, spec, seed):
-    """The oracle takes the flag the last tick computed for the world it
-    produced, so each world of a run is checked once: the spawned world
-    and one per tick. check_termination checks once more when the clear
-    streak reaches grace_ticks, which ends the run as cleared."""
+    """For a run of n records, the oracle checks worlds 0 to n-1, each on
+    the tick that reads it, and run_scenario checks worlds 1 to n, each
+    as its tick returns it, to keep the clear streak. check_termination
+    checks once more exactly when the streak reaches grace_ticks, which
+    ends the run as cleared."""
     checked, at_termination, in_termination = [], [], []
     cleared_now = orchestrator.ego_cleared_now
     terminate = orchestrator.check_termination
@@ -294,10 +275,16 @@ def test_ego_cleared_now_runs_once_per_world(monkeypatch, spec, seed):
     monkeypatch.setattr(orchestrator, "check_termination",
                         counting_termination)
     result = run_scenario(spec, seed)
-    assert len(checked) <= len(result.records) + 1
-    assert len({id(world) for world in checked}) == len(checked)
-    assert len(at_termination) == (
-        result.termination == TerminationStatus.CLEARED)
+    n = len(result.records)
+    assert len(checked) == 2 * n
+    oracle, loop = checked[0::2], checked[1::2]
+    assert [world.clock.tick for world in oracle] == list(range(n))
+    assert [world.clock.tick for world in loop] == list(range(1, n + 1))
+    # The world run_scenario checks is the one the next tick's oracle reads.
+    assert all(a is b for a, b in zip(loop, oracle[1:]))
+    assert at_termination == (
+        [loop[-1]] if result.termination == TerminationStatus.CLEARED
+        else [])
 
 
 class TestHandDrivenTicks:
@@ -433,31 +420,47 @@ class TestCheckTermination:
         from avguard.state import CollisionEvent
         world.collision = CollisionEvent(tick=5, agent_a=0, agent_b=1,
                                          overlap_depth=0.1)
-        assert check_termination(world, spec) == TerminationStatus.COLLISION
+        assert check_termination(world, spec, False) == (
+            TerminationStatus.COLLISION)
 
     def test_cleared_requires_grace_streak(self):
         spec = NOMINAL
         world = self._cleared_world(spec, streak=spec.grace_ticks - 1)
-        assert check_termination(world, spec) == TerminationStatus.RUNNING
+        assert check_termination(world, spec, False) == (
+            TerminationStatus.RUNNING)
         world.clear_streak = spec.grace_ticks
-        assert check_termination(world, spec) == TerminationStatus.CLEARED
+        assert check_termination(world, spec, False) == (
+            TerminationStatus.CLEARED)
 
-    def test_timeout_at_max_ticks(self):
+    def test_cleared_dominates_halt(self):
+        spec = NOMINAL
+        world = self._cleared_world(spec, streak=spec.grace_ticks)
+        assert check_termination(world, spec, True) == (
+            TerminationStatus.CLEARED)
+
+    def _world_at_max_ticks(self):
         spec = ScenarioSpec(id="short", base=ScenarioBase.NOMINAL,
                             max_ticks=5)
         world = spawn_scenario(spec, 0)
         world.clock = dataclasses.replace(world.clock, tick=5)
-        assert check_termination(world, spec) == TerminationStatus.TIMEOUT
+        return spec, world
+
+    def test_timeout_at_max_ticks(self):
+        spec, world = self._world_at_max_ticks()
+        assert check_termination(world, spec, False) == (
+            TerminationStatus.TIMEOUT)
+
+    def test_halt_dominates_timeout(self):
+        spec, world = self._world_at_max_ticks()
+        assert check_termination(world, spec, True) == (
+            TerminationStatus.HALT_ON_VIOLATION)
 
     def test_halt_on_violation(self):
         spec = NOMINAL
         world = spawn_scenario(spec, 0)
-        unsafe = Verdict(level=VerdictLevel.UNSAFE,
-                         min_predicted_separation=0.1, time_of_min=1.0)
-        options = RunOptions(halt_on_violation=True)
-        assert check_termination(world, spec, unsafe, options) == (
+        assert check_termination(world, spec, True) == (
             TerminationStatus.HALT_ON_VIOLATION)
-        assert check_termination(world, spec, unsafe, RunOptions()) == (
+        assert check_termination(world, spec, False) == (
             TerminationStatus.RUNNING)
 
 
