@@ -21,7 +21,7 @@ from .metrics import CampaignSummary, RunSummary, TerminationStatus
 from .orchestrator import RunOptions, RunResult, run_scenario
 from .scenario import ScenarioSpec, ValidationError, validate_spec
 from .seeding import stable_mix
-from .state import UNSAFE
+from .state import EMERGENCY_BRAKE, UNSAFE
 
 
 @dataclass
@@ -329,29 +329,157 @@ def _read_sidecar(path: str
     return meta, termination, thresholds
 
 
+def _lines_and_digest(data: bytes) -> tuple[int, str]:
+    """A trace's line count and its ``trace_hash``: the sha256 of its
+    bytes with the newlines left out, digested line by line through
+    views of ``data``, so no newline-stripped copy of it is made."""
+    import hashlib  # loaded by the first trace, not by ``import avguard``
+
+    h = hashlib.sha256()
+    view = memoryview(data)
+    lines = start = 0
+    end = data.find(b"\n")
+    while end >= 0:
+        h.update(view[start:end])
+        lines += 1
+        start = end + 1
+        end = data.find(b"\n", start)
+    h.update(view[start:])
+    return lines, h.hexdigest()
+
+
+_BRAKE = EMERGENCY_BRAKE._value_  # a record's final_maneuver is the string
+
+
+class _TraceRecords:
+    """The records of a trace whose line count and hash its sidecar
+    vouches for, decoded from its bytes one line at a time as they are
+    iterated, so only the record handed out and the one before it are
+    held.
+
+    Each record must be one ``finalize_tick`` could write: line n holds
+    tick n - 1 at ``round((n - 1) * dt, 9)`` seconds, recovery is active
+    exactly when the final maneuver is ``emergency_brake``, and only the
+    last record may hold a collision, as a collided world does not tick.
+    A record that breaks one, or a trace that does not decode to
+    ``ticks`` records, raises ``MalformedTrace`` during the iteration.
+    ``line`` is the line of the record last handed out, so an error in
+    summarizing it can name it, and ``last`` is that record.
+    """
+
+    def __init__(self, data: bytes, dt: float, ticks: int):
+        self._data, self._dt, self._ticks = data, dt, ticks
+        self.line = 0
+        self.last: Optional[metrics.IterationRecord] = None
+
+    def __iter__(self):
+        dt = self._dt
+        count = 0
+        lines = io.TextIOWrapper(io.BytesIO(self._data), encoding="utf-8",
+                                 newline="\n")
+        for number, record in metrics._decoded_lines(lines):
+            if count and self.last.collision:
+                raise metrics.MalformedTrace(
+                    self.line, "a collision, but a record follows it: a "
+                               "run ends at its collision")
+            tick = number - 1
+            if record.tick != tick:
+                raise metrics.MalformedTrace(
+                    number, f"tick {record.tick!r}, expected {tick}")
+            if record.sim_time_s != round(tick * dt, 9):
+                raise metrics.MalformedTrace(
+                    number, f"sim_time_s {record.sim_time_s!r}, expected "
+                            f"{round(tick * dt, 9)!r}")
+            if record.recovery_active != (record.final_maneuver == _BRAKE):
+                raise metrics.MalformedTrace(
+                    number, f"recovery_active {record.recovery_active!r} "
+                            f"with final_maneuver "
+                            f"{record.final_maneuver!r}: recovery is active "
+                            f"exactly when the final maneuver is {_BRAKE}")
+            count += 1
+            self.line, self.last = number, record
+            yield record
+        if count != self._ticks:
+            # A blank line is no record, and a last line needs no newline.
+            raise metrics.MalformedTrace(
+                None, f"{count} records, but its sidecar records "
+                      f"{self._ticks} ticks")
+
+
+def _summarize_trace(sidecar: str, meta: dict,
+                     termination: TerminationStatus,
+                     thresholds: PerfThresholds) -> RunSummary:
+    """The summary of the run whose sidecar ``sidecar`` holds ``meta``,
+    from its trace.
+
+    The trace is read once, into bytes. Its line count and hash are
+    checked against the sidecar before any record is decoded, and then
+    those bytes are summarized as they are decoded. Only the termination
+    check reads the last record, so no record outlives the call.
+    """
+    trace = os.path.join(os.path.dirname(sidecar), f"{meta['seed']}.jsonl")
+    with open(trace, "rb") as fh:
+        data = fh.read()
+    found = _lines_and_digest(data)
+    expected = (meta["ticks"], meta["trace_hash"])
+    if found != expected:
+        raise metrics.MalformedTrace(
+            None, f"{trace}: {found[0]} lines with trace_hash {found[1]}, "
+                  f"but its sidecar records {expected[0]} ticks with "
+                  f"trace_hash {expected[1]}")
+    records = _TraceRecords(data, meta["dt"], meta["ticks"])
+    try:
+        summary = metrics.summarize_run(
+            records, termination, thresholds, meta["dt"],
+            scenario_id=meta["scenario_id"], seed=meta["seed"])
+    except (metrics.MalformedTrace, UnicodeDecodeError) as exc:
+        raise metrics.MalformedTrace(None, f"{trace}: {exc}") from exc
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        # A field of the wrong type decodes, and fails the sum.
+        raise metrics.MalformedTrace(
+            None, f"{trace}: line {records.line}: {exc}") from exc
+    # As a run ends: collision first (check_termination's order), and a
+    # halt only on an unsafe verdict (run_scenario's rule).
+    last = records.last
+    if (termination == TerminationStatus.RUNNING
+            or last.collision != (termination == TerminationStatus.COLLISION)
+            or termination == TerminationStatus.HALT_ON_VIOLATION
+            and last.verdict_level != UNSAFE):
+        raise metrics.MalformedTrace(
+            None, f"{sidecar}: termination {termination.value} contradicts "
+                  f"the trace's last record (collision {last.collision}, "
+                  f"verdict {last.verdict_level})")
+    return summary
+
+
 def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
     """Rebuild the campaign summary from persisted traces.
 
     Every aggregate field is recomputed from the trace records; the
     sidecar contributes only what a trace cannot carry (termination
-    status, thresholds, failure markers). A trace's own bytes are its
-    hash input: their sha256 with the newlines left out is its
-    ``trace_hash``, so a trace is checked without re-encoding a record,
-    and any byte that differs from the canonical form (re-spaced JSON, a
-    carriage return) fails the check. A damaged sidecar, a trace with no
-    sidecar, a trace whose line count, record count or hash disagrees
-    with its sidecar, a trace line that does not decode, or a termination
-    its last record contradicts (``running``, or a collision bit or unsafe
-    halt the record does not show) raises ``MalformedTrace`` naming the
-    file. So does a sidecar that is not
+    status, thresholds, failure markers). Each trace is read once, into
+    bytes, and its line count and hash are checked against its sidecar
+    before any record is decoded. Its own bytes are its hash input: their
+    sha256 with the newlines left out is its ``trace_hash``, so a trace
+    is checked without re-encoding a record, and any byte that differs
+    from the canonical form (re-spaced JSON, a carriage return) fails the
+    check. Then those bytes are decoded line by line straight into
+    ``summarize_run``, so a trace's raw bytes and at most two of its
+    records are held at once, and each record is checked against the
+    record invariants (``_TraceRecords``) as it is decoded. A damaged
+    sidecar, a trace with no sidecar, a trace whose line count, record
+    count or hash disagrees with its sidecar, a trace line that does not
+    decode, a record that breaks an invariant or that ``summarize_run``
+    cannot take (a field of the wrong type), or a termination its last
+    record contradicts (``running``, or a collision bit or unsafe halt
+    the record does not show) raises ``MalformedTrace`` naming the file,
+    and the line where there is one. So does a sidecar that is not
     ``<its scenario_id>/<its seed>.run.json``, which would name another
     run's trace, two sidecars that claim the same ``(scenario_index,
     run_index)``, as a run of another campaign copied in does, and a
     directory that holds no sidecar at all, since a report of no runs
     shows nothing.
     """
-    import hashlib  # loaded by the first trace, not by ``import avguard``
-
     keyed: list[tuple[int, int, RunSummary]] = []
     sidecars: dict[tuple[int, int], str] = {}  # (scenario_index, run_index)
     for scenario_id in sorted(os.listdir(traces_dir)):
@@ -390,43 +518,8 @@ def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
                 keyed.append((*order, RunSummary.failed_run(
                     meta["scenario_id"], meta["seed"], meta["error"])))
                 continue
-            trace = os.path.join(scenario_dir, f"{meta['seed']}.jsonl")
-            with open(trace, "rb") as fh:
-                data = fh.read()
-            found = (data.count(b"\n"),
-                     hashlib.sha256(data.replace(b"\n", b"")).hexdigest())
-            expected = (meta["ticks"], meta["trace_hash"])
-            if found != expected:
-                raise metrics.MalformedTrace(
-                    None, f"{trace}: {found[0]} lines with trace_hash "
-                          f"{found[1]}, but its sidecar records {expected[0]} "
-                          f"ticks with trace_hash {expected[1]}")
-            # Decoded as it is read: no second, decoded copy of the file.
-            try:
-                records = metrics.read_trace(
-                    io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-            except (metrics.MalformedTrace, UnicodeDecodeError) as exc:
-                raise metrics.MalformedTrace(None, f"{trace}: {exc}") from exc
-            # A blank line is no record, and a last line needs no newline.
-            if len(records) != meta["ticks"]:
-                raise metrics.MalformedTrace(
-                    None, f"{trace}: {len(records)} records, but its sidecar "
-                          f"records {meta['ticks']} ticks")
-            keyed.append((*order, metrics.summarize_run(
-                records, termination, thresholds, meta["dt"],
-                scenario_id=meta["scenario_id"], seed=meta["seed"])))
-            # As a run ends: collision first (check_termination's order),
-            # and a halt only on an unsafe verdict (run_scenario's rule).
-            last = records[-1]
-            if (termination == TerminationStatus.RUNNING
-                    or last.collision != (termination
-                                          == TerminationStatus.COLLISION)
-                    or termination == TerminationStatus.HALT_ON_VIOLATION
-                    and last.verdict_level != UNSAFE):
-                raise metrics.MalformedTrace(
-                    None, f"{path}: termination {termination.value} "
-                          f"contradicts the trace's last record (collision "
-                          f"{last.collision}, verdict {last.verdict_level})")
+            keyed.append((*order, _summarize_trace(path, meta, termination,
+                                                   thresholds)))
     if not keyed:
         raise metrics.MalformedTrace(
             None, f"{traces_dir}: no run found; a campaign's traces are laid "

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _string
-from typing import IO, Optional, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
 from .config import PerfThresholds, SimParams
 from .performance import PerfFlags
@@ -227,23 +227,32 @@ def write_trace(records: list[IterationRecord],
     return _digest(lines)
 
 
-def read_trace(source: Union[str, IO[str]]) -> list[IterationRecord]:
-    def load(fh: IO[str]) -> list[IterationRecord]:
-        records = []
-        for number, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                records.append(record_from_json_dict(json.loads(stripped)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise MalformedTrace(number, str(exc)) from exc
-        return records
+def _decoded_lines(lines: Iterable[str]
+                   ) -> Iterator[tuple[int, IterationRecord]]:
+    """Each record of ``lines`` with its 1-based line number, decoded as
+    it is reached; a blank line is no record. A line that does not
+    decode raises ``MalformedTrace`` naming it."""
+    for number, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            record = record_from_json_dict(json.loads(stripped))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise MalformedTrace(number, str(exc)) from exc
+        yield number, record
 
+
+def read_trace(source: Union[str, IO[str]]) -> list[IterationRecord]:
+    """Every record of a JSON Lines trace, in line order: ``source`` is a
+    path, read as UTF-8, or an open text stream. Blank lines are
+    skipped. A line that is not a record raises ``MalformedTrace``
+    naming the line. Nothing is checked against a sidecar or a hash:
+    ``campaign.reaggregate_from_traces`` does that."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
-            return load(fh)
-    return load(source)
+            return [record for _, record in _decoded_lines(fh)]
+    return [record for _, record in _decoded_lines(source)]
 
 
 def trace_hash(records: list[IterationRecord]) -> str:
@@ -293,13 +302,16 @@ class RunSummary:
             failed=True, error=error)
 
 
-def summarize_run(records: list[IterationRecord],
+def summarize_run(records: Iterable[IterationRecord],
                   termination: TerminationStatus,
                   thresholds: PerfThresholds = PerfThresholds(),
                   dt: float = SimParams.dt,
                   scenario_id: str = "", seed: int = 0) -> RunSummary:
-    """The run's summary, in one pass over its records (``dt`` > 0, and
-    every acceleration finite, as the trace encoder requires).
+    """The run's summary, in one pass over its records, which may be any
+    iterable, a one-shot iterator too (``dt`` > 0, and every
+    acceleration finite, as the trace encoder requires). Only the record
+    in hand is held, so a stream is summarized as it is read. No record
+    at all raises ``EmptyTrace``.
 
     The jerk of record i >= 1 is ``|a_i - a_(i-1)| / dt``. A record
     violates comfort when its acceleration or jerk exceeds its
@@ -309,8 +321,6 @@ def summarize_run(records: list[IterationRecord],
     A fault kind counts on each record whose non-empty ``active_fault``,
     the kind of its one active directive, differs from the last one's.
     """
-    if not records:
-        raise EmptyTrace("run produced no records")
     accel_limit = thresholds.max_abs_accel
     jerk_limit = thresholds.max_abs_jerk
     unsafe = violations = violations_exempt = 0
@@ -318,9 +328,8 @@ def summarize_run(records: list[IterationRecord],
     collision = episode_collided = recovering = False
     faults: dict[str, int] = {}
     fault = None
-    max_accel = abs(records[0].ego_accel_mps2)
-    max_jerk = max_jerk_nonexempt = 0.0
-    last_accel = None
+    max_accel = max_jerk = max_jerk_nonexempt = 0.0
+    last_accel = r = None  # r is the last record once the loop ends
     for r in records:
         if r.verdict_level == _UNSAFE:
             unsafe += 1
@@ -356,11 +365,13 @@ def summarize_run(records: list[IterationRecord],
             fault = r.active_fault
             if fault:
                 faults[fault] = faults.get(fault, 0) + 1
+    if r is None:
+        raise EmptyTrace("run produced no records")
     if activations and not episode_collided:
         successes += 1
 
     cleared = termination == CLEARED
-    clearance = round(records[-1].sim_time_s + dt, 9) if cleared else None
+    clearance = round(r.sim_time_s + dt, 9) if cleared else None
     return RunSummary(
         scenario_id=scenario_id, seed=seed, termination=termination,
         any_unsafe_flag=unsafe > 0, unsafe_tick_count=unsafe,

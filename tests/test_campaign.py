@@ -7,6 +7,8 @@ import json
 import math
 import multiprocessing
 import os
+import re
+import weakref
 
 import pytest
 
@@ -441,6 +443,30 @@ class TestSidecarCheck:
         assert reaggregate_from_traces(str(tmp_path)) == result.summary
         assert calls == []
 
+    def test_reaggregation_holds_at_most_two_records(self, tmp_path,
+                                                     monkeypatch):
+        """Each trace is summarized as it is decoded: no decoded copy of
+        a whole trace is held."""
+        import avguard.metrics as metrics_mod
+        result = run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
+        real = metrics_mod.record_from_json_dict
+        live = [0, 0]  # now, most
+
+        def released():
+            live[0] -= 1
+
+        def counting(d):
+            record = real(d)
+            weakref.finalize(record, released)
+            live[0] += 1
+            live[1] = max(live)
+            return record
+
+        monkeypatch.setattr(metrics_mod, "record_from_json_dict", counting)
+        assert reaggregate_from_traces(str(tmp_path)) == result.summary
+        assert live[1] <= 2
+        assert live[0] == 0  # and each record is released
+
     def test_trace_without_sidecar_is_rejected(self, tmp_path):
         run_campaign(small_plan(**self.PLAN), out_dir=str(tmp_path))
         trace = self._trace(tmp_path)
@@ -524,7 +550,10 @@ class TestSidecarCheck:
     @pytest.mark.parametrize("edit, named", [
         ("blank_line", "records"), ("only_blank", "records"),
         ("unended_last_line", "records"), ("not_a_record", "line 11: "),
-        ("not_utf8", "utf-8")])
+        ("not_utf8", "utf-8"), ("wrong_type", "line 11: bad operand"),
+        ("tick", "line 11: tick 11"), ("sim_time", "line 11: sim_time_s"),
+        ("recovery", "line 11: recovery_active"),
+        ("collision_not_last", "line 11: a collision")])
     def test_rehashed_edit_is_rejected_naming_the_trace(self, tmp_path, edit,
                                                         named):
         """The sidecar's ticks, timings and hash are made to agree with
@@ -542,8 +571,22 @@ class TestSidecarCheck:
         elif edit == "unended_last_line":
             data, ticks = data[:-1], len(lines) - 1
         else:
-            lines[10] = {"blank_line": b"\n", "not_a_record": b"{}\n",
-                         "not_utf8": b'"\xff"\n'}[edit]
+            line = lines[10]
+            lines[10] = {
+                "blank_line": b"\n", "not_a_record": b"{}\n",
+                "not_utf8": b'"\xff"\n',
+                # It decodes, and crashed the summary with a TypeError.
+                "wrong_type": re.sub(rb'"ego_accel_mps2": [^,]*',
+                                     b'"ego_accel_mps2": "fast"', line),
+                # Each breaks a record invariant, and was aggregated.
+                "tick": line.replace(b'"tick": 10', b'"tick": 11'),
+                "sim_time": line.replace(b'"sim_time_s": 1.0',
+                                         b'"sim_time_s": 1.1'),
+                "recovery": line.replace(b'"recovery_active": false',
+                                         b'"recovery_active": true'),
+                "collision_not_last": line.replace(b'"collision": false',
+                                                   b'"collision": true'),
+            }[edit]
             data, ticks = b"".join(lines), len(lines)
         trace.write_bytes(data)
         sidecar = trace.with_suffix(".run.json")

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import random
 
@@ -647,6 +648,25 @@ class TestOnePassSummary:
         assert_same_summary(
             summary, multi_pass_summarize_run(records,
                                               TerminationStatus.TIMEOUT))
+
+    def test_a_one_shot_iterator_equals_the_list(self, reference_campaign):
+        """Every run of the reference campaign, summarized from its
+        trace's records handed over one at a time."""
+        result, out_dir = reference_campaign[:2]
+        specs = {spec.id: spec for spec in reference_specs()}
+        for summary in result.run_summaries:
+            spec = specs[summary.scenario_id]
+            records = read_trace(os.path.join(out_dir, spec.id,
+                                              f"{summary.seed}.jsonl"))
+            args = (summary.termination, spec.perf_thresholds,
+                    spec.sim_params.dt, spec.id, summary.seed)
+            streamed = summarize_run(iter(records), *args)
+            assert_same_summary(streamed, summarize_run(records, *args))
+            assert_same_summary(streamed, summary)
+
+    def test_an_empty_iterator_is_rejected(self):
+        with pytest.raises(EmptyTrace):
+            summarize_run(iter([]), TerminationStatus.CLEARED)
 
     def test_every_reference_run_and_its_trace_bytes(self, tmp_path):
         """Every run of base seeds 0 and 7, recovery on and off: the same
