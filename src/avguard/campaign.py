@@ -13,7 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import metrics
 from .config import PerfThresholds
@@ -59,8 +59,8 @@ def _persist_run(out_dir: str, spec: ScenarioSpec, summary: RunSummary,
 
     The sidecar holds what a trace cannot carry: termination, thresholds
     and failure markers, the trace's hash and tick count, which
-    ``reaggregate_from_traces`` checks the trace against, and the
-    wall-clock phase timings of each tick.
+    ``_verified_records`` checks the trace against, and the wall-clock
+    phase timings of each tick.
     """
     directory = os.path.join(out_dir, spec.id)
     os.makedirs(directory, exist_ok=True)
@@ -87,6 +87,65 @@ def _persist_run(out_dir: str, spec: ScenarioSpec, summary: RunSummary,
               encoding="utf-8") as fh:
         fh.write(json.dumps(meta))
     return digest
+
+
+# Every key _persist_run writes; the sidecar of a run with a trace has
+# _TRACE_KEYS too.
+_SIDECAR_KEYS = frozenset({
+    "scenario_id", "seed", "scenario_index", "run_index", "termination",
+    "failed", "error", "dt", "max_abs_accel", "max_abs_jerk",
+    "max_clearance"})
+_TRACE_KEYS = frozenset({"trace_hash", "ticks", "role_timings_ns"})
+
+
+def _read_sidecar(path: str
+                  ) -> tuple[dict, TerminationStatus, PerfThresholds]:
+    """A sidecar's fields, with its termination and thresholds decoded.
+
+    A sidecar that is not a JSON object, lacks a key its writer writes,
+    has a key it never writes, or holds a value it never writes raises
+    ``MalformedTrace`` naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
+        keys = _SIDECAR_KEYS if meta.get("failed") else \
+            _SIDECAR_KEYS | _TRACE_KEYS
+        missing = sorted(keys - meta.keys())
+        if missing:
+            raise ValueError(f"no {', '.join(missing)}")
+        unknown = sorted(meta.keys() - keys)
+        if unknown:
+            raise ValueError(f"unknown key {', '.join(unknown)}")
+        if any(type(meta[key]) is not int
+               for key in ("seed", "scenario_index", "run_index")):
+            raise ValueError("seed, scenario_index and run_index must be "
+                             "integers")
+        if type(meta["failed"]) is not bool:
+            raise ValueError("failed must be true or false")
+        if any(type(meta[key]) not in (int, float)
+               or not math.isfinite(meta[key]) for key in (
+                   "dt", "max_abs_accel", "max_abs_jerk", "max_clearance")):
+            raise ValueError("dt and the thresholds must be finite numbers")
+        if not meta["dt"] > 0:
+            raise ValueError("dt must be > 0")
+        if not meta["failed"]:
+            if type(meta["ticks"]) is not int or not meta["ticks"] >= 1:
+                raise ValueError("ticks must be an integer >= 1")
+            timings = meta["role_timings_ns"]
+            if not (type(timings) is list and len(timings) == meta["ticks"]
+                    and all(type(t) is dict for t in timings)):
+                raise ValueError("role_timings_ns must be a list of one "
+                                 "dict per tick")
+        termination = TerminationStatus(meta["termination"])
+        thresholds = PerfThresholds(max_clearance=meta["max_clearance"],
+                                    max_abs_accel=meta["max_abs_accel"],
+                                    max_abs_jerk=meta["max_abs_jerk"])
+    except (ValueError, TypeError) as exc:
+        raise metrics.MalformedTrace(None, f"{path}: {exc}") from exc
+    return meta, termination, thresholds
 
 
 Outcome = tuple[RunSummary, Optional[str], int]  # summary, trace_hash, ticks
@@ -121,29 +180,6 @@ def _execute_run(spec: ScenarioSpec, seed: int, options: RunOptions,
     else:
         digest = metrics.trace_hash(result.records)
     return result.summary, digest, len(result.records)
-
-
-def _next_run_index(out_dir: str, scenario_id: str, seed: int) -> int:
-    """The run index ``avguard run`` gives its run in ``out_dir``: one past
-    every run index a sidecar there records, save the sidecar this run
-    replaces. Runs gathered in one directory by repeated ``run`` so claim
-    distinct ``(0, run_index)`` pairs, as ``reaggregate_from_traces``
-    requires, in the order they were run."""
-    last = -1
-    for sub in os.listdir(out_dir) if os.path.isdir(out_dir) else ():
-        directory = os.path.join(out_dir, sub)
-        if not os.path.isdir(directory):
-            continue
-        for name in os.listdir(directory):
-            if not name.endswith(".run.json") or \
-                    (sub, name) == (scenario_id, f"{seed}.run.json"):
-                continue
-            try:
-                meta, _, _ = _read_sidecar(os.path.join(directory, name))
-            except (OSError, metrics.MalformedTrace):
-                continue  # report rejects a damaged sidecar, naming it
-            last = max(last, meta["run_index"])
-    return last + 1
 
 
 Task = tuple[int, int, int]  # scenario index, seed, run index
@@ -270,65 +306,6 @@ def run_campaign(plan: CampaignPlan,
                           run_summaries=summaries, trace_hashes=hashes)
 
 
-# Every key _persist_run writes; the sidecar of a run with a trace has
-# _TRACE_KEYS too.
-_SIDECAR_KEYS = frozenset({
-    "scenario_id", "seed", "scenario_index", "run_index", "termination",
-    "failed", "error", "dt", "max_abs_accel", "max_abs_jerk",
-    "max_clearance"})
-_TRACE_KEYS = frozenset({"trace_hash", "ticks", "role_timings_ns"})
-
-
-def _read_sidecar(path: str
-                  ) -> tuple[dict, TerminationStatus, PerfThresholds]:
-    """A sidecar's fields, with its termination and thresholds decoded.
-
-    A sidecar that is not a JSON object, lacks a key its writer writes,
-    has a key it never writes, or holds a value it never writes raises
-    ``MalformedTrace`` naming the file.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        if not isinstance(meta, dict):
-            raise ValueError("not a JSON object")
-        keys = _SIDECAR_KEYS if meta.get("failed") else \
-            _SIDECAR_KEYS | _TRACE_KEYS
-        missing = sorted(keys - meta.keys())
-        if missing:
-            raise ValueError(f"no {', '.join(missing)}")
-        unknown = sorted(meta.keys() - keys)
-        if unknown:
-            raise ValueError(f"unknown key {', '.join(unknown)}")
-        if any(type(meta[key]) is not int
-               for key in ("seed", "scenario_index", "run_index")):
-            raise ValueError("seed, scenario_index and run_index must be "
-                             "integers")
-        if type(meta["failed"]) is not bool:
-            raise ValueError("failed must be true or false")
-        if any(type(meta[key]) not in (int, float)
-               or not math.isfinite(meta[key]) for key in (
-                   "dt", "max_abs_accel", "max_abs_jerk", "max_clearance")):
-            raise ValueError("dt and the thresholds must be finite numbers")
-        if not meta["dt"] > 0:
-            raise ValueError("dt must be > 0")
-        if not meta["failed"]:
-            if type(meta["ticks"]) is not int or not meta["ticks"] >= 1:
-                raise ValueError("ticks must be an integer >= 1")
-            timings = meta["role_timings_ns"]
-            if not (type(timings) is list and len(timings) == meta["ticks"]
-                    and all(type(t) is dict for t in timings)):
-                raise ValueError("role_timings_ns must be a list of one "
-                                 "dict per tick")
-        termination = TerminationStatus(meta["termination"])
-        thresholds = PerfThresholds(max_clearance=meta["max_clearance"],
-                                    max_abs_accel=meta["max_abs_accel"],
-                                    max_abs_jerk=meta["max_abs_jerk"])
-    except (ValueError, TypeError) as exc:
-        raise metrics.MalformedTrace(None, f"{path}: {exc}") from exc
-    return meta, termination, thresholds
-
-
 def _lines_and_digest(data: bytes) -> tuple[int, str]:
     """A trace's line count and its ``trace_hash``: the sha256 of its
     bytes with the newlines left out, digested line by line through
@@ -337,51 +314,71 @@ def _lines_and_digest(data: bytes) -> tuple[int, str]:
 
     h = hashlib.sha256()
     view = memoryview(data)
-    lines = start = 0
-    end = data.find(b"\n")
-    while end >= 0:
-        h.update(view[start:end])
-        lines += 1
-        start = end + 1
+    lines = data.count(b"\n")
+    start = 0
+    for _ in range(lines):
         end = data.find(b"\n", start)
+        h.update(view[start:end])
+        start = end + 1
     h.update(view[start:])
     return lines, h.hexdigest()
+
+
+def _campaign_files(out_dir: str) -> Iterator[tuple[str, str, str]]:
+    """The campaign walk: each file under ``out_dir``'s subdirectories."""
+    for scenario_id in sorted(os.listdir(out_dir)):
+        directory = os.path.join(out_dir, scenario_id)
+        if os.path.isdir(directory):
+            for name in sorted(os.listdir(directory)):
+                yield scenario_id, name, os.path.join(directory, name)
+
+
+def _next_run_index(out_dir: str, scenario_id: str, seed: int) -> int:
+    """The run index ``avguard run`` gives its run in ``out_dir``: one past
+    every run index a sidecar there records, save the one this run
+    replaces, so runs gathered there by repeated ``run`` claim distinct
+    ``(0, run_index)`` pairs, as the reader requires, in run order."""
+    last = -1
+    replaced = (scenario_id, f"{seed}.run.json")
+    for sub, name, path in (_campaign_files(out_dir)
+                            if os.path.isdir(out_dir) else ()):
+        if name.endswith(".run.json") and (sub, name) != replaced:
+            try:
+                last = max(last, _read_sidecar(path)[0]["run_index"])
+            except (OSError, metrics.MalformedTrace):
+                pass  # report rejects a damaged sidecar, naming it
+    return last + 1
 
 
 _BRAKE = EMERGENCY_BRAKE._value_  # a record's final_maneuver is the string
 
 
-class _TraceRecords:
-    """The records of a trace whose line count and hash its sidecar
-    vouches for, decoded from its bytes one line at a time as they are
-    iterated, so only the record handed out and the one before it are
-    held.
-
-    Each record must be one ``finalize_tick`` could write: line n holds
-    tick n - 1 at ``round((n - 1) * dt, 9)`` seconds, recovery is active
-    exactly when the final maneuver is ``emergency_brake``, and only the
-    last record may hold a collision, as a collided world does not tick.
-    A record that breaks one, or a trace that does not decode to
-    ``ticks`` records, raises ``MalformedTrace`` during the iteration.
-    ``line`` is the line of the record last handed out, so an error in
-    summarizing it can name it, and ``last`` is that record.
-    """
-
-    def __init__(self, data: bytes, dt: float, ticks: int):
-        self._data, self._dt, self._ticks = data, dt, ticks
-        self.line = 0
-        self.last: Optional[metrics.IterationRecord] = None
-
-    def __iter__(self):
-        dt = self._dt
-        count = 0
-        lines = io.TextIOWrapper(io.BytesIO(self._data), encoding="utf-8",
-                                 newline="\n")
+def _verified_records(sidecar: str, meta: dict,
+                      termination: TerminationStatus) -> Iterator:
+    """The records of the trace whose sidecar ``sidecar`` holds ``meta``,
+    as a one-shot stream. It reads the trace when iteration starts and
+    checks its line count and hash before decoding a record, then
+    decodes each record as it hands it out, so only that record and the
+    one before it are held. Line n must hold tick n - 1, at
+    round((n - 1) * dt, 9) s; recovery is active exactly when the final
+    maneuver is emergency_brake; only the last tick may collide; the
+    records number ``ticks``; the termination agrees with the last one.
+    Else ``MalformedTrace`` names the trace and line, or the sidecar."""
+    trace = os.path.join(os.path.dirname(sidecar), f"{meta['seed']}.jsonl")
+    with open(trace, "rb") as fh:
+        data = fh.read()
+    found = _lines_and_digest(data)
+    dt, ticks = meta["dt"], meta["ticks"]
+    if found != (ticks, meta["trace_hash"]):
+        raise metrics.MalformedTrace(
+            None, f"{trace}: {found[0]} lines with trace_hash {found[1]}, "
+                  f"but its sidecar records {ticks} ticks with "
+                  f"trace_hash {meta['trace_hash']}")
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                             newline="\n")
+    count = 0
+    try:
         for number, record in metrics._decoded_lines(lines):
-            if count and self.last.collision:
-                raise metrics.MalformedTrace(
-                    self.line, "a collision, but a record follows it: a "
-                               "run ends at its collision")
             tick = number - 1
             if record.tick != tick:
                 raise metrics.MalformedTrace(
@@ -396,136 +393,90 @@ class _TraceRecords:
                             f"with final_maneuver "
                             f"{record.final_maneuver!r}: recovery is active "
                             f"exactly when the final maneuver is {_BRAKE}")
+            if record.collision and tick != ticks - 1:
+                raise metrics.MalformedTrace(
+                    number, "a collision, but a record follows it: a run "
+                            "ends at its collision")
             count += 1
-            self.line, self.last = number, record
             yield record
-        if count != self._ticks:
+        if count != ticks:
             # A blank line is no record, and a last line needs no newline.
-            raise metrics.MalformedTrace(
-                None, f"{count} records, but its sidecar records "
-                      f"{self._ticks} ticks")
-
-
-def _summarize_trace(sidecar: str, meta: dict,
-                     termination: TerminationStatus,
-                     thresholds: PerfThresholds) -> RunSummary:
-    """The summary of the run whose sidecar ``sidecar`` holds ``meta``,
-    from its trace.
-
-    The trace is read once, into bytes. Its line count and hash are
-    checked against the sidecar before any record is decoded, and then
-    those bytes are summarized as they are decoded. Only the termination
-    check reads the last record, so no record outlives the call.
-    """
-    trace = os.path.join(os.path.dirname(sidecar), f"{meta['seed']}.jsonl")
-    with open(trace, "rb") as fh:
-        data = fh.read()
-    found = _lines_and_digest(data)
-    expected = (meta["ticks"], meta["trace_hash"])
-    if found != expected:
-        raise metrics.MalformedTrace(
-            None, f"{trace}: {found[0]} lines with trace_hash {found[1]}, "
-                  f"but its sidecar records {expected[0]} ticks with "
-                  f"trace_hash {expected[1]}")
-    records = _TraceRecords(data, meta["dt"], meta["ticks"])
-    try:
-        summary = metrics.summarize_run(
-            records, termination, thresholds, meta["dt"],
-            scenario_id=meta["scenario_id"], seed=meta["seed"])
+            raise metrics.MalformedTrace(None, f"{count} records, but its "
+                                         f"sidecar records {ticks} ticks")
     except (metrics.MalformedTrace, UnicodeDecodeError) as exc:
         raise metrics.MalformedTrace(None, f"{trace}: {exc}") from exc
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        # A field of the wrong type decodes, and fails the sum.
-        raise metrics.MalformedTrace(
-            None, f"{trace}: line {records.line}: {exc}") from exc
     # As a run ends: collision first (check_termination's order), and a
     # halt only on an unsafe verdict (run_scenario's rule).
-    last = records.last
     if (termination == TerminationStatus.RUNNING
-            or last.collision != (termination == TerminationStatus.COLLISION)
+            or record.collision != (termination == TerminationStatus.COLLISION)
             or termination == TerminationStatus.HALT_ON_VIOLATION
-            and last.verdict_level != UNSAFE):
+            and record.verdict_level != UNSAFE):
         raise metrics.MalformedTrace(
             None, f"{sidecar}: termination {termination.value} contradicts "
-                  f"the trace's last record (collision {last.collision}, "
-                  f"verdict {last.verdict_level})")
-    return summary
+                  f"the trace's last record (collision {record.collision}, "
+                  f"verdict {record.verdict_level})")
 
 
-def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
-    """Rebuild the campaign summary from persisted traces.
-
-    Every aggregate field is recomputed from the trace records; the
-    sidecar contributes only what a trace cannot carry (termination
-    status, thresholds, failure markers). Each trace is read once, into
-    bytes, and its line count and hash are checked against its sidecar
-    before any record is decoded. Its own bytes are its hash input: their
-    sha256 with the newlines left out is its ``trace_hash``, so a trace
-    is checked without re-encoding a record, and any byte that differs
-    from the canonical form (re-spaced JSON, a carriage return) fails the
-    check. Then those bytes are decoded line by line straight into
-    ``summarize_run``, so a trace's raw bytes and at most two of its
-    records are held at once, and each record is checked against the
-    record invariants (``_TraceRecords``) as it is decoded. A damaged
-    sidecar, a trace with no sidecar, a trace whose line count, record
-    count or hash disagrees with its sidecar, a trace line that does not
-    decode, a record that breaks an invariant or that ``summarize_run``
-    cannot take (a field of the wrong type), or a termination its last
-    record contradicts (``running``, or a collision bit or unsafe halt
-    the record does not show) raises ``MalformedTrace`` naming the file,
-    and the line where there is one. So does a sidecar that is not
-    ``<its scenario_id>/<its seed>.run.json``, which would name another
-    run's trace, two sidecars that claim the same ``(scenario_index,
-    run_index)``, as a run of another campaign copied in does, and a
-    directory that holds no sidecar at all, since a report of no runs
-    shows nothing.
-    """
-    keyed: list[tuple[int, int, RunSummary]] = []
-    sidecars: dict[tuple[int, int], str] = {}  # (scenario_index, run_index)
-    for scenario_id in sorted(os.listdir(traces_dir)):
-        scenario_dir = os.path.join(traces_dir, scenario_id)
-        if not os.path.isdir(scenario_dir):
+def _verified_runs(traces_dir: str) -> Iterator[tuple]:
+    """The campaign reader: each run of ``traces_dir`` in directory order,
+    as its ``(scenario_index, run_index)``, its sidecar's fields,
+    termination and thresholds, and its ``_verified_records`` stream, or
+    None for a failed run. A trace is verified only as its stream is
+    read, so a caller reads each stream to its end. A damaged sidecar, a
+    trace with no sidecar, a sidecar not at ``<its scenario_id>/<its
+    seed>.run.json`` (it would name another run's trace), two sidecars
+    with one key (a run of another campaign copied in), or no sidecar at
+    all raises ``MalformedTrace`` naming the file or directory."""
+    claimed: dict[tuple[int, int], str] = {}
+    for scenario_id, name, path in _campaign_files(traces_dir):
+        if name.endswith(".jsonl") and not os.path.exists(
+                path.removesuffix(".jsonl") + ".run.json"):
+            raise metrics.MalformedTrace(
+                None, f"{path}: trace has no .run.json sidecar")
+        if not name.endswith(".run.json"):
             continue
-        names = sorted(os.listdir(scenario_dir))
-        present = set(names)
-        for name in names:
-            if name.endswith(".jsonl") and \
-                    name.removesuffix(".jsonl") + ".run.json" not in present:
-                raise metrics.MalformedTrace(
-                    None, f"{os.path.join(scenario_dir, name)}: trace has "
-                          f"no .run.json sidecar")
-        for name in names:
-            if not name.endswith(".run.json"):
-                continue
-            path = os.path.join(scenario_dir, name)
-            meta, termination, thresholds = _read_sidecar(path)
-            # A sidecar names its trace by its seed: read it only where
-            # its writer put it.
-            if (meta["scenario_id"], f"{meta['seed']}.run.json") != \
-                    (scenario_id, name):
-                raise metrics.MalformedTrace(
-                    None, f"{path}: the sidecar of run {meta['seed']} of "
-                          f"scenario {meta['scenario_id']!r} belongs at "
-                          f"{meta['scenario_id']}/{meta['seed']}.run.json")
-            order = (meta["scenario_index"], meta["run_index"])
-            other = sidecars.setdefault(order, path)
-            if other != path:
-                raise metrics.MalformedTrace(
-                    None, f"{path}: scenario_index {order[0]} and run_index "
-                          f"{order[1]} are already claimed by {other}: a "
-                          f"campaign has one run of each")
-            if meta["failed"]:
-                keyed.append((*order, RunSummary.failed_run(
-                    meta["scenario_id"], meta["seed"], meta["error"])))
-                continue
-            keyed.append((*order, _summarize_trace(path, meta, termination,
-                                                   thresholds)))
-    if not keyed:
+        meta, termination, thresholds = _read_sidecar(path)
+        # A sidecar names its trace by its seed: read it only where its
+        # writer put it.
+        if (meta["scenario_id"], f"{meta['seed']}.run.json") != \
+                (scenario_id, name):
+            raise metrics.MalformedTrace(
+                None, f"{path}: the sidecar of run {meta['seed']} of "
+                      f"scenario {meta['scenario_id']!r} belongs at "
+                      f"{meta['scenario_id']}/{meta['seed']}.run.json")
+        key = (meta["scenario_index"], meta["run_index"])
+        other = claimed.setdefault(key, path)
+        if other != path:
+            raise metrics.MalformedTrace(
+                None, f"{path}: scenario_index {key[0]} and run_index "
+                      f"{key[1]} are already claimed by {other}: a "
+                      f"campaign has one run of each")
+        yield key, meta, termination, thresholds, (
+            None if meta["failed"]
+            else _verified_records(path, meta, termination))
+    if not claimed:
         raise metrics.MalformedTrace(
             None, f"{traces_dir}: no run found; a campaign's traces are laid "
                   f"out as <scenario_id>/<seed>.run.json")
-    keyed.sort(key=lambda item: (item[0], item[1]))
-    return metrics.summarize_campaign([summary for _, _, summary in keyed])
+
+
+def reaggregate_from_traces(traces_dir: str) -> CampaignSummary:
+    """Rebuild the campaign summary from persisted traces: each run of the
+    campaign reader, ``_verified_runs``, is summarized as its verified
+    records stream in, ordered by ``(scenario_index, run_index)`` as
+    ``run_campaign`` orders them. What the reader rejects raises
+    ``MalformedTrace`` naming the file, and the line where there is one.
+    """
+    keyed: list[tuple[tuple[int, int], RunSummary]] = []
+    for key, meta, termination, thresholds, records in \
+            _verified_runs(traces_dir):
+        keyed.append((key, RunSummary.failed_run(
+            meta["scenario_id"], meta["seed"], meta["error"])
+            if records is None else metrics.summarize_run(
+                records, termination, thresholds, meta["dt"],
+                scenario_id=meta["scenario_id"], seed=meta["seed"])))
+    keyed.sort(key=lambda item: item[0])
+    return metrics.summarize_campaign([summary for _, summary in keyed])
 
 
 __all__ = [

@@ -15,7 +15,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii as _string
 from typing import IO, Iterable, Iterator, Optional, Union
 
-from .config import PerfThresholds, SimParams
+from .config import FaultKind, PerfThresholds, SimParams
 from .performance import PerfFlags
 from .state import (
     EMERGENCY_BRAKE,
@@ -23,6 +23,7 @@ from .state import (
     GroundTruthWorld,
     Maneuver,
     Verdict,
+    VerdictLevel,
 )
 
 
@@ -181,13 +182,60 @@ def encode_record(record: IterationRecord) -> str:
     return line
 
 
+# The words of each enum field. Tuples, not sets: an unhashable value,
+# such as a list, is then not found instead of raising TypeError.
+_MANEUVERS = tuple(m._value_ for m in Maneuver)
+_WORDS = (("verdict_level", tuple(v._value_ for v in VerdictLevel)),
+          ("proposed_maneuver", _MANEUVERS), ("final_maneuver", _MANEUVERS),
+          ("active_fault", (None, *(k._value_ for k in FaultKind))))
+
+
+def _unwritten(d: dict, field: str, expected: str) -> ValueError:
+    return ValueError(f"{field} {json.dumps(d[field], default=repr)}, "
+                      f"expected {expected}")
+
+
 def record_from_json_dict(d: dict) -> IterationRecord:
     """The record of a decoded trace line; ``d`` is taken over, not
-    copied, as ``json.loads`` hands each line a fresh dict."""
-    if d["min_predicted_separation"] == "inf":
+    copied, as ``json.loads`` hands each line a fresh dict. A value no
+    run's trace holds raises ``ValueError`` naming its field: a float
+    must be a finite ``float`` (the separation may be ``"inf"``), a flag
+    a ``bool``, ``tick`` and a non-null ``offending_object`` an ``int``,
+    ``rationale`` a ``str``, and an enum field one of its words
+    (``active_fault`` may be null)."""
+    # For a float x, x - x is 0.0, which is false, when x is finite, and
+    # NaN, which is true, when x is NaN or an infinity.
+    for field in ("ego_accel_mps2", "sim_time_s", "time_of_min_s"):
+        x = d[field]
+        if x.__class__ is not float or x - x:
+            raise _unwritten(d, field, "a finite float")
+    for field in ("ego_position", "ego_velocity"):
+        pair = d[field]
+        if not (pair.__class__ is list and len(pair) == 2
+                and pair[0].__class__ is pair[1].__class__ is float
+                and not (pair[0] - pair[0] or pair[1] - pair[1])):
+            raise _unwritten(d, field, "two finite floats")
+        d[field] = tuple(pair)
+    x = d["min_predicted_separation"]
+    if x == "inf":
         d["min_predicted_separation"] = math.inf
-    d["ego_position"] = tuple(d["ego_position"])
-    d["ego_velocity"] = tuple(d["ego_velocity"])
+    elif x.__class__ is not float or x - x:
+        raise _unwritten(d, "min_predicted_separation",
+                         'a finite float or "inf"')
+    for field in ("accel_violation", "clearance_exceeded", "collision",
+                  "jerk_violation", "recovery_active"):
+        if d[field].__class__ is not bool:
+            raise _unwritten(d, field, "true or false")
+    if d["tick"].__class__ is not int:
+        raise _unwritten(d, "tick", "an integer")
+    obj = d["offending_object"]
+    if obj is not None and obj.__class__ is not int:
+        raise _unwritten(d, "offending_object", "an integer or null")
+    if d["rationale"].__class__ is not str:
+        raise _unwritten(d, "rationale", "a string")
+    for field, words in _WORDS:
+        if d[field] not in words:
+            raise _unwritten(d, field, f"one of {json.dumps(words)}")
     return IterationRecord(**d)
 
 
@@ -246,9 +294,9 @@ def _decoded_lines(lines: Iterable[str]
 def read_trace(source: Union[str, IO[str]]) -> list[IterationRecord]:
     """Every record of a JSON Lines trace, in line order: ``source`` is a
     path, read as UTF-8, or an open text stream. Blank lines are
-    skipped. A line that is not a record raises ``MalformedTrace``
-    naming the line. Nothing is checked against a sidecar or a hash:
-    ``campaign.reaggregate_from_traces`` does that."""
+    skipped. A line that is not a record (``record_from_json_dict``)
+    raises ``MalformedTrace`` naming the line. Sidecars and hashes are
+    the campaign reader's to check, ``campaign._verified_runs``."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return [record for _, record in _decoded_lines(fh)]
@@ -308,10 +356,10 @@ def summarize_run(records: Iterable[IterationRecord],
                   dt: float = SimParams.dt,
                   scenario_id: str = "", seed: int = 0) -> RunSummary:
     """The run's summary, in one pass over its records, which may be any
-    iterable, a one-shot iterator too (``dt`` > 0, and every
-    acceleration finite, as the trace encoder requires). Only the record
-    in hand is held, so a stream is summarized as it is read. No record
-    at all raises ``EmptyTrace``.
+    iterable, a one-shot iterator too. ``dt`` must be > 0 and every
+    acceleration finite: the trace encoder requires it, and the decoder
+    checks it. Only the record in hand is held, so a stream is
+    summarized as it is read. No record at all raises ``EmptyTrace``.
 
     The jerk of record i >= 1 is ``|a_i - a_(i-1)| / dt``. A record
     violates comfort when its acceleration or jerk exceeds its

@@ -550,7 +550,11 @@ class TestSidecarCheck:
     @pytest.mark.parametrize("edit, named", [
         ("blank_line", "records"), ("only_blank", "records"),
         ("unended_last_line", "records"), ("not_a_record", "line 11: "),
-        ("not_utf8", "utf-8"), ("wrong_type", "line 11: bad operand"),
+        ("not_utf8", "utf-8"), ("wrong_type", "line 11: ego_accel_mps2"),
+        ("bool_then_bogus", "line 11: ego_accel_mps2"),
+        ("nan", "line 11: ego_accel_mps2"),
+        ("unknown_maneuver", "line 11: proposed_maneuver"),
+        ("fault_list", "line 11: active_fault"),
         ("tick", "line 11: tick 11"), ("sim_time", "line 11: sim_time_s"),
         ("recovery", "line 11: recovery_active"),
         ("collision_not_last", "line 11: a collision")])
@@ -570,6 +574,12 @@ class TestSidecarCheck:
             data, ticks = b" \n", 1
         elif edit == "unended_last_line":
             data, ticks = data[:-1], len(lines) - 1
+        elif edit == "bool_then_bogus":  # neither crashed the summary
+            lines[10] = re.sub(rb'"ego_accel_mps2": [^,]*',
+                               b'"ego_accel_mps2": true', lines[10])
+            lines[11] = re.sub(rb'"verdict_level": "[a-z]*"',
+                               b'"verdict_level": "bogus"', lines[11])
+            data, ticks = b"".join(lines), len(lines)
         else:
             line = lines[10]
             lines[10] = {
@@ -578,6 +588,14 @@ class TestSidecarCheck:
                 # It decodes, and crashed the summary with a TypeError.
                 "wrong_type": re.sub(rb'"ego_accel_mps2": [^,]*',
                                      b'"ego_accel_mps2": "fast"', line),
+                # Each decoded, and was aggregated.
+                "nan": re.sub(rb'"ego_accel_mps2": [^,]*',
+                              b'"ego_accel_mps2": NaN', line),
+                "unknown_maneuver": re.sub(rb'"proposed_maneuver": "[a-z_]*"',
+                                           b'"proposed_maneuver": "fly"',
+                                           line),
+                "fault_list": line.replace(b'"active_fault": null',
+                                           b'"active_fault": []'),
                 # Each breaks a record invariant, and was aggregated.
                 "tick": line.replace(b'"tick": 10', b'"tick": 11'),
                 "sim_time": line.replace(b'"sim_time_s": 1.0',

@@ -256,6 +256,29 @@ NON_FINITE = [(field, index, value) for field, index in FLOAT_SLOTS
               for value in (math.nan, math.inf, -math.inf)
               if (field, value) != ("min_predicted_separation", math.inf)]
 
+# A value of the wrong type for each kind of field: encode_record raises
+# TypeError for each, and the decoder rejects each it can be sent.
+WRONG_TYPES = [
+    ("sim_time_s", 3),
+    ("ego_accel_mps2", "1.0"),
+    ("min_predicted_separation", 10),
+    ("min_predicted_separation", None),
+    ("time_of_min_s", True),
+    ("ego_position", (2, -30.0)),
+    ("ego_velocity", (0.0, "8")),
+    ("tick", True),
+    ("tick", 1.0),
+    ("offending_object", 2.0),
+    ("offending_object", False),
+    ("accel_violation", 1),
+    ("collision", None),
+    ("recovery_active", "false"),
+    ("proposed_maneuver", None),
+    ("rationale", 7),
+    ("active_fault", 0),
+    ("verdict_level", b"safe"),
+]
+
 
 def with_float(field, index, value):
     """make_record with ``value`` in a float field, or in one item of a
@@ -312,29 +335,23 @@ class TestEncodeRecord:
             write_trace([make_record(min_predicted_separation=-math.inf)],
                         io.StringIO())
 
-    @pytest.mark.parametrize("field, value", [
-        ("sim_time_s", 3),
-        ("ego_accel_mps2", "1.0"),
-        ("min_predicted_separation", 10),
-        ("min_predicted_separation", None),
-        ("time_of_min_s", True),
-        ("ego_position", (2, -30.0)),
-        ("ego_velocity", (0.0, "8")),
-        ("tick", True),
-        ("tick", 1.0),
-        ("offending_object", 2.0),
-        ("offending_object", False),
-        ("accel_violation", 1),
-        ("collision", None),
-        ("recovery_active", "false"),
-        ("proposed_maneuver", None),
-        ("rationale", 7),
-        ("active_fault", 0),
-        ("verdict_level", b"safe"),
-    ])
+    @pytest.mark.parametrize("field, value", WRONG_TYPES)
     def test_wrong_type_is_rejected(self, field, value):
         with pytest.raises(TypeError):
             encode_record(make_record(**{field: value}))
+
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field, value in WRONG_TYPES
+        if not isinstance(value, bytes)])  # JSON holds no bytes
+    def test_wrong_type_is_not_decoded(self, field, value):
+        """What the encoder refuses to write, the decoder refuses to
+        read, naming the line and the field."""
+        line = json.loads(encode_record(make_record()))
+        line[field] = value
+        with pytest.raises(MalformedTrace) as err:
+            read_trace(io.StringIO(json.dumps(line) + "\n"))
+        assert err.value.line_number == 1
+        assert str(err.value).startswith(f"line 1: {field} ")
 
     def test_round_trip(self):
         rng = random.Random(13)
